@@ -6,7 +6,8 @@ that order of increasing precedence.  It writes one CSV (RFC 4180, header
 row, shortest round-trip float formatting) and a JSON sidecar next to it
 holding the fully resolved config, a result summary, the explicitly given
 flags and the wall time.  Reruns with the same resolved config and seed
-produce byte-identical CSV regardless of NEXTJUMP_THREADS.
+produce byte-identical CSV: every command runs in one thread, and
+NEXTJUMP_THREADS, still accepted, changes nothing.
 
 Exit codes: 0 success, 2 invalid configuration or arguments, 3 numerical
 failure, 4 I/O failure.  ``validate`` reports criterion failures as report
@@ -36,7 +37,7 @@ from .heterodyne import (HeterodyneParams, NoisePath, current_statistics,
                          sample_tilted_currents)
 from .numerics import IntegrationError, RngStream, TruncationError
 from .readout import figure1_dataset, min_error_next_jump, y_oscillation_frequency
-from .trajectories import JumpRecord, NullFlow, ensemble_map, sample_gaps, telegraph_stats
+from .trajectories import JumpRecord, NullFlow, sample_gaps, telegraph_stats
 from .transmon import TransmonParams, beta_B, dark_eigenvalues
 
 __all__ = ["main"]
@@ -131,10 +132,7 @@ def _run_atom3_null(cfg):
     model = _atom3.effective_model(p)
     nf = NullFlow(model.generator, model.initial_state)
     ts = np.linspace(0.0, cfg["tmax"], cfg["npts"])
-    # one grid point per task: the survival values are embarrassingly
-    # parallel, and slot ordering keeps the output thread-count independent
-    w = ensemble_map(lambda i: float(nf.survival(float(ts[i]))), cfg["npts"])
-    w = np.asarray(w)
+    w = nf.survival(ts)
     logw = np.log(w)
     rows = [(t, wv, lv) for t, wv, lv in zip(ts, w, logw)]
     m = ts >= cfg["fit_start"]

@@ -5,8 +5,7 @@ Everything downstream works with unnormalized state vectors whose squared
 norm carries physical meaning (a no-click survival probability), so none of
 the helpers here renormalize behind the caller's back.  Random numbers come
 from a counter-based generator keyed by ``(seed, stream_index)`` so that
-ensembles are bit-reproducible regardless of execution order or thread
-count.
+ensembles are bit-reproducible regardless of execution order.
 """
 
 from __future__ import annotations
@@ -214,8 +213,8 @@ class RngStream:
 
     Two streams with different indices are statistically independent, and a
     given key reproduces the identical bit sequence on every platform, which
-    is what makes threaded ensembles deterministic: trajectory i always uses
-    stream index i regardless of which worker runs it.
+    is what makes ensembles deterministic: trajectory i always uses stream
+    index i however the ensemble is scheduled.
     """
 
     seed: int

@@ -20,7 +20,7 @@ chi/kappa = 1/2 for dispersive readout).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.integrate import cumulative_simpson
@@ -42,7 +42,9 @@ __all__ = [
 
 
 def _with_chi(p: CavityParams, chi: float) -> CavityParams:
-    return CavityParams(kappa=p.kappa, chi=chi, nbar=p.nbar)
+    """p with only the dispersive pull changed; drive and detection
+    reference stay, so both readout branches share them."""
+    return replace(p, chi=chi)
 
 
 def error_next_jump(p: CavityParams, t):

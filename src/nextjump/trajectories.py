@@ -8,16 +8,17 @@ on the closed eigenmode propagator.  With that sampling the trajectory
 ensemble carries the physical measure, so averages of normalized projectors
 reproduce the Lindblad density matrix.
 
-Everything here is deterministic given (seed, stream): trajectory i always
-consumes stream i of the counter-based generator no matter which thread runs
-it, and ensemble reductions sum in slot order.
+Ensembles run in lockstep: one propagator per model, the eigenmode
+coefficients of every live trajectory held as one (d, n) array, and all
+pending jump times bisected together.  Everything is deterministic given
+(seed, stream): trajectory i consumes stream i of the counter-based
+generator, a time draw per segment and then a channel draw when the model
+has more than one channel, exactly as a lone trajectory would.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,33 +30,18 @@ __all__ = [
     "NullFlow",
     "TelegraphTrace",
     "TelegraphStats",
-    "ensemble_map",
     "lindblad_consistency",
     "run_trajectory",
     "sample_gaps",
-    "sample_next_jump",
     "telegraph_run",
     "telegraph_stats",
     "telegraph_trace",
-    "thread_count",
 ]
 
 #: eigenbasis condition number above which the propagator falls back to an ODE
 EIG_COND_LIMIT = 1e8
 #: bisection iterations for jump-time location (resolves t_hi / 2^64)
 BISECT_ITERS = 64
-
-
-def thread_count() -> int:
-    """Worker cap from NEXTJUMP_THREADS; 0 or unset means auto."""
-    raw = os.environ.get("NEXTJUMP_THREADS", "0")
-    try:
-        n = int(raw)
-    except ValueError:
-        n = 0
-    if n <= 0:
-        n = min(os.cpu_count() or 1, 8)
-    return n
 
 
 @dataclass(frozen=True)
@@ -129,9 +115,11 @@ class EffectiveModel:
 class NullFlow:
     """Closed propagator psi(t) = exp(M t) psi0 with survival evaluation.
 
-    Diagonalizes M once; if the eigenbasis is ill-conditioned (defective or
-    nearly so) the flow falls back to adaptive integration with dense output.
-    Survival is ||psi(t)||^2 normalized to 1 at t=0.
+    Diagonalizes M once and propagates eigenmode coefficients V^-1 psi.  If
+    the eigenbasis is ill-conditioned (defective or nearly so) the flow
+    instead integrates the d x d propagator Phi(t) = exp(M t) once with
+    dense output, and a state is its own coefficient vector.  Survival is
+    ||psi(t)||^2 normalized to 1 at t=0.
     """
 
     def __init__(self, generator: np.ndarray, state0: np.ndarray,
@@ -141,21 +129,19 @@ class NullFlow:
         self._norm0 = float(np.vdot(s0, s0).real)
         if self._norm0 == 0.0:
             raise ValueError("cannot start a flow from the zero state")
-        self._s0 = s0
         self._M = M
         lam, V = np.linalg.eig(M)
         cond = np.linalg.cond(V)
         if np.isfinite(cond) and cond <= EIG_COND_LIMIT:
             self._lam = lam
             self._V = V
-            self._coef = np.linalg.solve(V, s0)
-            self._dense = None
         else:
             self._lam = None
             self._dense = None
             self._dense_tmax = 0.0
             if t_max_hint > 0.0:
                 self._ensure_dense(t_max_hint)
+        self._coef = self._coefficients(s0)
 
     @property
     def uses_eig(self) -> bool:
@@ -164,23 +150,38 @@ class NullFlow:
     def _ensure_dense(self, tmax: float) -> None:
         if self._dense is not None and tmax <= self._dense_tmax:
             return
-        rhs = lambda t, y: self._M @ y
-        _, interp = integrate_ode(rhs, self._s0, 0.0, tmax,
+        d = self._M.shape[0]
+        rhs = lambda t, y: (self._M @ y.reshape(d, d)).reshape(-1)
+        _, interp = integrate_ode(rhs, np.eye(d).reshape(-1), 0.0, tmax,
                                   tol=1e-12, dense=True)
         self._dense = interp
         self._dense_tmax = tmax
 
+    def _coefficients(self, states: np.ndarray) -> np.ndarray:
+        """Coordinates, (d,) or (d, n), that ``_evolve`` propagates."""
+        if self._lam is not None:
+            return np.linalg.solve(self._V, states)
+        return np.array(states, dtype=complex)
+
+    def _evolve(self, coef: np.ndarray, t: np.ndarray) -> np.ndarray:
+        """States exp(M t[j]) psi_j, (d, t.size), from coefficient columns
+        coef (d, t.size), or (d, 1) shared by every time."""
+        if self._lam is not None:
+            return self._V @ (coef * np.exp(np.multiply.outer(self._lam, t)))
+        d = self._M.shape[0]
+        phi = np.empty((d, d, t.size), dtype=complex)
+        at0 = t == 0.0
+        phi[:, :, at0] = np.eye(d)[:, :, np.newaxis]
+        if not at0.all():
+            self._ensure_dense(float(t.max()))
+            phi[:, :, ~at0] = self._dense(t[~at0]).reshape(d, d, -1)
+        return np.einsum("ijn,jn->in", phi,
+                         np.broadcast_to(coef, (d, t.size)))
+
     def state(self, t):
         """psi(t); t scalar -> (d,), t array -> (d, len(t))."""
         t_arr = np.atleast_1d(np.asarray(t, dtype=float))
-        if self._lam is not None:
-            phases = np.exp(np.multiply.outer(self._lam, t_arr))
-            psi = self._V @ (self._coef[:, np.newaxis] * phases)
-        else:
-            self._ensure_dense(float(t_arr.max()) if t_arr.size else 1.0)
-            psi = np.empty((self._s0.size, t_arr.size), dtype=complex)
-            for i, ti in enumerate(t_arr):
-                psi[:, i] = self._s0 if ti == 0.0 else self._dense(ti)
+        psi = self._evolve(self._coef[:, np.newaxis], t_arr)
         if np.isscalar(t) or np.asarray(t).ndim == 0:
             return psi[:, 0]
         return psi
@@ -195,6 +196,20 @@ class NullFlow:
         return w
 
 
+def _bisect(survival, u: np.ndarray, hi: np.ndarray,
+            iters: int = BISECT_ITERS) -> np.ndarray:
+    """Roots of survival(t) = u on [0, hi], one per sample, bisected
+    together; survival maps an array of times to W at those times."""
+    lo = np.zeros_like(hi)
+    hi = hi.copy()
+    for _ in range(iters):
+        mid = 0.5 * (lo + hi)
+        sel = survival(mid) > u
+        lo[sel] = mid[sel]
+        hi[~sel] = mid[~sel]
+    return 0.5 * (lo + hi)
+
+
 def sample_gaps(survival, n: int, rng, t_hi: float,
                 iters: int = BISECT_ITERS) -> np.ndarray:
     """n inverse-transform samples of the first-jump time for a survival
@@ -206,40 +221,7 @@ def sample_gaps(survival, n: int, rng, t_hi: float,
     if isinstance(rng, RngStream):
         rng = rng.generator()
     u = rng.random(n)
-    lo = np.zeros(n)
-    hi = np.full(n, float(t_hi))
-    for _ in range(iters):
-        mid = 0.5 * (lo + hi)
-        sel = survival(mid) > u
-        lo[sel] = mid[sel]
-        hi[~sel] = mid[~sel]
-    return 0.5 * (lo + hi)
-
-
-def sample_next_jump(model: EffectiveModel, state0, rng, tmax: float):
-    """(t_jump or None, state_at_jump_or_tmax) for one draw.
-
-    Draws u ~ U(0,1); returns None when the norm stays above u through tmax.
-    The returned state is the unnormalized conditioned state at the jump (or
-    at tmax), suitable for channel attribution.
-    """
-    if isinstance(rng, RngStream):
-        rng = rng.generator()
-    flow = NullFlow(model.generator, state0)
-    u = float(rng.random())
-    if flow.survival(tmax) > u:
-        return None, flow.state(tmax)
-    lo, hi = 0.0, float(tmax)
-    for _ in range(BISECT_ITERS):
-        mid = 0.5 * (lo + hi)
-        if flow.survival(mid) > u:
-            lo = mid
-        else:
-            hi = mid
-        if abs(flow.survival(0.5 * (lo + hi)) - u) < 1e-10:
-            break
-    t_j = 0.5 * (lo + hi)
-    return t_j, flow.state(t_j)
+    return _bisect(survival, u, np.full(n, float(t_hi)), iters)
 
 
 def _choose_channel(model: EffectiveModel, psi_at_jump: np.ndarray,
@@ -287,49 +269,62 @@ class JumpRecord:
         return np.diff(self.times, prepend=0.0)
 
 
+def _unravel(model: EffectiveModel, tmax: float, rngs: list) -> tuple:
+    """Lockstep jump unraveling of len(rngs) trajectories on [0, tmax].
+
+    Trajectory j draws from rngs[j] only, in the order a lone trajectory
+    would: the survival level u of each segment, then the channel when the
+    model has more than one.  Each round retires the trajectories whose
+    norm stays above u through tmax and bisects the jump times of the rest
+    together on one propagator.  Returns (times, channels, final): a list of
+    click times and a list of channel indices per trajectory, and the
+    (d, n) final states, unnormalized relative to the last reset.
+    """
+    n = len(rngs)
+    psi0 = model.initial_state / np.linalg.norm(model.initial_state)
+    flow = NullFlow(model.generator, psi0, t_max_hint=tmax)
+    coef = np.repeat(flow._coef[:, np.newaxis], n, axis=1)
+    norm0 = np.full(n, flow._norm0)
+    final = np.repeat(psi0[:, np.newaxis], n, axis=1)
+    t = np.zeros(n)
+    times = [[] for _ in range(n)]
+    channels = [[] for _ in range(n)]
+    live = np.flatnonzero(t < tmax)
+    while live.size:
+        u = np.array([rngs[j].random() for j in live])
+        c, nrm = coef[:, live], norm0[live]
+        remaining = tmax - t[live]
+        psi_end = flow._evolve(c, remaining)
+        stay = np.sum(np.abs(psi_end) ** 2, axis=0) / nrm > u
+        final[:, live[stay]] = psi_end[:, stay]
+        jump = ~stay
+        live, c, nrm = live[jump], c[:, jump], nrm[jump]
+        t_rel = _bisect(
+            lambda s: np.sum(np.abs(flow._evolve(c, s)) ** 2, axis=0) / nrm,
+            u[jump], remaining[jump])
+        psi_j = flow._evolve(c, t_rel)
+        post = np.empty_like(psi_j)
+        for m, j in enumerate(live):
+            k = _choose_channel(model, psi_j[:, m], rngs[j])
+            post[:, m] = model.reset(k, psi_j[:, m])
+            t[j] += t_rel[m]
+            times[j].append(t[j])
+            channels[j].append(k)
+        final[:, live] = post
+        coef[:, live] = flow._coefficients(post)
+        norm0[live] = np.sum(np.abs(post) ** 2, axis=0)
+        live = live[t[live] < tmax]
+    return times, channels, final
+
+
 def run_trajectory(model: EffectiveModel, tmax: float, rng) -> JumpRecord:
-    """Sequential jump unraveling on [0, tmax]: repeated sample_next_jump
-    plus reset, single random stream consumed in order."""
+    """Jump unraveling of one trajectory on [0, tmax] (a lockstep batch of
+    one), consuming one random stream in order."""
     if isinstance(rng, RngStream):
         rng = rng.generator()
-    times = []
-    channels = []
-    state = model.initial_state
-    nrm = np.linalg.norm(state)
-    state = state / nrm
-    # constant-reset models reuse one propagator for every segment
-    cached_flow = None
-    t = 0.0
-    final_state = state
-    while t < tmax:
-        if model.reset_state is not None and times:
-            if cached_flow is None:
-                cached_flow = NullFlow(model.generator, state)
-            flow = cached_flow
-        else:
-            flow = NullFlow(model.generator, state)
-        u = float(rng.random())
-        remaining = tmax - t
-        if flow.survival(remaining) > u:
-            final_state = flow.state(remaining)
-            break
-        lo, hi = 0.0, remaining
-        for _ in range(BISECT_ITERS):
-            mid = 0.5 * (lo + hi)
-            if flow.survival(mid) > u:
-                lo = mid
-            else:
-                hi = mid
-        t_rel = 0.5 * (lo + hi)
-        psi_j = flow.state(t_rel)
-        k = _choose_channel(model, psi_j, rng)
-        state = model.reset(k, psi_j)
-        t += t_rel
-        times.append(t)
-        channels.append(k)
-        final_state = state
-    return JumpRecord(np.array(times), np.array(channels, dtype=int),
-                      model.labels, final_state, float(tmax))
+    times, channels, final = _unravel(model, tmax, [rng])
+    return JumpRecord(np.array(times[0]), np.array(channels[0], dtype=int),
+                      model.labels, final[:, 0], float(tmax))
 
 
 def telegraph_run(model: EffectiveModel, total_time: float, rng,
@@ -475,25 +470,6 @@ def telegraph_trace(record: JumpRecord, dark_threshold: float) -> TelegraphTrace
                           tuple(term))
 
 
-def ensemble_map(fn, n: int, max_workers: int | None = None) -> list:
-    """fn(i) for i in range(n), threaded, results returned in slot order.
-
-    Slot-ordered collection plus per-index random streams is what makes the
-    reduction independent of scheduling, so threaded runs stay byte-stable.
-    """
-    workers = max_workers if max_workers is not None else thread_count()
-    out = [None] * n
-    if workers <= 1 or n <= 1:
-        for i in range(n):
-            out[i] = fn(i)
-        return out
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = {pool.submit(fn, i): i for i in range(n)}
-        for fut, i in futures.items():
-            out[i] = fut.result()
-    return out
-
-
 def _lindblad_rhs(model: EffectiveModel):
     d = model.dim
     G = model.generator
@@ -510,15 +486,16 @@ def _lindblad_rhs(model: EffectiveModel):
 
 
 def lindblad_consistency(model: EffectiveModel, ntraj: int, t: float,
-                         seedbase: int, max_workers: int | None = None) -> dict:
+                         seedbase: int) -> dict:
     """Compare the jump-unraveling ensemble to direct density-matrix
     integration.
 
-    The ensemble average uses normalized projectors at time t (trajectories
-    sampled by inverse transform already carry the physical measure).  The
-    direct solution integrates drho/dt = G rho + rho G^dag + sum L rho L^dag.
-    Returns a report with elementwise deviations against the 5/sqrt(ntraj)
-    Monte Carlo band.
+    Trajectory i runs on RngStream(seedbase, i), and all of them run as one
+    lockstep batch.  The ensemble average uses normalized projectors at time
+    t (trajectories sampled by inverse transform already carry the physical
+    measure).  The direct solution integrates
+    drho/dt = G rho + rho G^dag + sum L rho L^dag.  Returns a report with
+    elementwise deviations against the 5/sqrt(ntraj) Monte Carlo band.
     """
     d = model.dim
     psi0 = model.initial_state / np.linalg.norm(model.initial_state)
@@ -526,16 +503,10 @@ def lindblad_consistency(model: EffectiveModel, ntraj: int, t: float,
     rho_direct = integrate_ode(_lindblad_rhs(model), rho0.reshape(-1),
                                0.0, t, tol=1e-10).reshape(d, d)
 
-    def one(i: int) -> np.ndarray:
-        rec = run_trajectory(model, t, RngStream(seedbase, i))
-        psi_t = rec.final_state / np.linalg.norm(rec.final_state)
-        return np.outer(psi_t, psi_t.conj())
-
-    projectors = ensemble_map(one, ntraj, max_workers)
-    rho_mc = np.zeros((d, d), dtype=complex)
-    for p in projectors:          # fixed summation order
-        rho_mc += p
-    rho_mc /= ntraj
+    rngs = [RngStream(seedbase, i).generator() for i in range(ntraj)]
+    _, _, final = _unravel(model, t, rngs)
+    psi_t = final / np.linalg.norm(final, axis=0)
+    rho_mc = (psi_t @ psi_t.conj().T) / ntraj
 
     dev = np.abs(rho_mc - rho_direct)
     tol = 5.0 / np.sqrt(ntraj)

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from nextjump.cavity import CavityParams
+from nextjump.cavity import CavityParams, detuned_flow, survival_W
 from nextjump.readout import (ReadoutCurves, error_dispersive,
                               error_next_jump, figure1_dataset,
                               log_decrement_Y, min_error_next_jump,
@@ -33,6 +33,18 @@ def test_error_next_jump_scale_invariance():
     for t in (0.5, 2.0, 5.0):
         assert abs(error_next_jump(P, t)
                    - error_next_jump(p_scaled, t / lam)) < 1e-14
+
+
+def test_error_next_jump_keeps_drive_and_detection_reference():
+    # both branches must share gamma_shift and gamma_drive; only chi differs
+    p = CavityParams(kappa=1.0, chi=20.0, nbar=100.0, gamma_drive=4.0,
+                     gamma_shift=10.0)
+    p_b = CavityParams(kappa=1.0, chi=0.0, nbar=100.0, gamma_drive=4.0,
+                       gamma_shift=10.0)
+    for t in (0.3, 0.7, 2.0):
+        pg = 1.0 - survival_W(detuned_flow(p, 0j), t)
+        pb = 1.0 - survival_W(detuned_flow(p_b, 0j), t)
+        assert abs(error_next_jump(p, t) - pg / (pg + pb)) < 1e-14
 
 
 def test_min_error_next_jump():
