@@ -55,9 +55,9 @@ _MODES = ("resonant_G", "resonant_B")
 class CavityParams:
     """Cavity and measurement parameters.
 
-    kappa: cavity decay rate, > 0.
+    kappa: cavity decay rate, finite and > 0.
     chi: dispersive shift per photon (signed).
-    nbar: steady bright-state occupation, >= 0.
+    nbar: steady bright-state occupation, finite and >= 0.
     gamma_drive: drive amplitude; defaults to kappa*sqrt(nbar)/2 so the
         resonant steady state holds nbar photons.
     detuning_mode: which manifold the drive is tuned to ("resonant_G" or
@@ -74,10 +74,10 @@ class CavityParams:
     gamma_shift: complex = 0.0 + 0.0j
 
     def __post_init__(self):
-        if self.kappa <= 0:
-            raise ValueError("kappa must be positive")
-        if self.nbar < 0:
-            raise ValueError("nbar must be non-negative")
+        if not (math.isfinite(self.kappa) and self.kappa > 0):
+            raise ValueError("kappa must be positive and finite")
+        if not (math.isfinite(self.nbar) and self.nbar >= 0):
+            raise ValueError("nbar must be non-negative and finite")
         if self.detuning_mode not in _MODES:
             raise ValueError(f"detuning_mode must be one of {_MODES}")
         if self.gamma_drive is None:

@@ -9,9 +9,11 @@ flags and the wall time.  Reruns with the same resolved config and seed
 produce byte-identical CSV: every command runs in one thread, and
 NEXTJUMP_THREADS, still accepted, changes nothing.
 
-Exit codes: 0 success, 2 invalid configuration or arguments, 3 numerical
-failure, 4 I/O failure.  ``validate`` reports criterion failures as report
-lines and still exits 0; only being unable to run is an error.
+Exit codes: 0 success, 2 invalid configuration or arguments (a NaN or
+infinite number among them), 3 numerical failure (a non-finite summary value
+among them, caught before anything is written), 4 I/O failure.
+``validate`` reports criterion failures as report lines and still exits 0;
+only being unable to run is an error.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ import argparse
 import csv
 import dataclasses
 import json
+import math
 import os
 import sys
 import time
@@ -153,8 +156,8 @@ def _run_telegraph(cfg):
     model = _atom3.effective_model(p)
     nf = NullFlow(model.generator, model.initial_state)
     n = cfg["ntraj"]
-    gaps = sample_gaps(nf.survival, n, RngStream(cfg["seed"], 0),
-                       t_hi=900.0 / cfg["beta1"])
+    t_hi = 900.0 / cfg["beta1"]
+    gaps = sample_gaps(nf.survival, n, RngStream(cfg["seed"], 0), t_hi=t_hi)
     states = nf.state(gaps)                      # (3, n)
     r_fast = cfg["beta1"] * np.abs(states[1]) ** 2
     r_slow = p.beta2 * np.abs(states[2]) ** 2
@@ -171,6 +174,7 @@ def _run_telegraph(cfg):
             for k, (g, c, dv) in enumerate(zip(gaps, channels, dark))]
     summary = {"p_dark": st.p_dark, "p_dark_se": st.p_dark_se,
                "n_dark": st.n_dark, "dark_threshold": thr,
+               "n_censored": int(np.count_nonzero(gaps == t_hi)),
                "p_dark_formula": dark_fraction(p)[0],
                "beta_ell": beta_ell(p)}
     for label, share in st.branch_fractions.items():
@@ -393,6 +397,8 @@ def _coerce(flag: Flag, value):
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise _ConfigError(f"{flag.name} must be a number, got {value!r}")
         out = float(value)
+        if not math.isfinite(out):
+            raise _ConfigError(f"{flag.name} must be finite, got {out!r}")
     elif flag.type is int:
         if isinstance(value, bool) or not isinstance(value, int):
             raise _ConfigError(f"{flag.name} must be an integer, got {value!r}")
@@ -545,6 +551,13 @@ def main(argv=None) -> int:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
     wall = time.perf_counter() - t0
+    bad = [k for k, v in summary.items()
+           if isinstance(v, (int, float, complex, np.number))
+           and not np.isfinite(v)]
+    if bad:
+        print(f"numerical failure: non-finite summary value for "
+              f"{', '.join(bad)}", file=sys.stderr)
+        return 3
 
     out_path = args.out if args.out is not None else cmd.out_default
     sidecar = {"config": cfg, "summary": summary, "flags": given,

@@ -3,14 +3,15 @@
 A model supplies the no-click generator M (so the unnormalized conditioned
 state obeys dpsi/dt = M psi between clicks), one jump operator per detection
 channel, and a reset rule.  Jump times are sampled by inverse transform on
-the decaying norm: draw u ~ U(0,1), then locate ||psi(t)||^2 = u by bisection
-on the closed eigenmode propagator.  With that sampling the trajectory
+the decaying norm: draw u ~ U(0,1), then locate ln ||psi(t)||^2 = ln u on
+the closed eigenmode propagator with a bracketed root-finder (Illinois
+regula falsi, bisection-safeguarded).  With that sampling the trajectory
 ensemble carries the physical measure, so averages of normalized projectors
 reproduce the Lindblad density matrix.
 
 Ensembles run in lockstep: one propagator per model, the eigenmode
 coefficients of every live trajectory held as one (d, n) array, and all
-pending jump times bisected together.  Everything is deterministic given
+pending jump times solved for together.  Everything is deterministic given
 (seed, stream): trajectory i consumes stream i of the counter-based
 generator, a time draw per segment and then a channel draw when the model
 has more than one channel, exactly as a lone trajectory would.
@@ -40,8 +41,15 @@ __all__ = [
 
 #: eigenbasis condition number above which the propagator falls back to an ODE
 EIG_COND_LIMIT = 1e8
-#: bisection iterations for jump-time location (resolves t_hi / 2^64)
+#: bracket halvings of plain bisection for jump-time location (t_hi / 2^64);
+#: the root-finder takes at most twice this many survival passes
 BISECT_ITERS = 64
+#: relative bracket width at which a jump time counts as located
+_ROOT_RTOL = 1e-13
+#: uniform cells of the ln W table that seeds ``sample_gaps``
+_GAP_GRID_CELLS = 2048
+#: samples solved together in ``sample_gaps``
+_GAP_BLOCK = 16384
 
 
 @dataclass(frozen=True)
@@ -53,7 +61,7 @@ class EffectiveModel:
     labels: channel names parallel to jump_ops.
     initial_state: normalized state the trajectory starts from.
     beta_fast: fast decay scale; sets default dark thresholds and the
-        bisection bracket for gap sampling.
+        bracket for gap sampling.
     reset_state: constant post-jump state when every channel resets to the
         same place (lets long runs reuse one propagator); None applies the
         chosen jump operator and renormalizes.
@@ -196,32 +204,94 @@ class NullFlow:
         return w
 
 
-def _bisect(survival, u: np.ndarray, hi: np.ndarray,
-            iters: int = BISECT_ITERS) -> np.ndarray:
-    """Roots of survival(t) = u on [0, hi], one per sample, bisected
-    together; survival maps an array of times to W at those times."""
-    lo = np.zeros_like(hi)
-    hi = hi.copy()
-    for _ in range(iters):
-        mid = 0.5 * (lo + hi)
-        sel = survival(mid) > u
-        lo[sel] = mid[sel]
-        hi[~sel] = mid[~sel]
-    return 0.5 * (lo + hi)
+def _find_level(log_w, log_u: np.ndarray, a: np.ndarray, b: np.ndarray,
+                fa: np.ndarray, fb: np.ndarray) -> np.ndarray:
+    """Crossing times of ln W(t) = ln u, one per sample, on brackets [a, b].
+
+    log_w(t, idx) gives ln W at times t for the samples idx (positions in
+    log_u); fa and fb are f = ln W - ln u at the bracket ends, with fa >= 0.
+    A sample with fb >= 0 has no crossing before b and returns b exactly.
+
+    Illinois regula falsi (Dowell & Jarratt, BIT 11, 168 (1971)) on f, all
+    samples together: a secant step, whose retained endpoint has its f
+    halved when it is retained twice running, or a bisection step whenever
+    the secant point leaves the open bracket or the bracket is wider than
+    an envelope that starts at 4 times its width w and shrinks by sqrt(2)
+    per pass.  After k passes the bracket is at most w 2^((5 - k) / 2) wide,
+    so the cap of 2 * BISECT_ITERS passes resolves w / 2^61 even where the
+    secant steps make no headway.  A sample leaves the active set when
+    f = 0 or its bracket is no wider than _ROOT_RTOL * b, and returns that
+    root or the middle of its bracket.
+    """
+    t = np.array(b, dtype=float)
+    idx = np.flatnonzero(~(fb >= 0.0))
+    a, b, fa, fb, lu = (np.asarray(v, dtype=float)[idx]
+                        for v in (a, b, fa, fb, log_u))
+    side = np.zeros(idx.size, dtype=np.int8)     # +1: a moved last, -1: b
+    envelope = 4.0 * (b - a)
+    for _ in range(2 * BISECT_ITERS):
+        width = b - a
+        with np.errstate(divide="ignore", invalid="ignore"):
+            x = a + fa * (width / (fa - fb))
+        # a secant point within tolerance of an end moves to that distance,
+        # so a root next to one end closes the bracket on the next pass
+        step = 0.5 * _ROOT_RTOL * b
+        x = np.minimum(np.maximum(x, a + step), b - step)
+        mid = 0.5 * (a + b)
+        x = np.where((x > a) & (x < b) & (width <= envelope), x, mid)
+        fx = log_w(x, idx) - lu
+        envelope *= np.sqrt(0.5)
+        up = fx >= 0.0
+        fb = np.where(up, np.where(side > 0, 0.5 * fb, fb), fx)
+        fa = np.where(up, fx, np.where(side < 0, 0.5 * fa, fa))
+        a = np.where(up, x, a)
+        b = np.where(up, b, x)
+        side = np.where(up, 1, -1).astype(np.int8)
+        root = fx == 0.0
+        done = root | (b - a <= _ROOT_RTOL * b)
+        t[idx[done]] = np.where(root, x, 0.5 * (a + b))[done]
+        keep = ~done
+        idx, a, b, fa, fb, lu, side, envelope = (
+            v[keep] for v in (idx, a, b, fa, fb, lu, side, envelope))
+        if not idx.size:
+            break
+    t[idx] = 0.5 * (a + b)
+    return t
 
 
-def sample_gaps(survival, n: int, rng, t_hi: float,
-                iters: int = BISECT_ITERS) -> np.ndarray:
+def _log(w):
+    """ln w with ln 0 = -inf and no warning."""
+    with np.errstate(divide="ignore"):
+        return np.log(w)
+
+
+def sample_gaps(survival, n: int, rng, t_hi: float) -> np.ndarray:
     """n inverse-transform samples of the first-jump time for a survival
-    curve W(t) (vectorized over t), bisected on [0, t_hi].
+    curve W(t) (vectorized over t): draw u ~ U(0, 1) and solve W(t) = u.
 
-    Samples whose u falls below W(t_hi) come back as ~t_hi (censored at the
-    bracket); choose t_hi so W(t_hi) is negligible for the statistic at hand.
+    ln W is tabulated once on a uniform grid over [0, t_hi] (its running
+    minimum, so the table stays monotone under rounding); each sample's
+    grid cell seeds the regula falsi of ``_find_level``, which runs in
+    blocks of _GAP_BLOCK samples.  A sample with u <= W(t_hi) is censored
+    and comes back as exactly t_hi, so ``gaps == t_hi`` is the censored
+    mask; choose t_hi so W(t_hi) is negligible for the statistic at hand.
     """
     if isinstance(rng, RngStream):
         rng = rng.generator()
-    u = rng.random(n)
-    return _bisect(survival, u, np.full(n, float(t_hi)), iters)
+    log_u = _log(rng.random(n))
+    grid = np.linspace(0.0, float(t_hi), _GAP_GRID_CELLS + 1)
+    table = np.minimum.accumulate(_log(survival(grid)))
+    # first grid point below each level; past the end means censored
+    cell = np.searchsorted(-table, -log_u, side="right")
+    cell = np.clip(cell, 1, _GAP_GRID_CELLS)
+    log_w = lambda t, idx: _log(survival(t))
+    gaps = np.empty(n)
+    for s in range(0, n, _GAP_BLOCK):
+        k = cell[s:s + _GAP_BLOCK]
+        lu = log_u[s:s + _GAP_BLOCK]
+        gaps[s:s + _GAP_BLOCK] = _find_level(
+            log_w, lu, grid[k - 1], grid[k], table[k - 1] - lu, table[k] - lu)
+    return gaps
 
 
 def _choose_channel(model: EffectiveModel, psi_at_jump: np.ndarray,
@@ -275,10 +345,13 @@ def _unravel(model: EffectiveModel, tmax: float, rngs: list) -> tuple:
     Trajectory j draws from rngs[j] only, in the order a lone trajectory
     would: the survival level u of each segment, then the channel when the
     model has more than one.  Each round retires the trajectories whose
-    norm stays above u through tmax and bisects the jump times of the rest
-    together on one propagator.  Returns (times, channels, final): a list of
-    click times and a list of channel indices per trajectory, and the
-    (d, n) final states, unnormalized relative to the last reset.
+    norm stays above u through tmax.  The jump times of the rest are solved
+    for together on one propagator by ``_find_level``, each on the bracket
+    [0, remaining time] whose end values the retirement test already gave,
+    and each pass evaluates only the trajectories still unresolved.
+    Returns (times, channels, final): a list of click times and a list of
+    channel indices per trajectory, and the (d, n) final states,
+    unnormalized relative to the last reset.
     """
     n = len(rngs)
     psi0 = model.initial_state / np.linalg.norm(model.initial_state)
@@ -295,13 +368,19 @@ def _unravel(model: EffectiveModel, tmax: float, rngs: list) -> tuple:
         c, nrm = coef[:, live], norm0[live]
         remaining = tmax - t[live]
         psi_end = flow._evolve(c, remaining)
-        stay = np.sum(np.abs(psi_end) ** 2, axis=0) / nrm > u
+        w_end = np.sum(np.abs(psi_end) ** 2, axis=0) / nrm
+        stay = w_end > u
         final[:, live[stay]] = psi_end[:, stay]
         jump = ~stay
         live, c, nrm = live[jump], c[:, jump], nrm[jump]
-        t_rel = _bisect(
-            lambda s: np.sum(np.abs(flow._evolve(c, s)) ** 2, axis=0) / nrm,
-            u[jump], remaining[jump])
+
+        def log_w(s, idx):
+            psi = flow._evolve(c[:, idx], s)
+            return _log(np.sum(np.abs(psi) ** 2, axis=0) / nrm[idx])
+
+        log_u = _log(u[jump])
+        t_rel = _find_level(log_w, log_u, np.zeros(live.size), remaining[jump],
+                            -log_u, _log(w_end[jump]) - log_u)
         psi_j = flow._evolve(c, t_rel)
         post = np.empty_like(psi_j)
         for m, j in enumerate(live):
@@ -443,31 +522,13 @@ def telegraph_trace(record: JumpRecord, dark_threshold: float) -> TelegraphTrace
         return TelegraphTrace(float(dark_threshold), np.empty(0), np.empty(0),
                               np.empty(0, dtype=bool), ())
     is_dark = gaps > dark_threshold
-    starts, ends, dark_flags, term = [], [], [], []
-    seg_start = 0.0
-    for i in range(gaps.size):
-        t_end = record.times[i]
-        if is_dark[i]:
-            # close any open bright run, then the dark gap stands alone
-            if seg_start < t_end - gaps[i]:
-                starts.append(seg_start)
-                ends.append(t_end - gaps[i])
-                dark_flags.append(False)
-                term.append(record.labels[record.channels[i - 1]]
-                            if i > 0 else "")
-            starts.append(t_end - gaps[i])
-            ends.append(t_end)
-            dark_flags.append(True)
-            term.append(record.labels[record.channels[i]])
-            seg_start = t_end
-    if seg_start < record.times[-1]:
-        starts.append(seg_start)
-        ends.append(record.times[-1])
-        dark_flags.append(False)
-        term.append(record.labels[record.channels[-1]])
-    return TelegraphTrace(float(dark_threshold), np.array(starts),
-                          np.array(ends), np.array(dark_flags, dtype=bool),
-                          tuple(term))
+    # a click closes a segment when its own gap is dark, when the next gap
+    # is dark, or when it is the last click
+    ends = np.flatnonzero(is_dark | np.append(is_dark[1:], True))
+    starts = np.concatenate(([0.0], record.times[ends[:-1]]))
+    labels = tuple(record.labels[k] for k in record.channels[ends])
+    return TelegraphTrace(float(dark_threshold), starts, record.times[ends],
+                          is_dark[ends], labels)
 
 
 def _lindblad_rhs(model: EffectiveModel):

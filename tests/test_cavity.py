@@ -25,6 +25,14 @@ def test_params_validation():
     assert p.gamma_drive == 3.0   # kappa*sqrt(nbar)/2
 
 
+@pytest.mark.parametrize("bad", [{"kappa": math.nan}, {"kappa": math.inf},
+                                 {"kappa": 1.0, "nbar": math.nan},
+                                 {"kappa": 1.0, "nbar": math.inf}])
+def test_params_reject_non_finite(bad):
+    with pytest.raises(ValueError):
+        CavityParams(**bad)
+
+
 def test_resonant_trajectory_closed_form():
     p = CavityParams(kappa=1.0, nbar=4.0)
     a, b = resonant_trajectory(p, 2.0)

@@ -106,6 +106,36 @@ def test_numerical_failure_exit_code(tmp_path):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flag,value", [("--chi", "nan"), ("--kappa", "inf"),
+                                        ("--nbar", "-inf")])
+def test_non_finite_flag_exit_code(tmp_path, flag, value):
+    out = tmp_path / "d.csv"
+    assert _run(["cavity-detuned", flag, value, "--out", str(out)]) == 2
+    assert not out.exists() and not (tmp_path / "d.json").exists()
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"chi": NaN}')   # json reads NaN as a float
+    assert _run(["cavity-detuned", "--config", str(cfg),
+                 "--out", str(out)]) == 2
+    assert not out.exists()
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_non_finite_summary_exit_code(tmp_path):
+    # the drive overflows the propagator, so the fitted rate is NaN
+    out = tmp_path / "n.csv"
+    rc = _run(["atom3-null", "--omega1", "1e200", "--npts", "40",
+               "--out", str(out)])
+    assert rc == 3
+    assert not out.exists() and not (tmp_path / "n.json").exists()
+
+
+def test_telegraph_reports_censored(tmp_path):
+    out = tmp_path / "t.csv"
+    assert _run(["telegraph", "--ntraj", "50", "--out", str(out)]) == 0
+    side = json.loads((tmp_path / "t.json").read_text())
+    assert side["summary"]["n_censored"] == 0
+
+
 def test_io_failure_exit_code(tmp_path):
     rc = _run(["cavity-w", "--npts", "5",
                "--out", str(tmp_path / "no-such-dir" / "w.csv")])

@@ -12,9 +12,10 @@ from nextjump.atom3 import Atom3Params, effective_model
 from nextjump.numerics import RngStream
 from nextjump.trajectories import (BISECT_ITERS, EIG_COND_LIMIT,
                                    EffectiveModel, JumpRecord, NullFlow,
-                                   _unravel, lindblad_consistency,
-                                   run_trajectory, sample_gaps,
-                                   telegraph_run, telegraph_stats)
+                                   _GAP_BLOCK, _find_level, _unravel,
+                                   lindblad_consistency, run_trajectory,
+                                   sample_gaps, telegraph_run,
+                                   telegraph_stats, telegraph_trace)
 
 
 def _pilot_model():
@@ -152,6 +153,196 @@ def test_sample_gaps_accepts_generator():
     b = sample_gaps(lambda t: np.exp(-t), 16, RngStream(3, 0).generator(),
                     t_hi=60.0)
     assert np.array_equal(a, b)
+
+
+class _Levels:
+    """Stands in for a generator: hands out the given levels u in order."""
+
+    def __init__(self, u):
+        self._u = np.asarray(u, dtype=float)
+
+    def random(self, n):
+        out, self._u = self._u[:n], self._u[n:]
+        return out
+
+
+def _bisect_reference(survival, u, t_hi):
+    """Scalar 64-step bisection of W(t) = u on [0, t_hi]."""
+    lo, hi = 0.0, t_hi
+    for _ in range(BISECT_ITERS):
+        mid = 0.5 * (lo + hi)
+        if survival(mid) > u:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+def _counting(survival):
+    """survival wrapped to count its calls (one per solver pass)."""
+    calls = []
+
+    def wrapped(t):
+        calls.append(np.size(t))
+        return survival(t)
+
+    return wrapped, calls
+
+
+@pytest.mark.parametrize("case", ["atom", "cavity"])
+def test_sample_gaps_matches_scalar_bisection(case):
+    if case == "atom":
+        model = _pilot_model()
+        survival = NullFlow(model.generator, model.initial_state).survival
+        t_hi = 900.0
+    else:
+        survival = cavity.resonant_flow(
+            cavity.CavityParams(kappa=1.0, nbar=4.0)).survival
+        t_hi = 40.0
+    n = 300
+    counted, calls = _counting(survival)
+    got = sample_gaps(counted, n, RngStream(21, 0), t_hi)
+    u = RngStream(21, 0).generator().random(n)
+    want = np.array([_bisect_reference(survival, v, t_hi) for v in u])
+    assert np.max(np.abs(got - want)) < 1e-9
+    # after the one table of ln W, about 5 (cavity) to 9 (atom) passes a
+    # sample, where bisection took 64
+    assert sum(calls[1:]) < 12 * n
+
+
+@settings(max_examples=25, deadline=None)
+@given(kappa=st.floats(min_value=0.1, max_value=10.0),
+       nbar=st.floats(min_value=0.01, max_value=100.0),
+       seed=st.integers(min_value=0, max_value=2**63 - 1))
+def test_sample_gaps_solves_level_property(kappa, nbar, seed):
+    flow = cavity.resonant_flow(cavity.CavityParams(kappa=kappa, nbar=nbar))
+    t_hi = 40.0 / kappa
+    n = 400
+    gaps = sample_gaps(flow.survival, n, RngStream(seed, 0), t_hi)
+    u = RngStream(seed, 0).generator().random(n)
+    free = gaps < t_hi
+    assert np.all(gaps[~free] == t_hi)
+    assert np.all((gaps >= 0.0) & (gaps <= t_hi))
+    resid = np.abs(flow.log_survival(gaps[free]) - np.log(u[free]))
+    assert np.max(resid, initial=0.0) <= 1e-9
+
+
+def test_sample_gaps_censors_exactly_at_t_hi():
+    # nbar = 0.01 leaves most of the mass beyond t_hi = 40
+    flow = cavity.resonant_flow(cavity.CavityParams(kappa=1.0, nbar=0.01))
+    n = 5000
+    gaps = sample_gaps(flow.survival, n, RngStream(6, 0), t_hi=40.0)
+    u = RngStream(6, 0).generator().random(n)
+    censored = gaps == 40.0
+    assert 0.6 < censored.mean() < 0.8
+    assert np.array_equal(censored, u <= flow.survival(40.0))
+
+
+def test_sample_gaps_independent_of_blocks():
+    flow = cavity.resonant_flow(cavity.CavityParams(kappa=1.0, nbar=4.0))
+    n = 2 * _GAP_BLOCK + 1000
+    u = RngStream(9, 0).generator().random(n)
+    gaps = sample_gaps(flow.survival, n, _Levels(u), t_hi=40.0)
+    assert np.array_equal(gaps, sample_gaps(flow.survival, n, RngStream(9, 0),
+                                            t_hi=40.0))
+    edges = [0, _GAP_BLOCK, 2 * _GAP_BLOCK, n]
+    picks = {i for e in edges for i in range(e - 3, e + 3) if 0 <= i < n}
+    picks |= set(RngStream(9, 1).generator().integers(0, n, 40).tolist())
+    for i in sorted(picks):
+        one = sample_gaps(flow.survival, 1, _Levels(u[i:i + 1]), t_hi=40.0)
+        assert one[0] == gaps[i]
+
+
+def test_sample_gaps_plateau_converges_within_cap():
+    # ln W = -(t - sin t) is flat at t = 2 pi k: regula falsi stalls there
+    # and the bisection safeguard has to carry it
+    survival, calls = _counting(lambda t: np.exp(-(t - np.sin(t))))
+    n = 3000
+    gaps = sample_gaps(survival, n, RngStream(12, 0), t_hi=60.0)
+    u = RngStream(12, 0).generator().random(n)
+    assert len(calls) <= 1 + 2 * BISECT_ITERS
+    assert np.max(np.abs(-(gaps - np.sin(gaps)) - np.log(u))) < 1e-12
+    for i in range(0, n, 300):
+        assert abs(gaps[i] - _bisect_reference(survival, u[i], 60.0)) < 1e-9
+
+    # the level -2 pi crosses exactly at the flat point t = 2 pi, a triple
+    # root that only the safeguard resolves
+    passes = []
+
+    def log_w(t, idx):
+        passes.append(t.size)
+        return -(t - np.sin(t))
+
+    log_u = np.array([-2.0 * np.pi])
+    t = _find_level(log_w, log_u, np.zeros(1), np.full(1, 60.0),
+                    -log_u, -(60.0 - np.sin(60.0)) - log_u)
+    assert len(passes) < 2 * BISECT_ITERS
+    assert abs(t[0] - 2.0 * np.pi) < 1e-4
+    assert abs(log_w(t, None)[0] - log_u[0]) < 1e-12
+
+
+def test_find_level_safeguard_on_a_jump():
+    # f falls from 1 to -1e-12 across t = 0.3: each secant step lands next
+    # to b and barely moves it, so only the forced bisections close in
+    passes = []
+
+    def log_w(t, idx):
+        passes.append(t.size)
+        return np.where(t < 0.3, 1.0, -1e-12)
+
+    zero = np.zeros(2)
+    t = _find_level(log_w, zero, zero, np.array([1.0, 500.0]),
+                    np.ones(2), np.full(2, -1e-12))
+    assert len(passes) <= 2 * BISECT_ITERS
+    assert np.all(np.abs(t - 0.3) <= 1e-13 * 0.3)
+
+
+def test_telegraph_trace_segments():
+    gaps = np.array([0.5, 12.0, 0.3, 0.4, 15.0, 20.0, 1.0, 0.2])
+    rec = JumpRecord(np.cumsum(gaps), [0, 1, 0, 0, 1, 0, 1, 0],
+                     ("fast", "slow"), np.zeros(1), 50.0)
+    tr = telegraph_trace(rec, 10.0)
+    t = rec.times
+    assert np.array_equal(tr.starts, [0.0, t[0], t[1], t[3], t[4], t[5]])
+    assert np.array_equal(tr.ends, [t[0], t[1], t[3], t[4], t[5], t[7]])
+    assert tr.dark.tolist() == [False, True, False, True, True, False]
+    assert tr.terminating_label == ("fast", "slow", "fast", "slow", "fast",
+                                    "fast")
+    empty = telegraph_trace(JumpRecord([], [], ("fast",), np.zeros(1), 1.0),
+                            10.0)
+    assert empty.starts.size == empty.ends.size == empty.dark.size == 0
+
+
+@settings(max_examples=60, deadline=None)
+@given(gaps=st.lists(st.floats(min_value=1e-3, max_value=1e3), min_size=1,
+                     max_size=30),
+       seed=st.integers(min_value=0, max_value=2**32 - 1),
+       threshold=st.floats(min_value=0.01, max_value=100.0))
+def test_telegraph_trace_property(gaps, seed, threshold):
+    times = np.cumsum(gaps)
+    if np.any(np.diff(times) <= 0):
+        return
+    channels = np.random.default_rng(seed).integers(0, 3, times.size)
+    rec = JumpRecord(times, channels, ("a", "b", "c"), np.zeros(1),
+                     float(times[-1]))
+    tr = telegraph_trace(rec, threshold)
+    # the segments partition [0, last click] exactly
+    assert tr.starts[0] == 0.0 and tr.ends[-1] == times[-1]
+    assert np.array_equal(tr.starts[1:], tr.ends[:-1])
+    assert np.all(tr.ends > tr.starts)
+    # every segment ends on a click, labelled by that click's channel
+    at = np.searchsorted(times, tr.ends)
+    assert np.array_equal(times[at], tr.ends)
+    assert tr.terminating_label == tuple(rec.labels[k] for k in channels[at])
+    # dark segments are exactly the gaps above threshold
+    g = rec.gaps()
+    assert np.array_equal(at[tr.dark], np.flatnonzero(g > threshold))
+    assert np.array_equal(tr.durations[tr.dark], g[g > threshold])
+    # bright runs are merged: no two bright segments in a row
+    assert not np.any(~tr.dark[1:] & ~tr.dark[:-1])
+    starts_at = np.concatenate(([-1], at[:-1]))
+    for lo, hi, dark in zip(starts_at, at, tr.dark):
+        assert np.all((g[lo + 1:hi + 1] > threshold) == dark)
 
 
 def test_sample_next_jump_and_run_trajectory():
