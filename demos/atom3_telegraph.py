@@ -21,12 +21,15 @@ from nextjump.trajectories import (JumpRecord, NullFlow, sample_gaps,
 
 def main(seed: int = 2):
     p = Atom3Params(omega1=5.0, omega2=0.05, delta2=5.0, beta1=1.0, beta2=0.0)
-    nf = NullFlow(generator(p), np.array([1.0, 0.0, 0.0], dtype=complex))
+    ground = np.array([1.0, 0.0, 0.0], dtype=complex)
+    nf = NullFlow(generator(p), ground)
     n = 2000
     gaps = sample_gaps(nf.survival, n, RngStream(seed, 0), t_hi=900.0)
+    # every click of the fast channel resets the emitter to the ground state
     rec = JumpRecord(times=np.cumsum(gaps), channels=np.zeros(n, dtype=int),
-                     labels=("fast",), final_state=None, tmax=float(gaps.sum()))
-    stats = telegraph_stats(rec, threshold=10.0)
+                     labels=("fast",), final_state=ground,
+                     tmax=float(gaps.sum()))
+    stats = telegraph_stats(rec, dark_threshold=10.0)
     pd_pred, _ = dark_fraction(p)
     print(f"emitter: omega1={p.omega1}, omega2={p.omega2}, "
           f"beta1={p.beta1}, epsilon={p.epsilon}")

@@ -11,9 +11,10 @@ evolution of the same atom for contrast with the no-measurement story.
 
 from __future__ import annotations
 
+import cmath
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 import numpy as np
 
@@ -53,6 +54,8 @@ class Atom3Params:
     beta2: float = 0.0
 
     def __post_init__(self):
+        if not all(map(cmath.isfinite, astuple(self))):
+            raise ValueError("drive amplitudes, detuning and rates must be finite")
         if self.beta1 <= 0:
             raise ValueError("beta1 must be positive")
         if self.beta2 < 0:

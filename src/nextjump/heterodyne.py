@@ -11,20 +11,33 @@ beta)|0>`` that equation closes: ``alpha(t)`` obeys a deterministic linear ODE
 (the noise never feeds back into it) and only the scalar log-prefactor
 ``beta(t)`` is stochastic.
 
-The integrator advances ``(alpha, beta)`` exactly over each noise step
+The coherent kernel advances ``(alpha, beta)`` exactly over each noise step
 (piecewise-constant record derivative, within-step phase integrated in closed
 form) and carries two demodulated record integrals: the plain average
 ``record_T`` whose time average ``I = record_T/t`` is the measured current,
-and the exponentially filtered ``record_S`` with memory ``2/kappa``.  A
-Fock-basis Euler integrator serves as an oracle for the coherent route.
-Ensemble samplers draw currents under the physical (tilted) measure and the
-ostensible (noise-only) measure, and report the peak and width of ``|I|/B``,
-which estimate ``sqrt(kappa*nbar)`` and the measurement accuracy.
+and the exponentially filtered ``record_S`` with memory ``2/kappa``.  It takes
+a whole record at once: alpha in closed form, beta and ``record_T`` as
+cumulative sums, ``record_S`` as a blocked decaying sum.  A Fock-basis Euler
+integrator serves as an oracle for the coherent route.
+
+Since alpha(t) does not depend on the record, every quantity the ensemble
+samplers return is a constant plus a fixed linear combination of the
+independent increments ``dz_k ~ N(mu_k, B**2 dt)``: its law is exactly
+Gaussian (Wiseman & Milburn, *Quantum Measurement and Control*, 2009, ch. 4).
+The samplers draw from that law, m standard normals per path instead of one
+per path and step: ``sample_tilted_currents`` and ``sample_raw_currents`` 2
+(Re T, Im T), ``sample_ostensible_currents`` 3 (Re T, Im T and the log
+weight, an exact multiple of Re T plus a constant, so the covariance has rank
+2), ``sample_filtered_statistic`` 2 (Re S, Im S) and
+``ensemble_unraveling_check`` 1 (Re beta).  They follow the per-step
+recursions in law, not draw for draw.  The peak and width of ``|I|/B``
+estimate ``sqrt(kappa*nbar)`` and the measurement accuracy.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy import special
@@ -61,6 +74,18 @@ _STREAM_RAW = 3
 _STREAM_FILTERED = 4
 _STREAM_UNRAVELING = 5
 
+#: steps the coherent kernel advances together.  It bounds the kernel's
+#: working arrays, and as the step guard keeps kappa*dt <= 0.01, the in-block
+#: rescaling e^{kappa dt m/2} of record_S stays below e^{0.005*2048} ~ 3e4.
+_BLOCK = 2048
+
+
+def _max_step(kappa: float, omega: float) -> float:
+    """Largest noise step resolving both the phase and the decay."""
+    if omega > 0:
+        return min(0.05 / omega, 0.01 / kappa)
+    return 0.01 / kappa
+
 
 @dataclass(frozen=True)
 class HeterodyneParams:
@@ -78,16 +103,16 @@ class HeterodyneParams:
     omega: float | None = None
 
     def __post_init__(self):
-        if self.kappa <= 0:
-            raise ValueError("kappa must be positive")
-        if self.nbar < 0:
-            raise ValueError("nbar must be nonnegative")
-        if self.B <= 0:
-            raise ValueError("detection beam amplitude B must be positive")
+        if not (math.isfinite(self.kappa) and self.kappa > 0):
+            raise ValueError("kappa must be positive and finite")
+        if not (math.isfinite(self.nbar) and self.nbar >= 0):
+            raise ValueError("nbar must be nonnegative and finite")
+        if not (math.isfinite(self.B) and self.B > 0):
+            raise ValueError("detection beam amplitude B must be positive and finite")
         if self.omega is None:
             object.__setattr__(self, "omega", 50.0 * self.kappa)
-        elif self.omega < 0:
-            raise ValueError("omega must be nonnegative")
+        elif not (math.isfinite(self.omega) and self.omega >= 0):
+            raise ValueError("omega must be nonnegative and finite")
 
     @property
     def gamma_drive(self) -> float:
@@ -100,9 +125,7 @@ class HeterodyneParams:
 
     def max_step(self) -> float:
         """Largest noise step resolving both the phase and the decay."""
-        if self.omega > 0:
-            return min(0.05 / self.omega, 0.01 / self.kappa)
-        return 0.01 / self.kappa
+        return _max_step(self.kappa, self.omega)
 
 
 @dataclass(frozen=True, eq=False)
@@ -122,10 +145,10 @@ class NoisePath:
     phase_mode: str = "heterodyne"
 
     def __post_init__(self):
-        if self.dt <= 0:
-            raise ValueError("dt must be positive")
-        if self.B <= 0:
-            raise ValueError("B must be positive")
+        if not (math.isfinite(self.dt) and self.dt > 0):
+            raise ValueError("dt must be positive and finite")
+        if not (math.isfinite(self.B) and self.B > 0):
+            raise ValueError("B must be positive and finite")
         if self.phase_mode not in _PHASE_MODES:
             raise ValueError(f"phase_mode must be one of {_PHASE_MODES}")
         if self.phase_mode == "homodyne" and self.omega != 0.0:
@@ -236,14 +259,81 @@ def _step_constants(kappa: float, omega: float, dt: float):
 
 
 def _check_step(params: HeterodyneParams, path: NoisePath):
-    omega = path.omega
-    limit = 0.01 / params.kappa
-    if omega > 0:
-        limit = min(limit, 0.05 / omega)
+    limit = _max_step(params.kappa, path.omega)
     if path.dt > limit * (1 + 1e-12):
         raise ValueError(
             f"noise step dt={path.dt:g} exceeds {limit:g}; the step must "
             "resolve both the demodulation phase and the cavity decay")
+
+
+def _demod(omega: float, phase0: float, dt: float, steps: np.ndarray):
+    """Phases e^{-i(omega t_k + phase0)} at the starts of the given steps, and
+    their in-step averages ehat_k, the demodulation weights of the record."""
+    ph = np.exp(-1j * (omega * (dt * steps) + phase0))
+    if omega == 0.0:
+        return ph, ph
+    return ph, ph * ((1 - np.exp(-1j * omega * dt)) / (1j * omega * dt))
+
+
+def _coherent_terms(params: HeterodyneParams, path: NoisePath, steps: np.ndarray,
+                    alpha0: complex = 0j):
+    """Coefficients of the coherent update at the given steps of the grid of
+    ``path`` (its increments are not read).
+
+    Returns alpha at the start of each step, the demodulation weights ehat_k,
+    and the beta increment of step k as ``gain_k*dz_k + drift_k``, where with
+    delta_k = alpha_k - abar, gain_k = (sqrt(kappa)/(B dt)) e^{-i phi_k}
+    (abar I1 + delta_k I2) and drift_k = -Gamma (abar I3 + delta_k I4)."""
+    kappa, Gam, dt = params.kappa, params.gamma_drive, path.dt
+    abar = 2 * Gam / kappa
+    I1, I2, I3, I4 = _step_constants(kappa, path.omega, dt)
+    d = (alpha0 - abar) * np.exp(-kappa / 2 * dt * steps)
+    ph, ehat = _demod(path.omega, path.phase0, dt, steps)
+    gain = (np.sqrt(kappa) / (path.B * dt)) * ph * (abar * I1 + d * I2)
+    drift = -Gam * (abar * I3 + d * I4)
+    return np.where(steps == 0, alpha0, abar + d), ehat, gain, drift
+
+
+def _coherent_kernel(params: HeterodyneParams, path: NoisePath, at: np.ndarray,
+                     alpha0: complex = 0j, beta0: complex = 0j) -> np.ndarray:
+    """Rows alpha, beta, record_T, record_S after each step count in ``at``.
+
+    The coherent step over a whole record, ``_BLOCK`` steps at a time: alpha
+    in closed form, beta and record_T as cumulative sums of their step
+    increments.  record_S obeys S_{k+1} = r S_k + a_k with r = e^{-kappa dt/2}
+    and a_k = (sqrt(kappa)/B) e^{-kappa dt/4} dz_k ehat_k (the step midpoint),
+    so within a block from step j, S_{j+m} = r^m (S_j + sum_{i<m} a_{j+i}
+    r^{-(i+1)}).
+    """
+    kappa, dt, n = params.kappa, path.dt, path.nsteps
+    r = np.exp(-kappa * dt / 2)
+    a_gain = np.sqrt(kappa) / path.B * np.exp(-kappa * dt / 4)
+    out = np.empty((4, at.size), dtype=complex)
+    out[0] = _coherent_terms(params, path, at, alpha0)[0]
+    carry = np.array([beta0, 0j, 0j])
+    out[1:, at == 0] = carry[:, None]
+    for j in range(0, n, _BLOCK):
+        steps = np.arange(j, min(j + _BLOCK, n))
+        dz = path.increments[j:j + steps.size]
+        _, ehat, gain, drift = _coherent_terms(params, path, steps, alpha0)
+        q = r ** (steps - (j - 1))
+        block = np.stack([np.cumsum(gain * dz + drift), np.cumsum(dz * ehat),
+                          np.cumsum(a_gain * dz * ehat / q)])
+        block[:2] += carry[:2, None]
+        block[2] = q * (block[2] + carry[2])
+        sel = (at > j) & (at <= j + steps.size)
+        out[1:, sel] = block[:, at[sel] - j - 1]
+        carry = block[:, -1]
+    return out
+
+
+def _coherent_start(psi0):
+    """(alpha0, beta0) from None (vacuum), a complex alpha0 or a pair."""
+    if psi0 is None:
+        return 0j, 0j
+    if isinstance(psi0, tuple):
+        return complex(psi0[0]), complex(psi0[1])
+    return complex(psi0), 0j
 
 
 def integrate_sse(params: HeterodyneParams, path: NoisePath, psi0=None,
@@ -261,50 +351,18 @@ def integrate_sse(params: HeterodyneParams, path: NoisePath, psi0=None,
     (alpha0, beta0) pair; Fock mode accepts None or a single-level FockVector.
     """
     _check_step(params, path)
-    kappa = params.kappa
-    B = path.B
-    omega = path.omega
-    dt = path.dt
-    dz = path.increments
-    nsteps = path.nsteps
-    phase0 = path.phase0
-
-    Gam = params.gamma_drive
-    abar = 2 * Gam / kappa
-    k2 = kappa / 2
-    sqk = np.sqrt(kappa)
-    I1, I2, I3, I4 = _step_constants(kappa, omega, dt)
-    ehat0 = I1 / dt
-    step_decay = np.exp(-k2 * dt)
-    s_decay = np.exp(-kappa * dt / 2)
-    s_boost = np.exp(-kappa * dt / 4)
-
-    T = 0.0 + 0.0j
-    S = 0.0 + 0.0j
-
     if mode == "coherent":
-        if psi0 is None:
-            al, be = 0.0 + 0.0j, 0.0 + 0.0j
-        elif isinstance(psi0, tuple):
-            al, be = complex(psi0[0]), complex(psi0[1])
-        else:
-            al, be = complex(psi0), 0.0 + 0.0j
-        for k in range(nsteps):
-            t0 = k * dt
-            zdot = dz[k] / dt
-            ph = np.exp(-1j * (omega * t0 + phase0))
-            c0 = (sqk / B) * zdot * ph
-            be += c0 * (abar * I1 + (al - abar) * I2) - Gam * (abar * I3 + (al - abar) * I4)
-            ehk = ph * ehat0
-            T += dz[k] * ehk
-            S = S * s_decay + (sqk / B) * dz[k] * ehk * s_boost
-            al = abar + (al - abar) * step_decay
-        return SSEState(t=nsteps * dt, record_T=T, record_S=S, alpha=al, beta=be)
+        al, be, T, S = _coherent_kernel(params, path, np.array([path.nsteps]),
+                                        *_coherent_start(psi0))[:, 0]
+        return SSEState(t=path.duration, record_T=complex(T), record_S=complex(S),
+                        alpha=complex(al), beta=complex(be))
 
     if mode != "fock":
         raise ValueError("mode must be 'coherent' or 'fock'")
     if substeps < 1:
         raise ValueError("substeps must be >= 1")
+    kappa, Gam, sqk = params.kappa, params.gamma_drive, np.sqrt(params.kappa)
+    B, omega, dt, phase0, dz = path.B, path.omega, path.dt, path.phase0, path.increments
     if psi0 is None:
         nmax = default_nmax(params.nbar)
         psi = np.zeros(nmax + 1, dtype=complex)
@@ -317,7 +375,7 @@ def integrate_sse(params: HeterodyneParams, path: NoisePath, psi0=None,
     nvec = np.arange(nmax + 1)
     sqn = np.sqrt(nvec[1:].astype(float))
     h = dt / substeps
-    for k in range(nsteps):
+    for k in range(path.nsteps):
         zdot = dz[k] / dt
         for j in range(substeps):
             t = k * dt + j * h
@@ -328,73 +386,53 @@ def integrate_sse(params: HeterodyneParams, path: NoisePath, psi0=None,
             cdpsi[1:] = sqn * psi[:-1]
             dpsi = u * cpsi + Gam * (cdpsi - cpsi) - (kappa / 2) * nvec * psi
             psi = psi + h * dpsi
-        ph = np.exp(-1j * (omega * (k * dt) + phase0))
-        ehk = ph * ehat0
-        T += dz[k] * ehk
-        S = S * s_decay + (sqk / B) * dz[k] * ehk * s_boost
-    return SSEState(t=nsteps * dt, record_T=T, record_S=S, fock=FockVector(psi))
+    T, S = _coherent_kernel(params, path, np.array([path.nsteps]))[2:, 0]
+    return SSEState(t=path.duration, record_T=complex(T), record_S=complex(S),
+                    fock=FockVector(psi))
 
 
 def integrate_sse_series(params: HeterodyneParams, path: NoisePath,
                          every: int = 1, psi0=None) -> list:
     """Coherent-mode integration with a snapshot every ``every`` steps.
 
-    Same update as integrate_sse (bit for bit: the loop body is identical,
-    only the capture differs), so series[-1] equals the single-shot result
-    for aligned lengths.  The final state is always included.
+    Same kernel as integrate_sse, so series[-1] equals the single-shot
+    result bit for bit.  The initial and the final state are always included.
     """
     if every < 1:
         raise ValueError("every must be >= 1")
     _check_step(params, path)
-    kappa = params.kappa
-    B = path.B
-    omega = path.omega
-    dt = path.dt
-    dz = path.increments
-    nsteps = path.nsteps
-    phase0 = path.phase0
-
-    Gam = params.gamma_drive
-    abar = 2 * Gam / kappa
-    k2 = kappa / 2
-    sqk = np.sqrt(kappa)
-    I1, I2, I3, I4 = _step_constants(kappa, omega, dt)
-    ehat0 = I1 / dt
-    step_decay = np.exp(-k2 * dt)
-    s_decay = np.exp(-kappa * dt / 2)
-    s_boost = np.exp(-kappa * dt / 4)
-
-    T = 0.0 + 0.0j
-    S = 0.0 + 0.0j
-    if psi0 is None:
-        al, be = 0.0 + 0.0j, 0.0 + 0.0j
-    elif isinstance(psi0, tuple):
-        al, be = complex(psi0[0]), complex(psi0[1])
-    else:
-        al, be = complex(psi0), 0.0 + 0.0j
-
-    out = [SSEState(t=0.0, record_T=T, record_S=S, alpha=al, beta=be)]
-    for k in range(nsteps):
-        t0 = k * dt
-        zdot = dz[k] / dt
-        ph = np.exp(-1j * (omega * t0 + phase0))
-        c0 = (sqk / B) * zdot * ph
-        be += c0 * (abar * I1 + (al - abar) * I2) - Gam * (abar * I3 + (al - abar) * I4)
-        ehk = ph * ehat0
-        T += dz[k] * ehk
-        S = S * s_decay + (sqk / B) * dz[k] * ehk * s_boost
-        al = abar + (al - abar) * step_decay
-        if (k + 1) % every == 0 or k + 1 == nsteps:
-            out.append(SSEState(t=(k + 1) * dt, record_T=T, record_S=S,
-                                alpha=al, beta=be))
-    return out
+    n = path.nsteps
+    at = np.unique(np.r_[0:n + 1:every, n])
+    out = _coherent_kernel(params, path, at, *_coherent_start(psi0))
+    return [SSEState(t=k * path.dt, record_T=complex(T), record_S=complex(S),
+                     alpha=complex(al), beta=complex(be))
+            for k, (al, be, T, S) in zip(at.tolist(), out.T.tolist())]
 
 
-def _demod_grid(omega: float, dt: float, nsteps: int):
-    """Per-step demodulation factors: in-step average of e^{-i omega s}."""
-    tgrid = np.arange(nsteps) * dt
-    ehat = np.exp(-1j * omega * tgrid) * (1 - np.exp(-1j * omega * dt)) / (1j * omega * dt)
-    return tgrid, ehat
+def _sample_gaussian(rows: np.ndarray, mean, scale: float, npaths: int,
+                     rng: np.random.Generator) -> np.ndarray:
+    """(npaths, m) samples of ``mean + rows @ xi``, xi_k iid N(0, scale**2).
+
+    ``rows`` holds the (m, K) coefficients of the K increments.  The
+    covariance scale**2 rows rows^T = scale**2 R^T R comes from the R factor
+    of rows^T = QR, with no inverse or square root, so a rank-deficient law is
+    sampled exactly.  Draws one (npaths, m) block of standard normals.  Raises
+    FloatingPointError when the mean or the covariance is not finite."""
+    mean = np.asarray(mean, dtype=float)
+    factor = scale * np.linalg.qr(rows.T, mode="r")     # carries any inf or nan
+    if not (np.all(np.isfinite(mean)) and np.all(np.isfinite(factor))):
+        raise FloatingPointError("non-finite mean or covariance in the exact "
+                                 "Gaussian law of the sampled record")
+    z = rng.standard_normal((npaths, mean.size))
+    return mean + z[:, :factor.shape[0]] @ factor
+
+
+def _sampler_grid(params: HeterodyneParams, duration: float, dt: float):
+    """Step count and demodulation weights shared by the ensemble samplers."""
+    if params.omega <= 0:
+        raise ValueError("heterodyne sampling needs omega > 0")
+    nsteps = int(round(duration / dt))
+    return nsteps, _demod(params.omega, 0.0, dt, np.arange(nsteps))[1]
 
 
 def sample_tilted_currents(params: HeterodyneParams, duration: float, dt: float,
@@ -406,27 +444,22 @@ def sample_tilted_currents(params: HeterodyneParams, duration: float, dt: float,
     B^2 dt).  Sampling that tilted law avoids norm-weighting entirely.
     ``start='fixed'`` holds alpha at the steady value sqrt(nbar);
     ``start='vacuum'`` uses the relaxing amplitude from an empty cavity.
+    record_T = sum_k dz_k ehat_k is then exactly Gaussian; its real and
+    imaginary parts are drawn jointly, 2 standard normals per path.
     Returns the complex currents I = record_T/duration in units of B.
     """
     if start not in ("fixed", "vacuum"):
         raise ValueError("start must be 'fixed' or 'vacuum'")
-    if params.omega <= 0:
-        raise ValueError("heterodyne sampling needs omega > 0")
-    kappa, B, omega, nbar = params.kappa, params.B, params.omega, params.nbar
-    nsteps = int(round(duration / dt))
-    rng = RngStream(seed, _STREAM_TILTED).generator()
-    tgrid, ehat = _demod_grid(omega, dt, nsteps)
-    if start == "fixed":
-        alph = np.full(nsteps, np.sqrt(nbar), dtype=complex)
-    else:
-        alph = np.sqrt(nbar) * (1 - np.exp(-kappa * tgrid / 2))
-    mean_k = 2 * np.sqrt(kappa) * B * np.real(alph * ehat) * dt
-    scale = B * np.sqrt(dt)
-    TB = np.zeros(npaths, dtype=complex)
-    for k in range(nsteps):
-        dzk = rng.normal(mean_k[k], scale, size=npaths)
-        TB += dzk * ehat[k]
-    return TB / duration
+    nsteps, ehat = _sampler_grid(params, duration, dt)
+    kappa, B, nbar = params.kappa, params.B, params.nbar
+    alph = np.sqrt(nbar)       # real on both starts
+    if start == "vacuum":
+        alph = alph * (1 - np.exp(-kappa * np.arange(nsteps) * dt / 2))
+    mean_k = 2 * np.sqrt(kappa) * B * alph * ehat.real * dt
+    rows = np.stack([ehat.real, ehat.imag])
+    x = _sample_gaussian(rows, rows @ mean_k, B * np.sqrt(dt), npaths,
+                         RngStream(seed, _STREAM_TILTED).generator())
+    return (x[:, 0] + 1j * x[:, 1]) / duration
 
 
 def sample_ostensible_currents(params: HeterodyneParams, duration: float, dt: float,
@@ -435,26 +468,20 @@ def sample_ostensible_currents(params: HeterodyneParams, duration: float, dt: fl
 
     The record is drawn mean-zero; physical averages are recovered by
     weighting each path with its conditioned norm^2.  The state starts at the
-    fixed point alpha = sqrt(nbar), so the log weight accumulates in closed
-    form along with the current.  Returns (currents, log_weights).
+    fixed point alpha = sqrt(nbar), so the log weight is
+    sum_k 2 Re[(sqrt(kappa)/B) dz_k ehat_k alpha] - 2 Gamma alpha dt, an exact
+    multiple of Re record_T plus a constant.  (Re T, Im T, log weight) is
+    drawn from its joint rank-2 Gaussian law, 3 standard normals per path.
+    Returns (currents, log_weights).
     """
-    if params.omega <= 0:
-        raise ValueError("heterodyne sampling needs omega > 0")
-    kappa, B, omega, nbar = params.kappa, params.B, params.omega, params.nbar
-    Gam = params.gamma_drive
-    nsteps = int(round(duration / dt))
-    rng = RngStream(seed, _STREAM_OSTENSIBLE).generator()
-    tgrid, ehat = _demod_grid(omega, dt, nsteps)
-    alph = np.full(nsteps, np.sqrt(nbar), dtype=complex)
-    sqk = np.sqrt(kappa)
-    scale = B * np.sqrt(dt)
-    TB = np.zeros(npaths, dtype=complex)
-    logw = np.zeros(npaths)
-    for k in range(nsteps):
-        dzk = rng.normal(0.0, scale, size=npaths)
-        TB += dzk * ehat[k]
-        logw += 2 * np.real((sqk / B) * dzk * ehat[k] * alph[k]) - 2 * Gam * np.real(alph[k]) * dt
-    return TB / duration, logw
+    nsteps, ehat = _sampler_grid(params, duration, dt)
+    B, alpha = params.B, np.sqrt(params.nbar)
+    rows = np.stack([ehat.real, ehat.imag,
+                     2 * np.sqrt(params.kappa) / B * alpha * ehat.real])
+    mean = [0.0, 0.0, -2 * params.gamma_drive * alpha * dt * nsteps]
+    x = _sample_gaussian(rows, mean, B * np.sqrt(dt), npaths,
+                         RngStream(seed, _STREAM_OSTENSIBLE).generator())
+    return (x[:, 0] + 1j * x[:, 1]) / duration, x[:, 2]
 
 
 def norm_weighted_mean_abs(currents: np.ndarray, log_weights: np.ndarray) -> float:
@@ -468,19 +495,14 @@ def sample_raw_currents(params: HeterodyneParams, duration: float, dt: float,
     """Unweighted currents of an unmonitored record (no signal).
 
     These are zero-mean complex Gaussians of variance B^2/t: the demodulated
-    average of pure noise.
+    average of pure noise, drawn from their exact law, 2 standard normals per
+    path.
     """
-    if params.omega <= 0:
-        raise ValueError("heterodyne sampling needs omega > 0")
-    B, omega = params.B, params.omega
-    nsteps = int(round(duration / dt))
-    rng = RngStream(seed, _STREAM_RAW).generator()
-    tgrid, ehat = _demod_grid(omega, dt, nsteps)
-    scale = B * np.sqrt(dt)
-    TB = np.zeros(npaths, dtype=complex)
-    for k in range(nsteps):
-        TB += rng.normal(0.0, scale, size=npaths) * ehat[k]
-    return TB / duration
+    _, ehat = _sampler_grid(params, duration, dt)
+    x = _sample_gaussian(np.stack([ehat.real, ehat.imag]), [0.0, 0.0],
+                         params.B * np.sqrt(dt), npaths,
+                         RngStream(seed, _STREAM_RAW).generator())
+    return (x[:, 0] + 1j * x[:, 1]) / duration
 
 
 def sample_filtered_statistic(params: HeterodyneParams, duration: float, dt: float,
@@ -489,21 +511,17 @@ def sample_filtered_statistic(params: HeterodyneParams, duration: float, dt: flo
 
     S integrates the demodulated record against the memory kernel
     e^{-kappa (t-s)/2} (midpoint-weighted per step), so <|S|^2> relaxes to
-    1 - e^{-kappa t} independently of B.
+    1 - e^{-kappa t} independently of B.  (Re S, Im S) is drawn from its
+    exact Gaussian law, 2 standard normals per path.
     """
-    if params.omega <= 0:
-        raise ValueError("heterodyne sampling needs omega > 0")
-    kappa, B, omega = params.kappa, params.B, params.omega
-    nsteps = int(round(duration / dt))
-    rng = RngStream(seed, _STREAM_FILTERED).generator()
-    tgrid, ehat = _demod_grid(omega, dt, nsteps)
-    ker = np.exp(-kappa * (duration - (tgrid + dt / 2)) / 2)
-    scale = B * np.sqrt(dt)
-    S = np.zeros(npaths, dtype=complex)
-    for k in range(nsteps):
-        dzk = rng.normal(0.0, scale, size=npaths)
-        S += (np.sqrt(kappa) / B) * dzk * ehat[k] * ker[k]
-    return S
+    nsteps, ehat = _sampler_grid(params, duration, dt)
+    kappa, B = params.kappa, params.B
+    tmid = np.arange(nsteps) * dt + dt / 2
+    w = (np.sqrt(kappa) / B) * ehat * np.exp(-kappa * (duration - tmid) / 2)
+    x = _sample_gaussian(np.stack([w.real, w.imag]), [0.0, 0.0],
+                         B * np.sqrt(dt), npaths,
+                         RngStream(seed, _STREAM_FILTERED).generator())
+    return x[:, 0] + 1j * x[:, 1]
 
 
 @dataclass(frozen=True)
@@ -606,44 +624,24 @@ def gauge_equivalence(params: HeterodyneParams, path: NoisePath,
     and the decomposition beta_drift = beta_plain + scalar is checked.
     """
     _check_step(params, path)
-    kappa = params.kappa
-    B = path.B
-    omega = path.omega
-    dt = path.dt
-    dz = path.increments
-    nsteps = path.nsteps
     if t is not None:
-        nsteps = min(nsteps, int(round(t / dt)))
-    phase0 = path.phase0
+        path = replace(path, increments=path.increments[:int(round(t / path.dt))])
+    kappa, dt = params.kappa, path.dt
+    steps = np.arange(path.nsteps + 1)
+    al_p, be_p = _coherent_kernel(params, path, steps)[:2]
 
-    Gam = params.gamma_drive
-    abar = 2 * Gam / kappa
-    sqk = np.sqrt(kappa)
-    I1, I2, I3, I4 = _step_constants(kappa, omega, dt)
+    # drift gauge, summed on its own: the plain increments plus i*J_k, the
+    # exact step integral of I(s)*alpha(s), alpha = abar + delta e^{-kappa s/2}
+    al_d, _, gain, drift = _coherent_terms(params, path, steps)
+    abar = params.alpha_steady
+    I4 = _step_constants(kappa, path.omega, dt)[3]
     I5 = (1 - np.exp(-kappa * dt)) / kappa
-    step_decay = np.exp(-kappa * dt / 2)
-
-    al_p = 0.0 + 0.0j
-    be_p = 0.0 + 0.0j
-    al_d = 0.0 + 0.0j
-    be_d = 0.0 + 0.0j
-    scalar = 0.0 + 0.0j
-    qdev = 0.0
-    for k in range(nsteps):
-        t0 = k * dt
-        zdot = dz[k] / dt
-        ph = np.exp(-1j * (omega * t0 + phase0))
-        c0 = (sqk / B) * zdot * ph
-        delta_p = al_p - abar
-        be_p += c0 * (abar * I1 + delta_p * I2) - Gam * (abar * I3 + delta_p * I4)
-        delta_d = al_d - abar
-        # exact step integral of I(s)*alpha(s), alpha = abar + delta e^{-kappa s/2}
-        J = 2 * abar**2 * dt + 2 * abar * (delta_d + delta_d.real) * I4 + 2 * delta_d.real * delta_d * I5
-        be_d += c0 * (abar * I1 + delta_d * I2) - Gam * (abar * I3 + delta_d * I4) + 1j * J
-        scalar += 1j * J
-        al_p = abar + (al_p - abar) * step_decay
-        al_d = abar + (al_d - abar) * step_decay
-        qdev = max(qdev, abs(2 * al_p.real - 2 * al_d.real))
+    d = al_d[:-1] - abar
+    J = 2 * abar**2 * dt + 2 * abar * (d + d.real) * I4 + 2 * d.real * d * I5
+    be_d = np.sum(gain[:-1] * path.increments + drift[:-1] + 1j * J)
+    scalar = np.sum(1j * J)
+    qdev = np.max(np.abs(2 * al_p.real - 2 * al_d.real))
+    al_p, be_p, al_d = al_p[-1], be_p[-1], al_d[-1]
 
     if nmax is None:
         nmax = default_nmax(params.nbar)
@@ -670,33 +668,23 @@ def ensemble_unraveling_check(params: HeterodyneParams, duration: float, dt: flo
     martingale, E||psi(t)||^2 = 1 for a vacuum start, while alpha(t) relaxes
     deterministically on every path.  The ensemble of conditioned projectors
     therefore averages to the coherent-state density matrix of the
-    unconditioned master equation.  Returns the sampled mean norm^2 with its
-    standard error and the amplitude deviation from the closed form.
+    unconditioned master equation.  Re beta, the only random part of the
+    norm, is drawn from its exact Gaussian law, 1 standard normal per path.
+    Returns the sampled mean norm^2 with its standard error and the amplitude
+    deviation from the closed form.
     """
     if params.omega <= 0:
         raise ValueError("heterodyne sampling needs omega > 0")
-    kappa, B, omega, nbar = params.kappa, params.B, params.omega, params.nbar
-    Gam = params.gamma_drive
-    abar = 2 * Gam / kappa
-    nsteps = int(round(duration / dt))
-    rng = RngStream(seed, _STREAM_UNRAVELING).generator()
-    sqk = np.sqrt(kappa)
-    I1, I2, I3, I4 = _step_constants(kappa, omega, dt)
-    step_decay = np.exp(-kappa * dt / 2)
-    scale = B * np.sqrt(dt)
-
-    al = 0.0 + 0.0j
-    be = np.zeros(npaths, dtype=complex)
-    for k in range(nsteps):
-        t0 = k * dt
-        dzk = rng.normal(0.0, scale, size=npaths)
-        c0 = (sqk / B) * (dzk / dt) * np.exp(-1j * omega * t0)
-        be += c0 * (abar * I1 + (al - abar) * I2) - Gam * (abar * I3 + (al - abar) * I4)
-        al = abar + (al - abar) * step_decay
-    w = np.exp(2 * be.real + abs(al) ** 2)
+    grid = NoisePath.silent(params, duration, dt)
+    alpha, _, gain, drift = _coherent_terms(params, grid, np.arange(grid.nsteps + 1))
+    re_beta = _sample_gaussian(gain[None, :-1].real, [drift[:-1].real.sum()],
+                               params.B * np.sqrt(dt), npaths,
+                               RngStream(seed, _STREAM_UNRAVELING).generator())
+    al = alpha[-1]
+    w = np.exp(2 * re_beta[:, 0] + abs(al) ** 2)
     mean_w = float(w.mean())
     se = float(w.std() / np.sqrt(npaths))
-    alpha_pred = abar * (1 - np.exp(-kappa * duration / 2))
+    alpha_pred = params.alpha_steady * (1 - np.exp(-params.kappa * duration / 2))
     return {
         "mean_norm_sq": mean_w,
         "stderr": se,

@@ -13,9 +13,10 @@ matches first-order perturbation theory.
 
 from __future__ import annotations
 
+import cmath
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 import numpy as np
 from scipy.integrate import quad
@@ -57,6 +58,8 @@ class TransmonParams:
     omega_d: complex = 0.0 + 0.0j
 
     def __post_init__(self):
+        if not all(map(cmath.isfinite, astuple(self))):
+            raise ValueError("rates, photon number and drive amplitudes must be finite")
         if self.kappa <= 0:
             raise ValueError("kappa must be positive")
         if self.nbar < 0:

@@ -23,6 +23,17 @@ def _params(omega1=1.0, eps=0.05, beta1=1.0, beta2=0.0, delta2=None):
                        beta1=beta1, beta2=beta2)
 
 
+@pytest.mark.parametrize("field", ["omega1", "omega2", "delta2", "beta1",
+                                   "beta2"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, complex(0.0, math.nan)])
+def test_params_reject_non_finite(field, value):
+    good = dict(omega1=1.0, omega2=0.05, delta2=1.0, beta1=1.0, beta2=0.0)
+    if isinstance(value, complex) and field not in ("omega1", "omega2"):
+        value = value.imag       # the detuning and the rates are real
+    with pytest.raises(ValueError):
+        Atom3Params(**dict(good, **{field: value}))
+
+
 def test_generator_matrix_layout():
     p = Atom3Params(omega1=2.0 + 1.0j, omega2=0.3j, delta2=0.7,
                     beta1=1.5, beta2=0.4)

@@ -129,6 +129,16 @@ def test_non_finite_summary_exit_code(tmp_path):
     assert not out.exists() and not (tmp_path / "n.json").exists()
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_non_finite_exact_law_exit_code(tmp_path):
+    # finite flags, but the ostensible log-weight mean -kappa*nbar*t overflows
+    out = tmp_path / "o.csv"
+    rc = _run(["heterodyne-current", "--mode", "ostensible", "--nbar", "1e308",
+               "--npaths", "10", "--out", str(out)])
+    assert rc == 3
+    assert not out.exists() and not (tmp_path / "o.json").exists()
+
+
 def test_telegraph_reports_censored(tmp_path):
     out = tmp_path / "t.csv"
     assert _run(["telegraph", "--ntraj", "50", "--out", str(out)]) == 0

@@ -25,6 +25,17 @@ def test_params_validation():
     assert abs(abs(gl) - 10.0 / math.sqrt(1601.0)) < 1e-15
 
 
+@pytest.mark.parametrize("field", ["kappa", "chi", "nbar", "omega_b",
+                                   "omega_d"])
+@pytest.mark.parametrize("value", [math.nan, -math.inf, complex(math.inf, 0.0)])
+def test_params_reject_non_finite(field, value):
+    good = dict(kappa=1.0, chi=20.0, nbar=100.0, omega_b=0.1, omega_d=0.0)
+    if isinstance(value, complex) and field not in ("omega_b", "omega_d"):
+        value = value.real       # the rates and the photon number are real
+    with pytest.raises(ValueError):
+        TransmonParams(**dict(good, **{field: value}))
+
+
 def test_beta_B_three_methods():
     assert abs(beta_B(P100, "closed_form") - 7.978845608028654) < 1e-14
     assert abs(beta_B(P100, "closed_form")
