@@ -12,7 +12,7 @@ Run:  python3 demos/cavity_survival.py
 import numpy as np
 
 from nextjump.cavity import (CavityParams, evolve_fock_oracle, mean_jump_time,
-                             resonant_flow, short_time_W, survival_W)
+                             resonant_flow, short_time_W)
 from nextjump.numerics import FockVector, default_nmax
 
 
@@ -24,7 +24,7 @@ def main():
     print("  t     W closed     W Fock       D(t)")
     psi0 = FockVector.vacuum(default_nmax(p.nbar))
     for t in (0.25, 0.5, 1.0, 2.0, 4.0, 6.0):
-        w = survival_W(flow, t)
+        w = flow.survival(t)
         wf = evolve_fock_oracle(p, psi0, t).norm_sq()
         print(f"  {t:4.2f}  {w:.8f}   {wf:.8f}   {flow.jump_density(t):.6f}")
     print()

@@ -25,7 +25,7 @@ from scipy import special
 
 from .trajectories import EffectiveModel
 from .numerics import (TAIL_TOL, FockVector, TruncationError, default_nmax,
-                       integrate_ode)
+                       fock_ops, integrate_ode)
 
 __all__ = [
     "CavityParams",
@@ -35,16 +35,11 @@ __all__ = [
     "detuned_trajectory",
     "effective_model",
     "evolve_fock_oracle",
-    "gamma_L",
-    "gamma_L_drive",
-    "gamma_L_shifted",
-    "jump_density_D",
     "mean_jump_time",
     "resonant_flow",
     "resonant_trajectory",
     "shifted_basis_check",
     "short_time_W",
-    "survival_W",
     "wrong_state_flow",
 ]
 
@@ -192,19 +187,6 @@ def wrong_state_flow(p: CavityParams) -> CoherentTrajectory:
                               chi_eff=p.chi, gamma_det=root, alpha0=root)
 
 
-def survival_W(traj: CoherentTrajectory, t):
-    """No-jump probability W(t) = exp(beta + beta* + |alpha|^2), normalized
-    so W(0) = 1."""
-    return traj.survival(t)
-
-
-def jump_density_D(traj: CoherentTrajectory, p: CavityParams, t):
-    """Density of the first jump time, D = kappa|alpha - gamma|^2 W."""
-    if abs(p.kappa - traj.kappa) > 1e-12 * p.kappa:
-        raise ValueError("params and trajectory disagree on kappa")
-    return traj.jump_density(t)
-
-
 def short_time_W(p: CavityParams, t):
     """Cubic-law survival exp(-nbar kappa^3 t^3 / 12), valid for kappa*t << 1
     (resonant vacuum start)."""
@@ -218,26 +200,6 @@ def mean_jump_time(p: CavityParams) -> float:
     time in the cubic-law regime; the exact mean under the cubic law is
     this times gamma_fn(4/3) ~ 0.893."""
     return (3.0 / (p.kappa * p.gamma_drive ** 2)) ** (1.0 / 3.0)
-
-
-def gamma_L_drive(p: CavityParams) -> complex:
-    """Detuned fixed point in the driven (unshifted) frame:
-    gamma_drive/((kappa/2) - i chi)."""
-    return p.gamma_drive / (0.5 * p.kappa - 1j * p.chi)
-
-
-def gamma_L_shifted(p: CavityParams) -> complex:
-    """Same fixed point written in the shifted-detection frame's literal
-    form i sqrt(nbar) kappa/(2 chi + i kappa).  Algebraically identical to
-    gamma_L_drive when gamma_drive = kappa sqrt(nbar)/2; both are kept so
-    each frame's expression stays checkable on its own."""
-    return 1j * math.sqrt(p.nbar) * p.kappa / (2.0 * p.chi + 1j * p.kappa)
-
-
-def gamma_L(p: CavityParams) -> complex:
-    """Leftover coherent amplitude a dark-period cavity relaxes to
-    (shifted-frame convention)."""
-    return gamma_L_shifted(p)
 
 
 def _fock_rhs(p: CavityParams, nmax: int):
@@ -352,10 +314,8 @@ def effective_model(p: CavityParams, nmax: int,
     """
     if nmax < 1:
         raise ValueError("nmax must be at least 1")
-    ns = np.arange(nmax + 1, dtype=float)
-    a = np.zeros((nmax + 1, nmax + 1), dtype=complex)
-    a[np.arange(nmax), np.arange(1, nmax + 1)] = np.sqrt(ns[1:])
-    gen = p.gamma_drive * (a.conj().T - a) - (p.kappa / 2) * np.diag(ns)
+    a, n = fock_ops(nmax)
+    gen = p.gamma_drive * (a.T - a) - (p.kappa / 2) * n
     if initial_state is None:
         psi0 = np.zeros(nmax + 1, dtype=complex)
         psi0[0] = 1.0

@@ -119,7 +119,7 @@ def _run_cavity_detuned(cfg):
     w = flow.survival(ts)
     rows = [(t, a.real, a.imag, b.real, b.imag, wv)
             for t, a, b, wv in zip(ts, al, be, w)]
-    gl = _cavity.gamma_L_drive(p)
+    gl = flow.alpha_inf
     summary = {"gamma_L_re": gl.real, "gamma_L_im": gl.imag,
                "gamma_L_abs": abs(gl),
                "alpha_steady_re": flow.alpha_inf.real,

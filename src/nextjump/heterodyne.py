@@ -258,11 +258,11 @@ def _step_constants(kappa: float, omega: float, dt: float):
     return I1, I2, I3, I4
 
 
-def _check_step(params: HeterodyneParams, path: NoisePath):
-    limit = _max_step(params.kappa, path.omega)
-    if path.dt > limit * (1 + 1e-12):
+def _check_step(kappa: float, omega: float, dt: float):
+    limit = _max_step(kappa, omega)
+    if dt > limit * (1 + 1e-12):
         raise ValueError(
-            f"noise step dt={path.dt:g} exceeds {limit:g}; the step must "
+            f"noise step dt={dt:g} exceeds {limit:g}; the step must "
             "resolve both the demodulation phase and the cavity decay")
 
 
@@ -350,7 +350,7 @@ def integrate_sse(params: HeterodyneParams, path: NoisePath, psi0=None,
     ``psi0``: coherent mode accepts None (vacuum), a complex alpha0, or an
     (alpha0, beta0) pair; Fock mode accepts None or a single-level FockVector.
     """
-    _check_step(params, path)
+    _check_step(params.kappa, path.omega, path.dt)
     if mode == "coherent":
         al, be, T, S = _coherent_kernel(params, path, np.array([path.nsteps]),
                                         *_coherent_start(psi0))[:, 0]
@@ -400,7 +400,7 @@ def integrate_sse_series(params: HeterodyneParams, path: NoisePath,
     """
     if every < 1:
         raise ValueError("every must be >= 1")
-    _check_step(params, path)
+    _check_step(params.kappa, path.omega, path.dt)
     n = path.nsteps
     at = np.unique(np.r_[0:n + 1:every, n])
     out = _coherent_kernel(params, path, at, *_coherent_start(psi0))
@@ -431,6 +431,7 @@ def _sampler_grid(params: HeterodyneParams, duration: float, dt: float):
     """Step count and demodulation weights shared by the ensemble samplers."""
     if params.omega <= 0:
         raise ValueError("heterodyne sampling needs omega > 0")
+    _check_step(params.kappa, params.omega, dt)
     nsteps = int(round(duration / dt))
     return nsteps, _demod(params.omega, 0.0, dt, np.arange(nsteps))[1]
 
@@ -623,7 +624,7 @@ def gauge_equivalence(params: HeterodyneParams, path: NoisePath,
     (the states stay on one ray).  The scalar is also accumulated separately
     and the decomposition beta_drift = beta_plain + scalar is checked.
     """
-    _check_step(params, path)
+    _check_step(params.kappa, path.omega, path.dt)
     if t is not None:
         path = replace(path, increments=path.increments[:int(round(t / path.dt))])
     kappa, dt = params.kappa, path.dt
@@ -675,6 +676,7 @@ def ensemble_unraveling_check(params: HeterodyneParams, duration: float, dt: flo
     """
     if params.omega <= 0:
         raise ValueError("heterodyne sampling needs omega > 0")
+    _check_step(params.kappa, params.omega, dt)
     grid = NoisePath.silent(params, duration, dt)
     alpha, _, gain, drift = _coherent_terms(params, grid, np.arange(grid.nsteps + 1))
     re_beta = _sample_gaussian(gain[None, :-1].real, [drift[:-1].real.sum()],

@@ -11,7 +11,7 @@ ensembles are bit-reproducible regardless of execution order.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.random import Generator, Philox
@@ -24,15 +24,13 @@ __all__ = [
     "RegimeWarning",
     "RngStream",
     "TruncationError",
-    "apply_ladder",
     "default_nmax",
-    "erfc",
-    "gaussian_increments",
+    "fock_ops",
     "integrate_ode",
-    "rk4_fixed",
 ]
 
-#: Tail amplitude above which a Fock-space raise is considered an overflow.
+#: Top-bin amplitude, relative to the norm, above which a Fock state counts
+#: as truncated.
 TAIL_TOL = 1e-10
 
 
@@ -124,43 +122,11 @@ class FockVector:
         return FockVector(self.amps.copy())
 
 
-def apply_ladder(state: FockVector, which: str,
-                 level_mask=None, check_tail: bool = True) -> FockVector:
-    """Apply an oscillator ladder operator to the selected levels.
-
-    which: 'lower' (annihilation), 'raise' (creation) or 'number'.
-    level_mask: boolean sequence per level; None applies to all levels.
-    Raising checks that the top Fock amplitude is below TAIL_TOL first,
-    since population there would silently fall off the truncation edge.
-    """
-    amps = state.amps
-    out = np.zeros_like(amps)
-    if level_mask is None:
-        mask = np.ones(state.levels, dtype=bool)
-    else:
-        mask = np.asarray(level_mask, dtype=bool)
-        if mask.shape != (state.levels,):
-            raise ValueError("level_mask length must equal number of levels")
-    n = np.arange(state.nmax + 1)
-    sel = amps[mask]
-    if which == "lower":
-        res = np.zeros_like(sel)
-        res[:, :-1] = np.sqrt(n[1:]) * sel[:, 1:]
-    elif which == "raise":
-        if check_tail and np.max(np.abs(sel[:, -1]), initial=0.0) > TAIL_TOL:
-            raise TruncationError(
-                f"raise would push amplitude {np.max(np.abs(sel[:, -1])):.3e} "
-                f"past the nmax={state.nmax} cutoff")
-        res = np.zeros_like(sel)
-        res[:, 1:] = np.sqrt(n[1:]) * sel[:, :-1]
-    elif which == "number":
-        res = n * sel
-    else:
-        raise ValueError(f"unknown ladder operator {which!r}")
-    out[mask] = res
-    unsel = ~mask
-    out[unsel] = amps[unsel]
-    return FockVector(out)
+def fock_ops(nmax: int):
+    """Annihilation and number operators (a, n) on Fock states 0..nmax, as
+    real (nmax + 1, nmax + 1) arrays; the creation operator is a.T."""
+    ns = np.arange(nmax + 1, dtype=float)
+    return np.diag(np.sqrt(ns[1:]), 1), np.diag(ns)
 
 
 # ---------------------------------------------------------------------------
@@ -188,22 +154,6 @@ def integrate_ode(rhs, y0, t0: float, t1: float, tol: float = 1e-10,
     return (yf, sol.sol) if dense else yf
 
 
-def rk4_fixed(rhs, y0, t0: float, t1: float, nsteps: int):
-    """Classical fixed-step RK4. Used for stochastic substeps where the
-    step grid is dictated by the noise discretization, and for order checks."""
-    y = np.asarray(y0, dtype=complex).copy()
-    h = (t1 - t0) / nsteps
-    t = t0
-    for _ in range(nsteps):
-        k1 = rhs(t, y)
-        k2 = rhs(t + 0.5 * h, y + 0.5 * h * k1)
-        k3 = rhs(t + 0.5 * h, y + 0.5 * h * k2)
-        k4 = rhs(t + h, y + h * k3)
-        y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        t += h
-    return y
-
-
 # ---------------------------------------------------------------------------
 # reproducible randomness
 
@@ -224,23 +174,3 @@ class RngStream:
         key = np.array([self.seed % (1 << 64), self.stream_index % (1 << 64)],
                        dtype=np.uint64)
         return Generator(Philox(key=key))
-
-    def stream_for(self, index: int) -> "RngStream":
-        """Substream for trajectory ``index`` under this seed."""
-        return RngStream(self.seed, index)
-
-
-def gaussian_increments(rng, n: int, variance: float) -> np.ndarray:
-    """n independent N(0, variance) increments.
-
-    rng may be an RngStream (a fresh generator is derived) or a numpy
-    Generator (consumed in place).
-    """
-    if isinstance(rng, RngStream):
-        rng = rng.generator()
-    return rng.standard_normal(n) * math.sqrt(variance)
-
-
-def erfc(x):
-    """Complementary error function (vectorized)."""
-    return special.erfc(x)

@@ -24,9 +24,9 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.integrate import cumulative_simpson
+from scipy.special import erfc
 
-from .cavity import CavityParams, detuned_flow, survival_W
-from .numerics import erfc
+from .cavity import CavityParams, detuned_flow
 
 __all__ = [
     "ReadoutCurves",
@@ -59,8 +59,8 @@ def error_next_jump(p: CavityParams, t):
     t = np.asarray(t, dtype=float)
     traj_g = detuned_flow(p, 0j)
     traj_b = detuned_flow(_with_chi(p, 0.0), 0j)
-    pg = 1.0 - survival_W(traj_g, t)
-    pb = 1.0 - survival_W(traj_b, t)
+    pg = 1.0 - traj_g.survival(t)
+    pb = 1.0 - traj_b.survival(t)
     tot = pg + pb
     eps = np.where(tot > 0.0, pg / np.where(tot > 0.0, tot, 1.0), 0.5)
     return eps if eps.ndim else float(eps)
@@ -186,7 +186,7 @@ def y_consistency_check(p: CavityParams, tau_max: float = 30.0,
     Y = log_decrement_Y(p, tau)
     integ = cumulative_simpson(Y * p.nbar / (1.0 + (2.0 * p.chi / p.kappa) ** 2),
                                x=tau, initial=0.0)
-    W = survival_W(detuned_flow(p, 0j), tau / p.kappa)
+    W = detuned_flow(p, 0j).survival(tau / p.kappa)
     return float(np.max(np.abs(np.exp(-integ) - W)))
 
 

@@ -39,7 +39,8 @@ __all__ = [
     "telegraph_trace",
 ]
 
-#: eigenbasis condition number above which the propagator falls back to an ODE
+#: expansion amplification a(psi) = ||V^-1 psi||_1 / ||psi||_2 above which
+#: ``NullFlow`` does not propagate psi on the eigenmodes of M (see NullFlow)
 EIG_COND_LIMIT = 1e8
 #: bracket halvings of plain bisection for jump-time location (t_hi / 2^64);
 #: the root-finder takes at most twice this many survival passes
@@ -57,7 +58,9 @@ class EffectiveModel:
     """No-click generator plus detection channels.
 
     generator: (d, d) complex matrix M; between clicks dpsi/dt = M psi.
-    jump_ops: channel operators L_k, one per detector.
+        Construction checks M + M^dag = -sum L_k^dag L_k to 1e-10 relative,
+        i.e. M = -iH - (1/2) sum L_k^dag L_k with H Hermitian.
+    jump_ops: (d, d) channel operators L_k, one per detector.
     labels: channel names parallel to jump_ops.
     initial_state: normalized state the trajectory starts from.
     beta_fast: fast decay scale; sets default dark thresholds and the
@@ -88,6 +91,20 @@ class EffectiveModel:
                                np.asarray(self.reset_state, dtype=complex))
         if len(self.jump_ops) != len(self.labels):
             raise ValueError("one label per jump operator required")
+        d = self.generator.shape[0]
+        states = [self.initial_state]
+        if self.reset_state is not None:
+            states.append(self.reset_state)
+        if (any(m.shape != (d, d) for m in (self.generator, *self.jump_ops))
+                or any(s.shape != (d,) for s in states)):
+            raise ValueError("generator and jump operators must be (d, d) "
+                             "and the states (d,)")
+        loss = sum((L.conj().T @ L for L in self.jump_ops), np.zeros((d, d)))
+        herm = self.generator + self.generator.conj().T
+        gap = np.linalg.norm(herm + loss)
+        if not gap <= 1e-10 * max(np.linalg.norm(herm), np.linalg.norm(loss)):
+            raise ValueError(f"generator's Hermitian part misses -sum L^dag L "
+                             f"by {gap:.3g}; M must be -iH - (1/2) sum L^dag L")
 
     @property
     def dim(self) -> int:
@@ -121,35 +138,39 @@ class EffectiveModel:
 
 
 class NullFlow:
-    """Closed propagator psi(t) = exp(M t) psi0 with survival evaluation.
+    """The package's one propagator psi(t) = exp(M t) psi0, with survival
+    evaluation.
 
-    Diagonalizes M once and propagates eigenmode coefficients V^-1 psi.  If
-    the eigenbasis is ill-conditioned (defective or nearly so) the flow
-    instead integrates the d x d propagator Phi(t) = exp(M t) once with
-    dense output, and a state is its own coefficient vector.  Survival is
-    ||psi(t)||^2 normalized to 1 at t=0.
+    Diagonalizes M = V diag(lam) V^-1 once and propagates the eigenmode
+    coefficients c = V^-1 psi.  How accurate that is depends on the state,
+    not on V alone: V has unit-norm columns, so the rounding error of
+    V (c e^{lam t}) is of order u a(psi), with u the unit roundoff and
+    a(psi) = ||V^-1 psi||_1 / ||psi||_2 the expansion amplification.  The
+    flow uses the eigenmodes when a(state0) <= EIG_COND_LIMIT.  Otherwise
+    (M defective or nearly so, met by a state that expands badly) it
+    integrates the d x d propagator Phi(t) = exp(M t) as one dense ODE
+    solution, extended lazily to the largest time asked for, and a state is
+    its own coefficient vector.  In eigenmode mode every later state that
+    ``_coefficients`` expands (the post-jump states of ``_unravel``) gets
+    the same test, and one that fails raises FloatingPointError naming its
+    a(psi); it is never propagated silently.  Survival is ||psi(t)||^2
+    normalized to 1 at t=0.
     """
 
-    def __init__(self, generator: np.ndarray, state0: np.ndarray,
-                 t_max_hint: float = 0.0):
+    def __init__(self, generator: np.ndarray, state0: np.ndarray):
         M = np.asarray(generator, dtype=complex)
         s0 = np.asarray(state0, dtype=complex)
         self._norm0 = float(np.vdot(s0, s0).real)
         if self._norm0 == 0.0:
             raise ValueError("cannot start a flow from the zero state")
         self._M = M
-        lam, V = np.linalg.eig(M)
-        cond = np.linalg.cond(V)
-        if np.isfinite(cond) and cond <= EIG_COND_LIMIT:
-            self._lam = lam
-            self._V = V
-        else:
-            self._lam = None
-            self._dense = None
-            self._dense_tmax = 0.0
-            if t_max_hint > 0.0:
-                self._ensure_dense(t_max_hint)
-        self._coef = self._coefficients(s0)
+        self._dense, self._dense_tmax = None, 0.0
+        self._lam, self._V = np.linalg.eig(M)
+        try:
+            self._coef = self._coefficients(s0)
+        except (FloatingPointError, np.linalg.LinAlgError):
+            self._lam = self._V = None
+            self._coef = s0.copy()
 
     @property
     def uses_eig(self) -> bool:
@@ -166,10 +187,21 @@ class NullFlow:
         self._dense_tmax = tmax
 
     def _coefficients(self, states: np.ndarray) -> np.ndarray:
-        """Coordinates, (d,) or (d, n), that ``_evolve`` propagates."""
-        if self._lam is not None:
-            return np.linalg.solve(self._V, states)
-        return np.array(states, dtype=complex)
+        """Coordinates, (d,) or (d, n), that ``_evolve`` propagates.  In
+        eigenmode mode a state with a(psi) > EIG_COND_LIMIT (or not finite)
+        raises FloatingPointError."""
+        if self._lam is None:
+            return np.array(states, dtype=complex)
+        coef = np.linalg.solve(self._V, states)
+        amp = np.atleast_1d(np.sum(np.abs(coef), axis=0)
+                            / np.linalg.norm(states, axis=0))
+        bad = ~(amp <= EIG_COND_LIMIT)
+        if bad.any():
+            raise FloatingPointError(
+                f"eigenmode expansion amplifies the state by a(psi) = "
+                f"{np.max(amp[bad]):.3g}, above EIG_COND_LIMIT = "
+                f"{EIG_COND_LIMIT:g}")
+        return coef
 
     def _evolve(self, coef: np.ndarray, t: np.ndarray) -> np.ndarray:
         """States exp(M t[j]) psi_j, (d, t.size), from coefficient columns
@@ -355,7 +387,7 @@ def _unravel(model: EffectiveModel, tmax: float, rngs: list) -> tuple:
     """
     n = len(rngs)
     psi0 = model.initial_state / np.linalg.norm(model.initial_state)
-    flow = NullFlow(model.generator, psi0, t_max_hint=tmax)
+    flow = NullFlow(model.generator, psi0)
     coef = np.repeat(flow._coef[:, np.newaxis], n, axis=1)
     norm0 = np.full(n, flow._norm0)
     final = np.repeat(psi0[:, np.newaxis], n, axis=1)

@@ -20,8 +20,10 @@ from dataclasses import astuple, dataclass
 
 import numpy as np
 from scipy.integrate import quad
+from scipy.linalg import block_diag
 
-from .numerics import IntegrationError, RegimeWarning
+from .numerics import IntegrationError, RegimeWarning, fock_ops
+from .trajectories import NullFlow
 
 __all__ = [
     "DarkSpectrum",
@@ -190,8 +192,16 @@ def dark_eigenvalues(p: TransmonParams,
                         e_minus=complex(roots[0]), epsilon=eps, eta=eta)
 
 
+def _level_blocks(blocks, couplings) -> np.ndarray:
+    """Matrix on levels x Fock: the per-level Fock blocks on the diagonal,
+    and the (levels, levels) qubit couplings acting photon-diagonally."""
+    h = block_diag(*blocks)
+    h += np.kron(couplings, np.eye(blocks[0].shape[0]))
+    return h
+
+
 def _dark_block_matrix(p: TransmonParams, nmax: int) -> np.ndarray:
-    """Shifted-frame effective generator on (B, G, D) x Fock.
+    """Shifted-frame effective Hamiltonian on (B, G, D) x Fock.
 
     The bright block carries the collapse drive toward gamma_L; the G and D
     blocks share the detuned bare cavity line; the qubit drives couple
@@ -199,35 +209,24 @@ def _dark_block_matrix(p: TransmonParams, nmax: int) -> np.ndarray:
     """
     gl = p.gamma_L()
     root = math.sqrt(p.nbar)
-    dim = nmax + 1
-    n = np.arange(dim)
-    adag = np.diag(np.sqrt(n[1:]), -1)
-    a = np.diag(np.sqrt(n[1:]), +1)
-    nmat = np.diag(n.astype(complex))
-    eye = np.eye(dim, dtype=complex)
-    hb = (-0.5j * p.kappa * nmat
-          + 0.5j * p.kappa * ((np.conj(gl) - root) * a - (gl - root) * adag))
-    hnb = (-0.5j * p.kappa - p.chi) * nmat
-    h = np.zeros((3 * dim, 3 * dim), dtype=complex)
-    h[0:dim, 0:dim] = hb
-    h[dim:2 * dim, dim:2 * dim] = hnb
-    h[2 * dim:, 2 * dim:] = hnb
-    h[0:dim, dim:2 * dim] += -p.omega_b * eye
-    h[dim:2 * dim, 0:dim] += -np.conj(p.omega_b) * eye
-    h[dim:2 * dim, 2 * dim:] += -p.omega_d * eye
-    h[2 * dim:, dim:2 * dim] += -np.conj(p.omega_d) * eye
-    return h
+    a, n = fock_ops(nmax)
+    hb = (-0.5j * p.kappa * n
+          + 0.5j * p.kappa * ((np.conj(gl) - root) * a - (gl - root) * a.T))
+    hnb = (-0.5j * p.kappa - p.chi) * n
+    ob, od = p.omega_b, p.omega_d
+    return _level_blocks((hb, hnb, hnb), -np.array(
+        [[0, ob, 0], [np.conj(ob), 0, od], [0, np.conj(od), 0]]))
 
 
 def dark_norm_oracle(p: TransmonParams, t, nmax: int = 200,
                      start: str = "gd") -> np.ndarray:
-    """Squared norm of the dark-block state at times t (full Fock evolution).
+    """Squared norm of the dark-block state at times t (full Fock evolution
+    exp(-i h t) on NullFlow).
 
     start 'gd' is the equal (G,D) vacuum superposition; 'd' and 'g' start
     in one level's vacuum.  The slowest fitted decay rate of the result
     equals 2 iE_minus of dark_eigenvalues in the perturbative regime.
     """
-    h = _dark_block_matrix(p, nmax)
     dim = nmax + 1
     psi0 = np.zeros(3 * dim, dtype=complex)
     if start == "gd":
@@ -239,12 +238,10 @@ def dark_norm_oracle(p: TransmonParams, t, nmax: int = 200,
         psi0[2 * dim] = 1.0
     else:
         raise ValueError(f"unknown start {start!r}")
-    w, v = np.linalg.eig(h)
-    c0 = np.linalg.solve(v, psi0)
-    t_arr = np.atleast_1d(np.asarray(t, dtype=float))
-    amps = v @ (c0[:, None] * np.exp(-1j * np.outer(w, t_arr)))
-    norms = np.sum(np.abs(amps) ** 2, axis=0)
-    return float(norms[0]) if np.ndim(t) == 0 else norms
+    # h is built inside the call so that only -ih is alive while eig runs
+    flow = NullFlow(-1j * _dark_block_matrix(p, nmax), psi0)
+    norms = np.sum(np.abs(flow.state(t)) ** 2, axis=0)
+    return float(norms) if np.ndim(t) == 0 else norms
 
 
 # ---------------------------------------------------------------------------
@@ -269,13 +266,10 @@ def reduced_two_level(p: TransmonParams, state0, t):
         [1j * np.conj(om), 0.0, -g],
         [0.0, g, -(0.5 * p.kappa - 1j * p.chi)],
     ], dtype=complex)
-    w, v = np.linalg.eig(m)
-    c0 = np.linalg.solve(v, np.asarray(state0, dtype=complex))
-    t_arr = np.atleast_1d(np.asarray(t, dtype=float))
-    out = v @ (c0[:, None] * np.exp(np.outer(w, t_arr)))
+    out = NullFlow(m, state0).state(t)
     if np.ndim(t) == 0:
-        return complex(out[0, 0]), complex(out[1, 0]), complex(out[2, 0])
-    return out[0], out[1], out[2]
+        return tuple(complex(c) for c in out)
+    return tuple(out)
 
 
 def bright_kernel_log(p: TransmonParams, s):
@@ -425,33 +419,21 @@ def two_level_fock(p: TransmonParams, t, nmax: int = 160,
     'shifted': bright block carries the displaced collapse drive, ground
     block bare.  Start is ground x vacuum.
     """
-    dim = nmax + 1
-    n = np.arange(dim)
-    adag = np.diag(np.sqrt(n[1:]), -1)
-    a = np.diag(np.sqrt(n[1:]), +1)
-    nmat = np.diag(n.astype(complex))
-    eye = np.eye(dim, dtype=complex)
+    a, n = fock_ops(nmax)
     g = p.gamma_drive
     if frame == "unshifted":
-        drive = -1j * g * (a - adag)
-        hb = -0.5j * p.kappa * nmat + drive
-        hg = (-p.chi - 0.5j * p.kappa) * nmat + drive
+        drive = -1j * g * (a - a.T)
+        hb = -0.5j * p.kappa * n + drive
+        hg = (-p.chi - 0.5j * p.kappa) * n + drive
     elif frame == "shifted":
-        hb = -0.5j * p.kappa * nmat \
-            - 0.5j * p.kappa * math.sqrt(p.nbar) * (a - adag)
-        hg = (-p.chi - 0.5j * p.kappa) * nmat
+        hb = -0.5j * p.kappa * n \
+            - 0.5j * p.kappa * math.sqrt(p.nbar) * (a - a.T)
+        hg = (-p.chi - 0.5j * p.kappa) * n
     else:
         raise ValueError(f"unknown frame {frame!r}")
-    h = np.zeros((2 * dim, 2 * dim), dtype=complex)
-    h[:dim, :dim] = hb
-    h[dim:, dim:] = hg
-    h[:dim, dim:] = -p.omega_b * eye
-    h[dim:, :dim] = -np.conj(p.omega_b) * eye
-    w, v = np.linalg.eig(h)
-    psi0 = np.zeros(2 * dim, dtype=complex)
-    psi0[dim] = 1.0
-    c0 = np.linalg.solve(v, psi0)
-    t_arr = np.atleast_1d(np.asarray(t, dtype=float))
-    states = v @ (c0[:, None] * np.exp(-1j * np.outer(w, t_arr)))
-    out = np.abs(states[dim, :])
-    return float(out[0]) if np.ndim(t) == 0 else out
+    psi0 = np.zeros(2 * (nmax + 1), dtype=complex)
+    psi0[nmax + 1] = 1.0
+    flow = NullFlow(-1j * _level_blocks(
+        (hb, hg), -np.array([[0, p.omega_b], [np.conj(p.omega_b), 0]])), psi0)
+    out = np.abs(flow.state(t)[nmax + 1])
+    return float(out) if np.ndim(t) == 0 else out

@@ -24,7 +24,7 @@ from . import atom3 as _atom3
 from . import cavity as _cavity
 from . import transmon as _transmon
 from .atom3 import Atom3Params, beta_ell, scenario_a_log_survival
-from .cavity import CavityParams, resonant_flow, survival_W, evolve_fock_oracle
+from .cavity import CavityParams, resonant_flow, evolve_fock_oracle
 from .heterodyne import (HeterodyneParams, NoisePath, current_statistics,
                          gauge_equivalence, integrate_sse,
                          null_correspondence, sample_tilted_currents)
@@ -82,10 +82,10 @@ def _criterion_1(level: str):
     rels = []
     for t in times:
         w_num = evolve_fock_oracle(p, vac, float(t)).norm_sq()
-        w_cf = survival_W(flow, float(t))
+        w_cf = flow.survival(float(t))
         rels.append(abs(w_num - w_cf) / w_cf)
     maxrel = float(max(rels))
-    w2 = float(survival_W(flow, 2.0))
+    w2 = float(flow.survival(2.0))
     ok = maxrel < 1e-6 and abs(w2 - 0.26057) < 1e-4
     meas = {"max_rel_dev": maxrel, "W_at_2": w2}
     return ok, meas, "no-click probability, closed form vs truncated integration"
@@ -101,7 +101,7 @@ def _criterion_2(level: str):
         p = CavityParams(kappa=1.0, nbar=nbar)
         flow = resonant_flow(p)
         ts = np.linspace(0.01, 0.05, 80) / p.kappa
-        lnw = np.log(survival_W(flow, ts))
+        lnw = np.log(flow.survival(ts))
         slope = np.polyfit(ts ** 3, lnw, 1)[0]
         target = -p.nbar * p.kappa ** 3 / 12.0
         rel = abs(slope - target) / abs(target)

@@ -4,12 +4,11 @@ import numpy as np
 import pytest
 
 from nextjump.cavity import (CavityParams, CoherentTrajectory,
-                             coherent_ansatz_fidelity, detuned_trajectory,
-                             effective_model, evolve_fock_oracle,
-                             gamma_L, gamma_L_drive, gamma_L_shifted,
-                             jump_density_D, mean_jump_time,
+                             coherent_ansatz_fidelity, detuned_flow,
+                             detuned_trajectory, effective_model,
+                             evolve_fock_oracle, mean_jump_time,
                              resonant_flow, resonant_trajectory,
-                             shifted_basis_check, short_time_W, survival_W,
+                             shifted_basis_check, short_time_W,
                              wrong_state_flow)
 from nextjump.numerics import FockVector, default_nmax
 
@@ -43,7 +42,7 @@ def test_resonant_trajectory_closed_form():
     # beta = -(kappa nbar/2)[t + (2/kappa)(e^{-kappa t/2} - 1)]
     want_b = -2.0 * (2.0 + 2.0 * (math.exp(-1.0) - 1.0))
     assert abs(b - want_b) < 1e-14
-    w = survival_W(resonant_flow(p), 2.0)
+    w = resonant_flow(p).survival(2.0)
     assert abs(w - 0.26061008241677147) < 1e-14
 
 
@@ -52,7 +51,7 @@ def test_fock_oracle_matches_closed_form():
     flow = resonant_flow(p)
     psi0 = FockVector.vacuum(default_nmax(p.nbar))
     psi = evolve_fock_oracle(p, psi0, 2.0)
-    w = survival_W(flow, 2.0)
+    w = flow.survival(2.0)
     assert abs(psi.norm_sq() / w - 1.0) < 1e-10
     fid = coherent_ansatz_fidelity(psi, flow.alpha(2.0), flow.beta(2.0))
     assert fid > 1.0 - 1e-12
@@ -66,8 +65,6 @@ def test_jump_density_is_minus_dW():
         d = flow.jump_density(t)
         fd = -(flow.survival(t + h) - flow.survival(t - h)) / (2.0 * h)
         assert abs(d - fd) < 1e-8
-    with pytest.raises(ValueError):
-        jump_density_D(flow, CavityParams(kappa=2.0, nbar=4.0), 1.0)
 
 
 def test_short_time_cubic_law():
@@ -89,12 +86,10 @@ def test_mean_jump_time_scale():
 
 def test_detuned_fixed_point():
     p = CavityParams(kappa=1.0, chi=20.0, nbar=100.0)
-    g = gamma_L_drive(p)
+    g = detuned_flow(p, 0j).alpha_inf
     # gamma_drive/(kappa/2 - i chi) = 5(0.5 + 20i)/400.25
     assert abs(g - (2.5 + 100.0j) / 400.25) < 1e-14
     assert abs(abs(g) - 10.0 / math.sqrt(1601.0)) < 1e-15
-    assert abs(gamma_L_shifted(p) - g) < 1e-15
-    assert gamma_L(p) == gamma_L_shifted(p)
     # the flow actually relaxes there
     a, _ = detuned_trajectory(p, math.sqrt(p.nbar), 50.0)
     assert abs(a - g) < 1e-9

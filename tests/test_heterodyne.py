@@ -245,6 +245,20 @@ def test_step_guard_uses_the_path_omega():
         gauge_equivalence(P4, NoisePath.draw(P4, 1.0, 0.002, seed=1))
 
 
+def test_ensemble_samplers_step_guard():
+    # kappa*dt = 0.5, fifty times the guard: the exact laws would be built on
+    # an unresolved grid (the martingale check read z = -3.3e6 unguarded)
+    with pytest.raises(ValueError, match="noise step dt=0.5 exceeds 0.001"):
+        ensemble_unraveling_check(HeterodyneParams(1.0, 4.0), 5.0, 0.5, 100,
+                                  seed=1)
+    for sampler in (sample_tilted_currents, sample_ostensible_currents,
+                    sample_raw_currents, sample_filtered_statistic):
+        with pytest.raises(ValueError, match="exceeds 0.001"):
+            sampler(P4, 1.0, 0.002, 10, seed=1)
+    # dt exactly at the limit is accepted
+    assert sample_raw_currents(P4, 0.1, P4.max_step(), 10, seed=1).shape == (10,)
+
+
 def test_integrate_sse_series_consistency():
     path = NoisePath.draw(P4, 1.0, 1e-3, seed=9)
     snaps = integrate_sse_series(P4, path, every=100)

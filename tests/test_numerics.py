@@ -1,13 +1,11 @@
 import math
 
 import numpy as np
-import pytest
 from numpy.random import Generator, Philox
 
 from nextjump.numerics import (TAIL_TOL, FockVector, IntegrationError,
-                               RngStream, TruncationError, apply_ladder,
-                               default_nmax, erfc, gaussian_increments,
-                               integrate_ode, rk4_fixed)
+                               RngStream, TruncationError, default_nmax,
+                               fock_ops, integrate_ode)
 
 
 def test_default_nmax_margin():
@@ -35,14 +33,24 @@ def test_coherent_state_moments():
     st = FockVector.coherent(alpha, default_nmax(abs(alpha) ** 2))
     assert abs(st.norm_sq() - 1.0) < 1e-12
     assert st.tail_mass() < TAIL_TOL
-    # annihilation eigenstate: lower |alpha> = alpha |alpha>
-    low = apply_ladder(st, "lower")
-    dev = np.max(np.abs(low.amps - alpha * st.amps))
+    # annihilation eigenstate: a |alpha> = alpha |alpha>
+    a, n = fock_ops(st.nmax)
+    dev = np.max(np.abs(a @ st.amps[0] - alpha * st.amps[0]))
     assert dev < 1e-10
     # mean photon number from the number operator
-    num = apply_ladder(st, "number")
-    nbar = float(np.real(np.sum(np.conj(st.amps) * num.amps)))
+    nbar = float(np.real(np.vdot(st.amps[0], n @ st.amps[0])))
     assert abs(nbar - abs(alpha) ** 2) < 1e-10
+
+
+def test_fock_ops_ladder():
+    a, n = fock_ops(5)
+    assert a.shape == n.shape == (6, 6)
+    assert np.array_equal(np.diag(n), np.arange(6.0))
+    assert np.max(np.abs(a.T @ a - n)) < 1e-14
+    # [a, a^dag] = 1 below the cutoff; the top bin carries the truncation
+    comm = a @ a.T - a.T @ a
+    assert np.max(np.abs(comm[:5, :5] - np.eye(5))) < 1e-14
+    assert abs(comm[5, 5] + 5.0) < 1e-14
 
 
 def test_coherent_overlap_formula():
@@ -51,26 +59,6 @@ def test_coherent_overlap_formula():
     sb = FockVector.coherent(b, 60)
     got = abs(sa.inner(sb)) ** 2
     assert abs(got - math.exp(-abs(a - b) ** 2)) < 1e-12
-
-
-def test_ladder_raise_and_tail_guard():
-    v = FockVector.vacuum(6)
-    one = apply_ladder(v, "raise")
-    assert abs(one.amps[0, 1] - 1.0) < 1e-15
-    # population at the cutoff makes raising unsafe
-    edge = np.zeros((1, 4), dtype=complex)
-    edge[0, -1] = 1.0
-    with pytest.raises(TruncationError):
-        apply_ladder(FockVector(edge), "raise")
-    with pytest.raises(ValueError):
-        apply_ladder(v, "squeeze")
-
-
-def test_ladder_level_mask():
-    st = FockVector(np.array([[0.0, 1.0, 0.0], [0.0, 1.0, 0.0]], dtype=complex))
-    out = apply_ladder(st, "lower", level_mask=[True, False])
-    assert out.amps[0, 0] == 1.0          # lowered
-    assert out.amps[1, 1] == 1.0          # untouched
 
 
 def test_normalized_and_copy():
@@ -96,17 +84,6 @@ def test_integrate_ode_dense_grid():
     assert np.max(np.abs(vals[0] - np.exp(1j * ts))) < 1e-8
 
 
-def test_rk4_fixed_order():
-    # halving the step should cut the error by about 2^4
-    def rhs(t, y):
-        return np.array([y[1], -y[0]])
-
-    exact = np.array([math.cos(1.0), -math.sin(1.0)])
-    e1 = np.max(np.abs(rk4_fixed(rhs, np.array([1.0, 0.0]), 0.0, 1.0, 20) - exact))
-    e2 = np.max(np.abs(rk4_fixed(rhs, np.array([1.0, 0.0]), 0.0, 1.0, 40) - exact))
-    assert 8.0 < e1 / e2 < 32.0
-
-
 def test_rng_stream_is_philox_keyed():
     got = RngStream(5, 3).generator().random(4)
     want = Generator(Philox(key=[5, 3])).random(4)
@@ -119,20 +96,6 @@ def test_rng_stream_reproducible_and_independent():
     b = RngStream(9, 1).generator().random(8)
     assert np.array_equal(a1, a2)
     assert not np.array_equal(a1, b)
-    assert RngStream(9, 0).stream_for(7) == RngStream(9, 7)
-
-
-def test_gaussian_increments_variance():
-    x = gaussian_increments(RngStream(1, 0), 200_000, 0.25)
-    assert abs(float(np.var(x)) - 0.25) < 0.005
-    assert abs(float(np.mean(x))) < 0.005
-
-
-def test_erfc_values():
-    assert abs(erfc(0.0) - 1.0) < 1e-15
-    assert abs(float(erfc(1.0)) - math.erfc(1.0)) < 1e-15
-    xs = np.array([-2.0, 0.5, 3.0])
-    assert np.max(np.abs(erfc(xs) - [math.erfc(v) for v in xs])) < 1e-14
 
 
 def test_error_types_exist():

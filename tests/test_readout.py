@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from nextjump.cavity import CavityParams, detuned_flow, survival_W
+from nextjump.cavity import CavityParams, detuned_flow
 from nextjump.readout import (ReadoutCurves, error_dispersive,
                               error_next_jump, figure1_dataset,
                               log_decrement_Y, min_error_next_jump,
@@ -42,8 +42,8 @@ def test_error_next_jump_keeps_drive_and_detection_reference():
     p_b = CavityParams(kappa=1.0, chi=0.0, nbar=100.0, gamma_drive=4.0,
                        gamma_shift=10.0)
     for t in (0.3, 0.7, 2.0):
-        pg = 1.0 - survival_W(detuned_flow(p, 0j), t)
-        pb = 1.0 - survival_W(detuned_flow(p_b, 0j), t)
+        pg = 1.0 - detuned_flow(p, 0j).survival(t)
+        pb = 1.0 - detuned_flow(p_b, 0j).survival(t)
         assert abs(error_next_jump(p, t) - pg / (pg + pb)) < 1e-14
 
 

@@ -468,6 +468,102 @@ def test_eig_fallback_first_jump_and_ensemble():
     assert abs(np.trace(rep["rho_direct"]).real - 1.0) < 1e-8
 
 
+def _near_exceptional_generator(L, eps=1e-10):
+    """The defective model's H = -sigma_y / 2 plus eps sigma_z: the two
+    eigenvectors of M = -iH - L^dag L / 2 meet at angle ~2 eps, so
+    cond(V) ~ 1/eps, but |0> is an exact eigenvector."""
+    H = np.array([[eps, 0.5j], [-0.5j, -eps]])
+    return -1j * H - 0.5 * L.conj().T @ L
+
+
+def test_null_flow_mode_follows_the_state():
+    L = np.array([[1.0, -1.0], [0.0, 0.0]])
+    M = _near_exceptional_generator(L)
+    assert np.linalg.cond(np.linalg.eig(M)[1]) > 1e9
+    ground, excited = np.array([1.0, 0.0]), np.array([0.0, 1.0])
+    on_mode = NullFlow(M, ground)           # a(|0>) = 1
+    off_mode = NullFlow(M, excited)         # a(|1>) ~ 1e10
+    assert on_mode.uses_eig
+    assert not off_mode.uses_eig
+    for flow, psi in ((on_mode, ground), (off_mode, excited)):
+        for t in (0.3, 2.0, 7.0):
+            want = expm(M * t) @ psi
+            err = np.linalg.norm(flow.state(t) - want)
+            assert err < 1e-8 * np.linalg.norm(want)
+
+
+def test_null_flow_singular_eigenbasis_falls_back():
+    # a nilpotent 3 x 3 Jordan block: eig returns an exactly singular V, so
+    # the expansion itself fails and the flow takes the ODE
+    M = np.eye(3, k=1)
+    psi = np.array([0.2, -0.5j, 1.0])
+    flow = NullFlow(M, psi)
+    assert not flow.uses_eig
+    for t in (0.5, 3.0):
+        want = expm(M * t) @ psi
+        err = np.linalg.norm(flow.state(t) - want)
+        assert err < 1e-9 * np.linalg.norm(want)
+
+
+def test_ill_conditioned_post_jump_state_raises():
+    # same M, but a click now leaves |1>, whose eigenmode expansion the
+    # eigen-mode flow started on |0> must refuse
+    L = np.array([[0.0, 0.0], [1.0, -1.0]])
+    model = EffectiveModel(generator=_near_exceptional_generator(L),
+                           jump_ops=(L,), labels=("click",),
+                           initial_state=np.array([1.0, 0.0]), beta_fast=1.0)
+    assert NullFlow(model.generator, model.initial_state).uses_eig
+    with pytest.raises(FloatingPointError, match=r"a\(psi\) = 1(\.\d+)?e\+10"):
+        run_trajectory(model, 20.0, RngStream(0, 0))
+
+
+def _cplx(rng, *shape):
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+@settings(max_examples=60, deadline=None)
+@given(d=st.integers(min_value=2, max_value=6),
+       nops=st.integers(min_value=1, max_value=2),
+       seed=st.integers(min_value=0, max_value=2**32 - 1),
+       t=st.floats(min_value=0.0, max_value=5.0))
+def test_null_flow_matches_expm_property(d, nops, seed, t):
+    rng = np.random.default_rng(seed)
+    A = _cplx(rng, d, d)
+    Ls = [_cplx(rng, d, d) / np.sqrt(d) for _ in range(nops)]
+    M = -0.5j * (A + A.conj().T) - 0.5 * sum(L.conj().T @ L for L in Ls)
+    psi = _cplx(rng, d)
+    # a dissipative generator passes the model's own check
+    EffectiveModel(generator=M, jump_ops=Ls, labels=range(nops),
+                   initial_state=psi, beta_fast=1.0)
+    flow = NullFlow(M, psi)
+    if flow.uses_eig:
+        P = expm(M * t)
+        err = np.linalg.norm(flow.state(t) - P @ psi)
+        assert err <= 1e-8 * np.linalg.norm(P, 2) * np.linalg.norm(psi)
+
+
+def test_effective_model_checks_its_generator():
+    model = _pilot_model()
+    M = model.generator
+    # a change to H (a Hermitian shift) keeps the identity
+    dataclasses.replace(model, generator=M - 0.3j * np.eye(3))
+    # rounding-level noise passes, a real perturbation does not
+    dataclasses.replace(model, generator=M + 1e-14)
+    for bump in (1e-6, -1e-8j):
+        bad = M.copy()
+        bad[1, 2] += bump
+        with pytest.raises(ValueError, match="Hermitian part"):
+            dataclasses.replace(model, generator=bad)
+    with pytest.raises(ValueError, match=r"must be \(d, d\)"):
+        dataclasses.replace(model, generator=M[:2, :2])
+    with pytest.raises(ValueError, match=r"must be \(d, d\)"):
+        dataclasses.replace(model, jump_ops=(np.eye(2), model.jump_ops[1]))
+    with pytest.raises(ValueError, match=r"must be \(d, d\)"):
+        dataclasses.replace(model, initial_state=np.ones(2))
+    with pytest.raises(ValueError, match=r"must be \(d, d\)"):
+        dataclasses.replace(model, reset_state=np.ones(4))
+
+
 def test_constants():
     assert BISECT_ITERS == 64
     assert EIG_COND_LIMIT == 1e8

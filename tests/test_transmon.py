@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from nextjump.numerics import RegimeWarning
 from nextjump.transmon import (TransmonParams, beta_B, bright_population_exact,
@@ -214,3 +215,92 @@ def test_diffusion_overlap():
     assert arr[0] == 1.0 and abs(arr[1] - math.exp(-0.5)) < 1e-15
     with pytest.raises(ValueError):
         diffusion_overlap(-1.0, 1.0)
+
+
+# ---------------------------------------------------------------------------
+# The Fock-block oracles against scipy.linalg.expm on independently assembled
+# matrices (explicit level-by-level layout, no shared helpers), at nmax = 40.
+
+def _ladder(nmax):
+    n = np.arange(nmax + 1)
+    a = np.diag(np.sqrt(n[1:]), +1)
+    return a, a.T, np.diag(n.astype(complex)), np.eye(nmax + 1)
+
+
+def _dark_h(p, nmax):
+    a, adag, nmat, eye = _ladder(nmax)
+    gl, root, dim = p.gamma_L(), math.sqrt(p.nbar), nmax + 1
+    h = np.zeros((3 * dim, 3 * dim), dtype=complex)
+    h[:dim, :dim] = (-0.5j * p.kappa * nmat + 0.5j * p.kappa
+                     * ((np.conj(gl) - root) * a - (gl - root) * adag))
+    h[dim:2 * dim, dim:2 * dim] = (-0.5j * p.kappa - p.chi) * nmat
+    h[2 * dim:, 2 * dim:] = (-0.5j * p.kappa - p.chi) * nmat
+    h[:dim, dim:2 * dim] = -p.omega_b * eye
+    h[dim:2 * dim, :dim] = -np.conj(p.omega_b) * eye
+    h[dim:2 * dim, 2 * dim:] = -p.omega_d * eye
+    h[2 * dim:, dim:2 * dim] = -np.conj(p.omega_d) * eye
+    return h
+
+
+def _two_level_h(p, nmax, frame):
+    a, adag, nmat, eye = _ladder(nmax)
+    dim = nmax + 1
+    h = np.zeros((2 * dim, 2 * dim), dtype=complex)
+    if frame == "unshifted":
+        drive = -1j * p.gamma_drive * (a - adag)
+        h[:dim, :dim] = -0.5j * p.kappa * nmat + drive
+        h[dim:, dim:] = (-p.chi - 0.5j * p.kappa) * nmat + drive
+    else:
+        h[:dim, :dim] = (-0.5j * p.kappa * nmat - 0.5j * p.kappa
+                         * math.sqrt(p.nbar) * (a - adag))
+        h[dim:, dim:] = (-p.chi - 0.5j * p.kappa) * nmat
+    h[:dim, dim:] = -p.omega_b * eye
+    h[dim:, :dim] = -np.conj(p.omega_b) * eye
+    return h
+
+
+def _expm_states(m, psi0, ts):
+    return np.stack([expm(m * t) @ psi0 for t in ts], axis=1)
+
+
+@pytest.mark.parametrize("start", ["gd", "g", "d"])
+def test_dark_norm_oracle_matches_expm(start):
+    bb = beta_B(P100, "closed_form")
+    p = dataclasses.replace(P100, omega_b=0.1 * bb, omega_d=0.001 * bb)
+    ts = np.array([1.0, 60.0, 2000.0])
+    dim = 41
+    psi0 = np.zeros(3 * dim, dtype=complex)
+    psi0[[dim, 2 * dim]] = {"gd": (1.0, 1.0), "g": (1.0, 0.0),
+                            "d": (0.0, 1.0)}[start]
+    psi0 /= np.linalg.norm(psi0)
+    want = np.sum(np.abs(_expm_states(-1j * _dark_h(p, 40), psi0, ts)) ** 2,
+                  axis=0)
+    got = dark_norm_oracle(p, ts, nmax=40, start=start)
+    assert np.max(np.abs(got - want) / want) < 1e-9
+
+
+@pytest.mark.parametrize("frame", ["shifted", "unshifted"])
+def test_two_level_fock_matches_expm(frame):
+    ts = np.array([0.5, 6.0, 400.0])
+    psi0 = np.zeros(82, dtype=complex)
+    psi0[41] = 1.0
+    want = np.abs(_expm_states(-1j * _two_level_h(P100, 40, frame), psi0,
+                               ts)[41])
+    got = two_level_fock(P100, ts, nmax=40, frame=frame)
+    assert np.max(np.abs(got - want) / want) < 1e-9
+
+
+@pytest.mark.parametrize("omega_b, state0", [(0.0, (1.0, 0.0, 0.0)),
+                                             (0.4, (0.0, 1.0, 0.0)),
+                                             (0.4, (0.3, 0.5j, -0.2))])
+def test_reduced_two_level_matches_expm(omega_b, state0):
+    p = TransmonParams(kappa=1.0, chi=200.0, nbar=100.0, omega_b=omega_b)
+    g, om = p.gamma_drive, p.omega_b
+    m = np.array([[-math.sqrt(2.0 / math.pi) * g, 1j * om, 0.0],
+                  [1j * np.conj(om), 0.0, -g],
+                  [0.0, g, -(0.5 * p.kappa - 1j * p.chi)]], dtype=complex)
+    ts = np.array([1.0, 20.0, 80.0])
+    want = _expm_states(m, np.asarray(state0, dtype=complex), ts)
+    got = np.array(reduced_two_level(p, state0, ts))
+    rel = np.linalg.norm(got - want, axis=0) / np.linalg.norm(want, axis=0)
+    assert np.max(rel) < 1e-9
