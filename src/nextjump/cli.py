@@ -119,11 +119,10 @@ def _run_cavity_detuned(cfg):
     w = flow.survival(ts)
     rows = [(t, a.real, a.imag, b.real, b.imag, wv)
             for t, a, b, wv in zip(ts, al, be, w)]
-    gl = flow.alpha_inf
+    gl = flow.alpha_inf          # the dim fixed point gamma_L
     summary = {"gamma_L_re": gl.real, "gamma_L_im": gl.imag,
                "gamma_L_abs": abs(gl),
-               "alpha_steady_re": flow.alpha_inf.real,
-               "alpha_steady_im": flow.alpha_inf.imag,
+               "alpha_steady_re": gl.real, "alpha_steady_im": gl.imag,
                "W_final": float(w[-1])}
     return ("t", "re_alpha", "im_alpha", "re_beta", "im_beta", "W"), rows, summary
 
