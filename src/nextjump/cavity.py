@@ -21,7 +21,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
 from .trajectories import EffectiveModel
 from .numerics import (TAIL_TOL, FockVector, TruncationError, default_nmax,
@@ -248,6 +247,7 @@ def coherent_ansatz_fidelity(psi: FockVector, alpha: complex,
 
     Used to assert that the oracle evolution stays on the coherent ansatz.
     """
+    from scipy import special
     n = np.arange(psi.nmax + 1, dtype=float)
     logs = n * np.log(np.abs(alpha) + 1e-300) - 0.5 * special.gammaln(n + 1.0)
     phases = np.exp(1j * n * np.angle(alpha))

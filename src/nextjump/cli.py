@@ -7,7 +7,8 @@ row, shortest round-trip float formatting) and a JSON sidecar next to it
 holding the fully resolved config, a result summary, the explicitly given
 flags and the wall time.  Reruns with the same resolved config and seed
 produce byte-identical CSV: every command runs in one thread, and
-NEXTJUMP_THREADS, still accepted, changes nothing.
+NEXTJUMP_THREADS, still accepted, changes nothing.  scipy is imported only
+inside the functions that call it, so only the commands that need it load it.
 
 Exit codes: 0 success, 2 invalid configuration or arguments (a NaN or
 infinite number among them), 3 numerical failure (a non-finite summary value
@@ -21,6 +22,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import functools
 import json
 import math
 import os
@@ -78,6 +80,11 @@ def _cell(v) -> str:
     if isinstance(v, (float, np.floating)):
         return repr(float(v))
     return str(v)
+
+
+#: exact-type cell formatters: the common cell types skip _cell's isinstance
+#: chain (np.float64 subclasses float, and bool, an int subclass, is not a key)
+_FORMAT = {float: float.__repr__, np.float64: float.__repr__, int: int.__repr__}
 
 
 def _jsonable(obj):
@@ -444,8 +451,8 @@ def _write_outputs(out_path: str, header, rows, sidecar: dict) -> None:
     with open(out_path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        for row in rows:
-            writer.writerow([_cell(v) for v in row])
+        fmt = _FORMAT.get
+        writer.writerows([fmt(type(v), _cell)(v) for v in row] for row in rows)
     side_path = os.path.splitext(out_path)[0] + ".json"
     with open(side_path, "w", encoding="utf-8") as fh:
         json.dump(_jsonable(sidecar), fh, indent=2)
@@ -460,6 +467,7 @@ class _Parser(argparse.ArgumentParser):
         raise _ConfigError(message)
 
 
+@functools.cache
 def _build_parser() -> _Parser:
     parser = _Parser(prog="nextjump",
                      description="next-photon qubit readout toolbox")

@@ -40,7 +40,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy import special
 
 from .numerics import FockVector, RngStream, default_nmax
 
@@ -234,6 +233,7 @@ class SSEState:
 
 def coherent_amplitudes(alpha: complex, beta: complex, nmax: int) -> np.ndarray:
     """Fock amplitudes of exp(alpha c^dag + beta)|0>, stable in log space."""
+    from scipy import special
     n = np.arange(nmax + 1)
     logmag = n * np.log(np.abs(alpha) + 1e-300) - 0.5 * special.gammaln(n + 1.0)
     ph = np.exp(1j * n * np.angle(alpha))

@@ -15,8 +15,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.random import Generator, Philox
-from scipy import special
-from scipy.integrate import solve_ivp
 
 __all__ = [
     "FockVector",
@@ -92,6 +90,7 @@ class FockVector:
     def coherent(cls, alpha: complex, nmax: int, levels: int = 1,
                  level: int = 0) -> "FockVector":
         """Normalized coherent state on one level (zeros elsewhere)."""
+        from scipy import special
         n = np.arange(nmax + 1)
         # exp(-|a|^2/2) a^n / sqrt(n!) evaluated in log space for stability
         logfact = special.gammaln(n + 1.0)
@@ -142,6 +141,7 @@ def integrate_ode(rhs, y0, t0: float, t1: float, tol: float = 1e-10,
     ``dense`` is set.  tol is applied as rtol, with atol = tol * 1e-2.
     Raises IntegrationError if the solver stops early.
     """
+    from scipy.integrate import solve_ivp
     y0 = np.asarray(y0, dtype=complex)
     if t1 == t0:
         return (y0.copy(), None) if dense else y0.copy()

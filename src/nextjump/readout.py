@@ -23,8 +23,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.integrate import cumulative_simpson
-from scipy.special import erfc
 
 from .cavity import CavityParams, detuned_flow
 
@@ -76,6 +74,7 @@ def snr_heterodyne(p: CavityParams, t):
 
 def error_dispersive(snr):
     """Gaussian two-outcome discrimination error erfc(SNR/2)/2."""
+    from scipy.special import erfc
     snr = np.asarray(snr, dtype=float)
     if np.any(snr < 0):
         raise ValueError("snr must be nonnegative")
@@ -182,6 +181,7 @@ def y_consistency_check(p: CavityParams, tau_max: float = 30.0,
     Y is defined as a logarithmic decrement, so integrating it back must
     reproduce the survival curve; returns the worst absolute deviation.
     """
+    from scipy.integrate import cumulative_simpson
     tau = np.linspace(0.0, tau_max, npts)
     Y = log_decrement_Y(p, tau)
     integ = cumulative_simpson(Y * p.nbar / (1.0 + (2.0 * p.chi / p.kappa) ** 2),

@@ -19,8 +19,6 @@ import warnings
 from dataclasses import astuple, dataclass
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.linalg import block_diag
 
 from .numerics import IntegrationError, RegimeWarning, fock_ops
 from .trajectories import NullFlow
@@ -112,6 +110,7 @@ def beta_B(p: TransmonParams, method: str = "quadrature") -> float:
         return 2.0 * p.kappa * math.sqrt(d2) / math.sqrt(2.0 * math.pi)
     if method != "quadrature":
         raise ValueError(f"unknown beta_B method {method!r}")
+    from scipy.integrate import quad
     kappa = p.kappa
 
     def integrand(t):
@@ -195,8 +194,11 @@ def dark_eigenvalues(p: TransmonParams,
 def _level_blocks(blocks, couplings) -> np.ndarray:
     """Matrix on levels x Fock: the per-level Fock blocks on the diagonal,
     and the (levels, levels) qubit couplings acting photon-diagonally."""
-    h = block_diag(*blocks)
-    h += np.kron(couplings, np.eye(blocks[0].shape[0]))
+    n = blocks[0].shape[0]
+    h = np.zeros((len(blocks) * n,) * 2, dtype=np.result_type(*blocks))
+    for i, block in enumerate(blocks):
+        h[i * n:(i + 1) * n, i * n:(i + 1) * n] = block
+    h += np.kron(couplings, np.eye(n))
     return h
 
 
@@ -336,6 +338,7 @@ def norm_evolution_multiscale(p: TransmonParams, t):
     stay negative for t > 0: the cubic-law factor is < 1 while norm is
     continuous from 1.
     """
+    from scipy.integrate import quad
     gam = slow_rate(p)
     cube = p.kappa ** 3 * p.nbar / 12.0
 
@@ -380,6 +383,7 @@ def bright_population_exact(p: TransmonParams, t: float) -> float:
 def bright_population_gauss(p: TransmonParams, t: float) -> float:
     """Gaussian-kernel form of the bright-excursion population (the term
     added to e^{-2 gamma t} inside norm_evolution_multiscale)."""
+    from scipy.integrate import quad
     gam = slow_rate(p)
     cube = p.kappa ** 3 * p.nbar / 12.0
     val, _ = quad(lambda x: math.exp(2.0 * gam * x - cube * x ** 3), 0.0, t)

@@ -18,7 +18,6 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats as sp_stats
 
 from . import atom3 as _atom3
 from . import cavity as _cavity
@@ -43,8 +42,11 @@ __all__ = [
     "run_criterion",
 ]
 
-# wall-clock budgets (seconds) that are part of the acceptance contract
-_TIME_BOUNDS = {1: 1.0, 2: 1.0, 3: 10.0, 4: 5.0, 6: 1.0, 7: 300.0, 10: 1.0, 14: 20.0}
+# wall-clock budgets (seconds) that are part of the acceptance contract:
+# a few times each criterion's measured full-level time, at least 1 s
+_TIME_BOUNDS = {1: 1.0, 2: 1.0, 3: 10.0, 4: 5.0, 5: 1.0, 6: 1.0, 7: 6.0,
+                8: 1.0, 9: 1.0, 10: 1.0, 11: 1.0, 12: 1.0, 13: 1.0, 14: 20.0,
+                15: 1.0}
 
 
 @dataclass(frozen=True)
@@ -114,11 +116,12 @@ def _criterion_2(level: str):
 # 3. inverse-transform jump-time sampling
 
 def _criterion_3(level: str):
+    from scipy import stats
     p = CavityParams(kappa=1.0, nbar=4.0)
     flow = resonant_flow(p)
     n = 100_000
     samples = sample_gaps(flow.survival, n, RngStream(0, 0), t_hi=40.0)
-    d_stat, pval = sp_stats.kstest(samples, lambda x: 1.0 - flow.survival(x))
+    d_stat, pval = stats.kstest(samples, lambda x: 1.0 - flow.survival(x))
     ok = d_stat < 0.005
     meas = {"ks_stat": float(d_stat), "ks_pvalue": float(pval), "n": n,
             "n_censored": int(np.count_nonzero(samples == 40.0))}
@@ -431,11 +434,21 @@ _RUNNERS = {
 }
 
 
+def _load_scipy() -> None:
+    """Import every scipy module the criteria reach.  The package loads
+    scipy only inside the functions that call it, so without this the first
+    criterion to need a module would time its import against its budget."""
+    import scipy.integrate  # noqa: F401
+    import scipy.special  # noqa: F401
+    import scipy.stats  # noqa: F401
+
+
 def run_criterion(index: int, level: str = "fast") -> CriterionResult:
     if index not in _RUNNERS:
         raise ValueError(f"no criterion {index}")
     if level not in ("fast", "full"):
         raise ValueError(f"unknown level {level!r}")
+    _load_scipy()
     t0 = time.perf_counter()
     try:
         passed, measured, detail = _RUNNERS[index](level)

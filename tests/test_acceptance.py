@@ -25,3 +25,7 @@ def test_criterion(index, capsys):
     with capsys.disabled():
         print(validation.format_line(result), flush=True)
     assert result.passed, result.detail
+
+
+def test_every_criterion_has_a_budget():
+    assert set(validation._TIME_BOUNDS) == set(validation.CRITERION_TITLES)

@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 from nextjump import cli
@@ -162,6 +163,37 @@ def test_atom3_null_columns(tmp_path):
     assert len(lines) == 41
     side = json.loads((tmp_path / "null.json").read_text())
     assert "summary" in side
+
+
+def test_successive_calls_share_no_values(tmp_path):
+    """The parser is built once per process; flags given to one call must not
+    reach the next."""
+    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+    assert _run(["cavity-w", "--npts", "11", "--nbar", "9", "--out", str(a)]) == 0
+    assert _run(["cavity-w", "--tmax", "2", "--out", str(b)]) == 0
+    side = json.loads((tmp_path / "b.json").read_text())
+    assert side["flags"] == {"tmax": 2.0}
+    assert side["config"]["npts"] == 601
+    assert side["config"]["nbar"] == 4.0
+    assert len(_read(b).decode().strip().splitlines()) == 602
+    assert _run(["heterodyne-current", "--npaths", "5", "--duration", "1",
+                 "--mode", "raw", "--out", str(a)]) == 0
+    assert _run(["heterodyne-current", "--npaths", "5", "--duration", "1",
+                 "--out", str(b)]) == 0
+    side = json.loads((tmp_path / "b.json").read_text())
+    assert side["config"]["mode"] == "tilted"
+    assert "mode" not in side["flags"]
+
+
+def test_cells_format_by_type(tmp_path):
+    """Floats (numpy included) keep shortest round-trip text, ints and bools
+    print as integers, everything else as str."""
+    out = tmp_path / "x.csv"
+    rows = [(0.1, np.float64(1 / 3), 7, True, np.int64(-2), np.bool_(False),
+             "a,b", np.float32(0.1), 1e-300)]
+    cli._write_outputs(str(out), ("c",) * 9, rows, {})
+    assert _read(out).decode().splitlines()[1] == (
+        '0.1,0.3333333333333333,7,1,-2,0,"a,b",0.10000000149011612,1e-300')
 
 
 def test_validate_subcommand(tmp_path, capsys):

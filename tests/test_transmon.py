@@ -3,8 +3,9 @@ import math
 
 import numpy as np
 import pytest
-from scipy.linalg import expm
+from scipy.linalg import block_diag, expm
 
+from nextjump import transmon
 from nextjump.numerics import RegimeWarning
 from nextjump.transmon import (TransmonParams, beta_B, bright_population_exact,
                                bright_population_gauss, dark_eigenvalues,
@@ -304,3 +305,28 @@ def test_reduced_two_level_matches_expm(omega_b, state0):
     got = np.array(reduced_two_level(p, state0, ts))
     rel = np.linalg.norm(got - want, axis=0) / np.linalg.norm(want, axis=0)
     assert np.max(rel) < 1e-9
+
+
+def test_level_blocks_match_scipy_block_diag(monkeypatch):
+    """The numpy assembly equals scipy's block_diag plus the kron term bit
+    for bit (signed zeros included) on every matrix the oracles build."""
+    calls = []
+    real = transmon._level_blocks
+
+    def record(blocks, couplings):
+        out = real(blocks, couplings)
+        calls.append((blocks, couplings, out))
+        return out
+
+    monkeypatch.setattr(transmon, "_level_blocks", record)
+    bb = beta_B(P100, "closed_form")
+    p = dataclasses.replace(P100, omega_b=0.1 * bb, omega_d=-0.001j * bb)
+    dark_norm_oracle(p, 1.0, nmax=40)
+    two_level_fock(P100, 1.0, nmax=40, frame="shifted")
+    two_level_fock(P100, 1.0, nmax=40, frame="unshifted")
+    assert len(calls) == 3
+    for blocks, couplings, got in calls:
+        want = block_diag(*blocks)
+        want += np.kron(couplings, np.eye(blocks[0].shape[0]))
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
