@@ -10,10 +10,7 @@ the slow rate on the full Fock evolution.
 Run:  python3 demos/transmon_dark_spectrum.py
 """
 
-import numpy as np
-
-from nextjump.transmon import (TransmonParams, beta_B, dark_eigenvalues,
-                               dark_norm_oracle)
+from nextjump.transmon import TransmonParams, beta_B, dark_norm_fit
 
 
 def main():
@@ -26,7 +23,7 @@ def main():
     bb = beta_B(base, "closed_form")
     p = TransmonParams(kappa=1.0, chi=20.0, nbar=100.0,
                        omega_b=0.1 * bb, omega_d=0.001 * bb)
-    spec = dark_eigenvalues(p)
+    spec, _, _, rate, target = dark_norm_fit(p, npts=60, nmax=200)
     print()
     print(f"drives: omega_b={p.omega_b:.4f} (eps={spec.epsilon}), "
           f"omega_d={p.omega_d:.6f} (eta={spec.eta})")
@@ -36,14 +33,8 @@ def main():
           f"asymptotic beta_B eta^2/2 = {spec.i_e_minus_asymptotic:.6e}")
     print(f"hierarchy beta_B >> iE+ >> iE-: {spec.hierarchy_ok}")
     print()
-    lo = 5.0 / spec.i_e_plus_asymptotic
-    hi = 2.0 / spec.i_e_minus_asymptotic
-    ts = np.geomspace(lo, hi, 60)
-    norms = dark_norm_oracle(p, ts, nmax=200)
-    slope = np.linalg.lstsq(np.stack([ts, np.ones_like(ts)], axis=1),
-                            np.log(norms), rcond=None)[0][0]
-    print(f"slow decay fitted on the Fock oracle: {-slope:.6e}")
-    print(f"twice the slow eigenvalue:            {2 * spec.i_e_minus:.6e}")
+    print(f"slow decay fitted on the Fock oracle: {rate:.6e}")
+    print(f"twice the slow eigenvalue:            {target:.6e}")
 
 
 if __name__ == "__main__":

@@ -19,7 +19,7 @@ from dataclasses import astuple, dataclass
 import numpy as np
 
 from .numerics import RegimeWarning
-from .trajectories import EffectiveModel, NullFlow
+from .trajectories import EffectiveModel
 
 __all__ = [
     "Atom3Params",
@@ -28,7 +28,6 @@ __all__ = [
     "beta_ell",
     "dark_fraction",
     "effective_model",
-    "evolve_null",
     "generator",
     "project_slow",
     "scenario_a_log_survival",
@@ -105,18 +104,6 @@ def generator(p: Atom3Params) -> np.ndarray:
         [1j * p.omega1, -0.5 * p.beta1, 0.0],
         [1j * p.omega2, 0.0, 1j * p.delta2 - 0.5 * p.beta2],
     ], dtype=complex)
-
-
-def evolve_null(p: Atom3Params, s: Atom3State, t: float) -> Atom3State:
-    """Conditioned state after a click-free interval of length t."""
-    flow = NullFlow(generator(p), s.as_array())
-    return Atom3State.from_array(flow.state(float(t)))
-
-
-def survival_curve(p: Atom3Params, s: Atom3State, t) -> np.ndarray:
-    """W(t) = squared norm of the conditioned state, vectorized over t."""
-    flow = NullFlow(generator(p), s.as_array())
-    return flow.survival(t)
 
 
 def beta_ell(p: Atom3Params) -> float:

@@ -6,9 +6,8 @@ that order of increasing precedence.  It writes one CSV (RFC 4180, header
 row, shortest round-trip float formatting) and a JSON sidecar next to it
 holding the fully resolved config, a result summary, the explicitly given
 flags and the wall time.  Reruns with the same resolved config and seed
-produce byte-identical CSV: every command runs in one thread, and
-NEXTJUMP_THREADS, still accepted, changes nothing.  scipy is imported only
-inside the functions that call it, so only the commands that need it load it.
+produce byte-identical CSV.  scipy is imported only inside the functions
+that call it, so only the commands that need it load it.
 
 Exit codes: 0 success, 2 invalid configuration or arguments (a NaN or
 infinite number among them), 3 numerical failure (a non-finite summary value
@@ -43,7 +42,7 @@ from .heterodyne import (HeterodyneParams, NoisePath, current_statistics,
 from .numerics import IntegrationError, RngStream, TruncationError
 from .readout import figure1_dataset, min_error_next_jump, y_oscillation_frequency
 from .trajectories import JumpRecord, NullFlow, sample_gaps, telegraph_stats
-from .transmon import TransmonParams, beta_B, dark_eigenvalues
+from .transmon import TransmonParams, beta_B
 
 __all__ = ["main"]
 
@@ -164,12 +163,8 @@ def _run_telegraph(cfg):
     n = cfg["ntraj"]
     t_hi = 900.0 / cfg["beta1"]
     gaps = sample_gaps(nf.survival, n, RngStream(cfg["seed"], 0), t_hi=t_hi)
-    states = nf.state(gaps)                      # (3, n)
-    r_fast = cfg["beta1"] * np.abs(states[1]) ** 2
-    r_slow = p.beta2 * np.abs(states[2]) ** 2
-    tot = r_fast + r_slow
     u2 = RngStream(cfg["seed"], 1).generator().random(n)
-    channels = np.where(u2 < r_fast / np.where(tot > 0, tot, 1.0), 0, 1)
+    channels = model.choose_channels(nf.state(gaps), u2)
     thr = cfg["dark_threshold"]
     dark = gaps > thr
     rec = JumpRecord(times=np.cumsum(gaps), channels=channels,
@@ -190,40 +185,28 @@ def _run_telegraph(cfg):
 
 def _run_transmon_dark(cfg):
     base = TransmonParams(kappa=cfg["kappa"], chi=cfg["chi"], nbar=cfg["nbar"])
-    bb = beta_B(base, "closed_form")
-    omega_b = cfg["epsilon"] * bb
-    omega_d = cfg["eta"] * omega_b
+    omega_b = cfg["epsilon"] * beta_B(base, "closed_form")
     p = TransmonParams(kappa=cfg["kappa"], chi=cfg["chi"], nbar=cfg["nbar"],
-                       omega_b=omega_b, omega_d=omega_d)
-    spectrum = dark_eigenvalues(p)
-    lo = 5.0 / spectrum.i_e_plus_asymptotic
-    hi = 2.0 / spectrum.i_e_minus_asymptotic
-    ts = np.linspace(lo, hi, cfg["npts"])
-    norms = _transmon.dark_norm_oracle(p, ts, nmax=cfg["nmax"])
-    a = np.vstack([ts, np.ones_like(ts)]).T
-    slope = np.linalg.lstsq(a, np.log(norms), rcond=None)[0][0]
-    rate = -float(slope)
-    target = 2.0 * spectrum.i_e_minus
+                       omega_b=omega_b, omega_d=cfg["eta"] * omega_b)
+    spectrum, ts, norms, rate, target = _transmon.dark_norm_fit(
+        p, cfg["npts"], cfg["nmax"])
     rows = [(t, nv) for t, nv in zip(ts, norms)]
     summary = {"beta_b": spectrum.beta_b,
                "i_e_plus": spectrum.i_e_plus,
                "i_e_minus": spectrum.i_e_minus,
                "i_e_plus_asymptotic": spectrum.i_e_plus_asymptotic,
                "i_e_minus_asymptotic": spectrum.i_e_minus_asymptotic,
-               "fitted_rate": rate, "target_rate": float(target),
+               "fitted_rate": rate, "target_rate": target,
                "rel_dev": abs(rate - target) / target,
-               "window_lo": float(lo), "window_hi": float(hi)}
+               "window_lo": float(ts[0]), "window_hi": float(ts[-1])}
     return ("t", "norm_sq"), rows, summary
 
 
 def _run_transmon_multiscale(cfg):
     p = TransmonParams(kappa=cfg["kappa"], chi=cfg["chi"], nbar=cfg["nbar"],
                        omega_b=cfg["omega_b"])
-    ts, c = _transmon.multiscale_volterra(p, tmax=cfg["tmax"], dt=cfg["dt"])
-    m = ts >= cfg["fit_start"]
-    a = np.vstack([ts[m], np.ones(int(m.sum()))]).T
-    slope = np.linalg.lstsq(a, np.log(c[m]), rcond=None)[0][0]
-    rate = -float(slope)
+    ts, c, rate = _transmon.multiscale_fit(p, cfg["tmax"], cfg["dt"],
+                                           cfg["fit_start"])
     gam = _transmon.slow_rate(p)
     rows = [(t, cv) for t, cv in zip(ts, c)]
     summary = {"fitted_rate": rate, "perturbative_rate": gam,

@@ -111,9 +111,22 @@ class EffectiveModel:
         return self.generator.shape[0]
 
     def jump_rates(self, psi: np.ndarray) -> np.ndarray:
-        """||L_k psi||^2 per channel (unnormalized state accepted)."""
-        return np.array([float(np.vdot(L @ psi, L @ psi).real)
+        """||L_k psi||^2 per channel, (K,) for a state (d,) and (K, n) for
+        states (d, n) (unnormalized states accepted)."""
+        return np.array([np.sum(np.abs(L @ psi) ** 2, axis=0)
                          for L in self.jump_ops])
+
+    def choose_channels(self, states: np.ndarray, u: np.ndarray) -> np.ndarray:
+        """Channel of each column of states (d, n) for its uniform u (n,):
+        the first k whose running share of ||L_k psi||^2 exceeds u, so k has
+        probability ||L_k psi||^2 / sum_j ||L_j psi||^2.  A column whose
+        rates all vanish raises ValueError."""
+        rates = self.jump_rates(states)
+        tot = rates.sum(axis=0)
+        if not np.all(tot > 0.0):
+            raise ValueError("all channel rates vanish at a sampled jump time")
+        cum = np.cumsum(rates / tot, axis=0)
+        return np.sum(u >= cum[:-1], axis=0)
 
     def rate_identity_gap(self, psi: np.ndarray) -> float:
         """| -d||psi||^2/dt - sum_k ||L_k psi||^2 | at psi, normalized.
@@ -326,24 +339,6 @@ def sample_gaps(survival, n: int, rng, t_hi: float) -> np.ndarray:
     return gaps
 
 
-def _choose_channel(model: EffectiveModel, psi_at_jump: np.ndarray,
-                    rng) -> int:
-    """Channel k with probability ||L_k psi||^2 / sum_j ||L_j psi||^2."""
-    if len(model.jump_ops) == 1:
-        return 0
-    rates = model.jump_rates(psi_at_jump)
-    tot = rates.sum()
-    if tot <= 0.0:
-        raise ValueError("all channel rates vanish at the sampled jump time")
-    u = float(rng.random())
-    acc = 0.0
-    for k, r in enumerate(rates):
-        acc += r / tot
-        if u < acc:
-            return k
-    return len(rates) - 1
-
-
 @dataclass(frozen=True)
 class JumpRecord:
     """Ordered click times with channel labels and the final conditioned
@@ -414,9 +409,12 @@ def _unravel(model: EffectiveModel, tmax: float, rngs: list) -> tuple:
         t_rel = _find_level(log_w, log_u, np.zeros(live.size), remaining[jump],
                             -log_u, _log(w_end[jump]) - log_u)
         psi_j = flow._evolve(c, t_rel)
+        ks = np.zeros(live.size, dtype=int)
+        if len(model.jump_ops) > 1:
+            ks = model.choose_channels(
+                psi_j, np.array([rngs[j].random() for j in live]))
         post = np.empty_like(psi_j)
-        for m, j in enumerate(live):
-            k = _choose_channel(model, psi_j[:, m], rngs[j])
+        for m, (j, k) in enumerate(zip(live, ks.tolist())):
             post[:, m] = model.reset(k, psi_j[:, m])
             t[j] += t_rel[m]
             times[j].append(t[j])
@@ -472,23 +470,11 @@ def telegraph_run(model: EffectiveModel, total_time: float, rng,
     gaps = np.concatenate(chunks) if chunks else np.empty(0)
     times = np.cumsum(gaps)
 
-    nj = gaps.size
     if len(model.jump_ops) == 1 or rng_channels is None:
-        channels = np.zeros(nj, dtype=int)
+        channels = np.zeros(gaps.size, dtype=int)
     else:
-        amps = flow.state(gaps)                      # (d, nj)
-        rates = np.empty((len(model.jump_ops), nj))
-        for i, L in enumerate(model.jump_ops):
-            rates[i] = np.sum(np.abs(L @ amps) ** 2, axis=0)
-        tot_r = rates.sum(axis=0)
-        tot_r[tot_r == 0.0] = 1.0
-        probs = rates / tot_r
-        u2 = rng_channels.random(nj)
-        if len(model.jump_ops) == 2:
-            channels = np.where(u2 < probs[0], 0, 1).astype(int)
-        else:
-            cum = np.cumsum(probs, axis=0)
-            channels = np.sum(u2[np.newaxis, :] >= cum[:-1], axis=0)
+        channels = model.choose_channels(flow.state(gaps),
+                                         rng_channels.random(gaps.size))
     return JumpRecord(times, channels, model.labels,
                       model.reset_state.copy(), float(max(total_time, tot)))
 

@@ -28,8 +28,10 @@ __all__ = [
     "TransmonParams",
     "beta_B",
     "dark_eigenvalues",
+    "dark_norm_fit",
     "dark_norm_oracle",
     "diffusion_overlap",
+    "multiscale_fit",
     "multiscale_volterra",
     "norm_evolution_multiscale",
     "reduced_two_level",
@@ -246,6 +248,27 @@ def dark_norm_oracle(p: TransmonParams, t, nmax: int = 200,
     return float(norms) if np.ndim(t) == 0 else norms
 
 
+def _decay_rate(ts: np.ndarray, y: np.ndarray) -> float:
+    """Rate r of the least-squares line ln y = c - r t."""
+    a = np.vstack([ts, np.ones_like(ts)]).T
+    return -float(np.linalg.lstsq(a, np.log(y), rcond=None)[0][0])
+
+
+def dark_norm_fit(p: TransmonParams, npts: int, nmax: int) -> tuple:
+    """Slow decay rate of the dark-block norm, fitted on the Fock oracle.
+
+    The window runs from 5/iE_plus to 2/iE_minus (asymptotic forms), after
+    the fast root has died out; dark_norm_oracle is evaluated on npts
+    uniform points there and ln norm is fitted by a straight line.
+    Returns (spectrum, times, norms, fitted rate, target 2 iE_minus).
+    """
+    spec = dark_eigenvalues(p)
+    ts = np.linspace(5.0 / spec.i_e_plus_asymptotic,
+                     2.0 / spec.i_e_minus_asymptotic, npts)
+    norms = dark_norm_oracle(p, ts, nmax=nmax)
+    return spec, ts, norms, _decay_rate(ts, norms), 2.0 * spec.i_e_minus
+
+
 # ---------------------------------------------------------------------------
 # reduced and multiscale slow dynamics
 
@@ -319,6 +342,15 @@ def multiscale_volterra(p: TransmonParams, tmax: float, dt: float):
         i_k1 = np.dot(wts2 * kern[k + 1 - idx2], cv) * dt
         c[k + 1] = c[k] - 0.5 * dt * oo * (i_k + i_k1)
     return ts, c
+
+
+def multiscale_fit(p: TransmonParams, tmax: float, dt: float,
+                   fit_start: float) -> tuple:
+    """multiscale_volterra on [0, tmax] and the decay rate of ln C fitted by
+    a straight line over t >= fit_start.  Returns (times, C, rate)."""
+    ts, c = multiscale_volterra(p, tmax=tmax, dt=dt)
+    m = ts >= fit_start
+    return ts, c, _decay_rate(ts[m], c[m])
 
 
 def slow_rate(p: TransmonParams, method: str = "closed_form") -> float:

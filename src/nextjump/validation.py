@@ -32,7 +32,7 @@ from .readout import (error_next_jump, figure1_dataset, min_error_next_jump,
                       y_oscillation_frequency)
 from .trajectories import (NullFlow, lindblad_consistency, sample_gaps,
                            telegraph_run, telegraph_stats)
-from .transmon import TransmonParams, beta_B, dark_eigenvalues
+from .transmon import TransmonParams, beta_B
 
 __all__ = [
     "CriterionResult",
@@ -193,19 +193,11 @@ def _criterion_7(level: str):
     bb = beta_B(TransmonParams(kappa=1.0, chi=20.0, nbar=100.0), "closed_form")
     p = TransmonParams(kappa=1.0, chi=20.0, nbar=100.0,
                        omega_b=0.1 * bb, omega_d=0.001 * bb)
-    spec = dark_eigenvalues(p)
-    lo = 5.0 / spec.i_e_plus_asymptotic
-    hi = 2.0 / spec.i_e_minus_asymptotic
-    ts = np.linspace(lo, hi, 60)
-    norms = _transmon.dark_norm_oracle(p, ts, nmax=200, start="gd")
-    a = np.vstack([ts, np.ones_like(ts)]).T
-    slope = np.linalg.lstsq(a, np.log(norms), rcond=None)[0][0]
-    rate = -float(slope)
-    target = 2.0 * spec.i_e_minus
+    _, ts, _, rate, target = _transmon.dark_norm_fit(p, npts=60, nmax=200)
     rel = abs(rate - target) / target
     ok = rel < 0.10
-    meas = {"fitted_rate": rate, "target_rate": float(target),
-            "rel_dev": float(rel), "window_lo": float(lo), "window_hi": float(hi)}
+    meas = {"fitted_rate": rate, "target_rate": target, "rel_dev": float(rel),
+            "window_lo": float(ts[0]), "window_hi": float(ts[-1])}
     return ok, meas, "dark-norm decay fit against the slow eigenvalue"
 
 
@@ -214,11 +206,7 @@ def _criterion_7(level: str):
 
 def _criterion_8(level: str):
     p = TransmonParams(kappa=1.0, chi=20.0, nbar=100.0, omega_b=0.1)
-    ts, c = _transmon.multiscale_volterra(p, tmax=6.0, dt=0.002)
-    m = ts >= 2.0
-    a = np.vstack([ts[m], np.ones(int(m.sum()))]).T
-    slope = np.linalg.lstsq(a, np.log(c[m]), rcond=None)[0][0]
-    rate = -float(slope)
+    _, _, rate = _transmon.multiscale_fit(p, tmax=6.0, dt=0.002, fit_start=2.0)
     gam = _transmon.slow_rate(p)
     rel1 = abs(rate - gam) / gam
 
@@ -365,21 +353,13 @@ def _criterion_14(level: str):
 
 
 # ---------------------------------------------------------------------------
-# 15. byte-identical CSV output across runs and thread counts
+# 15. byte-identical CSV output across repeat runs
 
-def _run_cli_csv(argv, threads: str) -> bytes:
+def _run_cli_csv(argv) -> bytes:
     from . import cli
-    old = os.environ.get("NEXTJUMP_THREADS")
-    os.environ["NEXTJUMP_THREADS"] = threads
-    try:
-        code = cli.main(argv)
-        if code != 0:
-            raise RuntimeError(f"cli exited {code} for {argv}")
-    finally:
-        if old is None:
-            os.environ.pop("NEXTJUMP_THREADS", None)
-        else:
-            os.environ["NEXTJUMP_THREADS"] = old
+    code = cli.main(argv)
+    if code != 0:
+        raise RuntimeError(f"cli exited {code} for {argv}")
     with open(argv[argv.index("--out") + 1], "rb") as fh:
         return fh.read()
 
@@ -390,22 +370,22 @@ def _criterion_15(level: str):
         f1 = os.path.join(tmp, "a.csv")
         runs["telegraph_repeat"] = (
             _run_cli_csv(["telegraph", "--epsilon", "0.05", "--ntraj", "200",
-                          "--seed", "7", "--out", f1], "3")
+                          "--seed", "7", "--out", f1])
             == _run_cli_csv(["telegraph", "--epsilon", "0.05", "--ntraj", "200",
-                             "--seed", "7", "--out", f1], "3"))
+                             "--seed", "7", "--out", f1]))
         f2 = os.path.join(tmp, "b.csv")
-        runs["null_threads"] = (
-            _run_cli_csv(["atom3-null", "--seed", "1", "--out", f2], "1")
-            == _run_cli_csv(["atom3-null", "--seed", "1", "--out", f2], "3"))
+        runs["atom3_null_repeat"] = (
+            _run_cli_csv(["atom3-null", "--seed", "1", "--out", f2])
+            == _run_cli_csv(["atom3-null", "--seed", "1", "--out", f2]))
         f3 = os.path.join(tmp, "c.csv")
         runs["cavity_w_repeat"] = (
             _run_cli_csv(["cavity-w", "--nbar", "4", "--kappa", "1",
-                          "--tmax", "6", "--out", f3], "2")
+                          "--tmax", "6", "--out", f3])
             == _run_cli_csv(["cavity-w", "--nbar", "4", "--kappa", "1",
-                             "--tmax", "6", "--out", f3], "4"))
+                             "--tmax", "6", "--out", f3]))
     ok = all(runs.values())
     return ok, {k: bool(v) for k, v in runs.items()}, \
-        "same config and seed give identical bytes at any thread count"
+        "same config and seed give identical bytes on every run"
 
 
 CRITERION_TITLES = {

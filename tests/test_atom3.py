@@ -6,8 +6,7 @@ from scipy.integrate import quad
 
 from nextjump.atom3 import (Atom3Params, Atom3State, amplitude_c1_closed,
                             beta_ell, dark_fraction, effective_model,
-                            evolve_null, generator, project_slow,
-                            scenario_a_log_survival, survival_curve,
+                            generator, project_slow, scenario_a_log_survival,
                             unitary_c1)
 from nextjump.numerics import RegimeWarning
 from nextjump.trajectories import NullFlow
@@ -71,7 +70,7 @@ def test_survival_slow_slope():
                                       (0.1, 4.192433e-2, 0.0481)):
         p = _params(eps=eps)
         ts = np.linspace(40.0, 150.0, 2000)
-        w = survival_curve(p, GROUND, ts)
+        w = NullFlow(generator(p), GROUND.as_array()).survival(ts)
         slope = np.polyfit(ts, np.log(w), 1)[0]
         assert abs(-slope - want_slope) < 1e-6
         rel = (-slope - 2.0 * beta_ell(p)) / (2.0 * beta_ell(p))
@@ -84,7 +83,8 @@ def test_slow_slope_matches_exact_eigenvalue():
     slow = lam[np.argmax(lam.real)]
     assert abs(-2.0 * slow.real - 1.012510e-2) < 1e-7
     ts = np.linspace(40.0, 150.0, 2000)
-    slope = np.polyfit(ts, np.log(survival_curve(p, GROUND, ts)), 1)[0]
+    w = NullFlow(generator(p), GROUND.as_array()).survival(ts)
+    slope = np.polyfit(ts, np.log(w), 1)[0]
     assert abs(-slope - (-2.0 * slow.real)) / (2.0 * abs(slow.real)) < 1e-3
 
 
@@ -92,7 +92,7 @@ def test_project_slow_overlap_grows_with_wait():
     p = _params(eps=0.05)
     want = {12.0: 0.898431, 16.0: 0.983585, 20.0: 0.998240, 30.0: 0.998939}
     for T, ov_want in want.items():
-        psi = evolve_null(p, GROUND, T).as_array()
+        psi = NullFlow(generator(p), GROUND.as_array()).state(T)
         psi = psi / np.linalg.norm(psi)
         slow = project_slow(p, T, T).as_array()
         ov = abs(np.vdot(slow, psi))
@@ -165,7 +165,8 @@ def test_strong_drive_envelope():
     for om1, ratio_want in ((10.0, 1.00449), (20.0, 1.00205)):
         p = Atom3Params(omega1=om1, omega2=0.0, delta2=0.0, beta1=1.0,
                         beta2=0.0)
-        lnw = math.log(float(survival_curve(p, GROUND, 10.0)))
+        flow = NullFlow(generator(p), GROUND.as_array())
+        lnw = math.log(float(flow.survival(10.0)))
         assert abs(lnw / (-5.0) - ratio_want) < 1e-4
 
 
@@ -180,7 +181,8 @@ def test_mean_gap_saturates():
     for om1 in (5.0, 10.0):
         p = Atom3Params(omega1=om1, omega2=0.0, delta2=0.0, beta1=1.0,
                         beta2=0.0)
-        w = lambda t: float(survival_curve(p, GROUND, t))
+        flow = NullFlow(generator(p), GROUND.as_array())
+        w = lambda t: float(flow.survival(t))
         mean, err = quad(w, 0.0, 80.0, limit=200)
         want = 2.0 * (1.0 + 1.0 / (8.0 * om1 ** 2))
         assert abs(mean - want) / want < 1e-4
@@ -188,7 +190,8 @@ def test_mean_gap_saturates():
 
 def test_mean_gap_with_weak_branch():
     p = _params(omega1=5.0, eps=0.05)
-    w = lambda t: float(survival_curve(p, GROUND, t))
+    flow = NullFlow(generator(p), GROUND.as_array())
+    w = lambda t: float(flow.survival(t))
     mean = sum(quad(w, a, b, limit=500)[0]
                for a, b in ((0.0, 40.0), (40.0, 200.0), (200.0, 1500.0)))
     assert abs(mean - 3.020200) < 1e-5
@@ -196,9 +199,9 @@ def test_mean_gap_with_weak_branch():
 
 def test_evolve_null_matches_survival():
     p = _params(omega1=5.0, eps=0.05)
-    s = evolve_null(p, GROUND, 4.0)
-    arr = s.as_array()
-    w = float(survival_curve(p, GROUND, 4.0))
+    flow = NullFlow(generator(p), GROUND.as_array())
+    arr = flow.state(4.0)
+    w = float(flow.survival(4.0))
     assert abs(np.vdot(arr, arr).real - w) < 1e-10
 
 

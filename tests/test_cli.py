@@ -1,9 +1,15 @@
+import hashlib
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
 from nextjump import cli
+
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
 
 
 def _run(argv):
@@ -35,17 +41,46 @@ def test_cavity_w_outputs(tmp_path):
     assert side["wall_time_seconds"] >= 0.0
 
 
-def test_reruns_are_byte_identical(tmp_path, monkeypatch):
+def test_reruns_are_byte_identical(tmp_path):
     a = tmp_path / "a.csv"
     b = tmp_path / "b.csv"
     argv = ["telegraph", "--ntraj", "50", "--seed", "7"]
-    monkeypatch.setenv("NEXTJUMP_THREADS", "3")
     assert _run(argv + ["--out", str(a)]) == 0
-    monkeypatch.setenv("NEXTJUMP_THREADS", "1")
     assert _run(argv + ["--out", str(b)]) == 0
     assert _read(a) == _read(b)
     side = json.loads((tmp_path / "a.json").read_text())
     assert side["config"]["seed"] == 7
+
+
+@pytest.mark.parametrize("argv,csv_sha256,summary_sha256", [
+    (["telegraph", "--ntraj", "200", "--seed", "7"],
+     "33bb23c44da001b0f2102789a9cc8f95168e4e3fe3134d25a7aec3e894fb5017",
+     "e3748f934b3d3ea5570c620357fbbfe3f5ea65814e89b8d0effeced52feca3a0"),
+    (["transmon-dark", "--nmax", "60", "--npts", "12"],
+     "6fd3d02b1f937567c97ae11cd78045cf937467c2844b6c27fa1a3ceda262007f",
+     "d01f83caba12a30fa73a466a58bbcfa213420b6437f166c7e22f8e75308b5c87"),
+    (["transmon-multiscale", "--tmax", "3"],
+     "2e87b21d14f705dd2f77405cd303a5090c47a119eabb0f2ea8c1d15e1a25147e",
+     "1c9e3a61417e945259648dcd54cc7d433d21cf135ef55a869fab300caf284a48"),
+], ids=["telegraph", "transmon-dark", "transmon-multiscale"])
+def test_outputs_are_pinned(tmp_path, argv, csv_sha256, summary_sha256):
+    """The CSV bytes and the sidecar summary (the fitted rates live there)
+    of three commands whose fits and channel choice are shared with the
+    acceptance criteria.  The hashes were computed while each command still
+    ran its own copy of the fit and of the channel rule, so a change to the
+    shared code that moves any written digit fails here.  The dense eig of
+    transmon-dark rounds differently with the number of BLAS threads, so
+    the commands run in a fresh interpreter on one thread (numpy 2.4 with
+    its bundled OpenBLAS 0.3, x86-64)."""
+    out = tmp_path / "x.csv"
+    env = dict(os.environ, PYTHONPATH=SRC, OPENBLAS_NUM_THREADS="1",
+               OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    subprocess.run([sys.executable, "-m", "nextjump.cli", *argv,
+                    "--out", str(out)], env=env, check=True)
+    assert hashlib.sha256(_read(out)).hexdigest() == csv_sha256
+    summary = json.loads((tmp_path / "x.json").read_text())["summary"]
+    text = json.dumps(summary, sort_keys=True).encode()
+    assert hashlib.sha256(text).hexdigest() == summary_sha256
 
 
 def test_alias_matches_primary_name(tmp_path):

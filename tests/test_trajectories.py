@@ -79,21 +79,61 @@ def _reference_trajectory(model, tmax, rng):
         psi = flow.state(t_rel)
         k = 0
         if len(model.jump_ops) > 1:
-            rates = model.jump_rates(psi)
-            u2 = float(rng.random())
-            acc = 0.0
-            k = len(rates) - 1
-            for j, r in enumerate(rates):
-                acc += r / rates.sum()
-                if u2 < acc:
-                    k = j
-                    break
+            k = _reference_channel(model.jump_rates(psi), float(rng.random()))
         state = model.reset(k, psi)
         t += t_rel
         times.append(t)
         channels.append(k)
         final = state
     return times, channels, final
+
+
+def _reference_channel(rates, u2):
+    """Scalar cumulative channel draw of the reference trajectory."""
+    acc = 0.0
+    k = len(rates) - 1
+    for j, r in enumerate(rates):
+        acc += r / rates.sum()
+        if u2 < acc:
+            k = j
+            break
+    return k
+
+
+def _projector_channels(k):
+    """k channels L_j = |j><j| on k levels: the rates of a state are the
+    squared moduli of its components."""
+    return EffectiveModel(generator=-0.5 * np.eye(k),
+                          jump_ops=[np.diag(e) for e in np.eye(k)],
+                          labels=tuple(map(str, range(k))),
+                          initial_state=np.eye(k)[0], beta_fast=1.0)
+
+
+_AMPLITUDE = st.one_of(st.just(0.0), st.floats(min_value=1e-3, max_value=10.0))
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), k=st.integers(min_value=1, max_value=4),
+       n=st.integers(min_value=1, max_value=6))
+def test_choose_channels_matches_scalar_draw(data, k, n):
+    model = _projector_channels(k)
+    states = np.array(data.draw(st.lists(
+        st.lists(_AMPLITUDE, min_size=k, max_size=k).filter(any),
+        min_size=n, max_size=n))).T
+    u = np.array(data.draw(st.lists(
+        st.floats(min_value=0.0, max_value=1.0, exclude_max=True),
+        min_size=n, max_size=n)))
+    got = model.choose_channels(states, u)
+    want = [_reference_channel(model.jump_rates(states[:, i]), u[i])
+            for i in range(n)]
+    assert got.tolist() == want
+
+
+def test_choose_channels_rejects_vanishing_rates():
+    model = _projector_channels(3)
+    states = np.array([[1.0, 0.0], [0.5, 0.0], [0.0, 0.0]])
+    with pytest.raises(ValueError, match="rates vanish"):
+        model.choose_channels(states, np.array([0.3, 0.3]))
 
 
 def _assert_engine_matches_reference(model, tmax, seedbase, ntraj):
