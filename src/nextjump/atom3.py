@@ -23,7 +23,6 @@ from .trajectories import EffectiveModel
 
 __all__ = [
     "Atom3Params",
-    "Atom3State",
     "amplitude_c1_closed",
     "beta_ell",
     "dark_fraction",
@@ -64,37 +63,6 @@ class Atom3Params:
     def epsilon(self) -> float:
         """Weak-drive smallness |omega2|/beta1 used by the closed forms."""
         return abs(self.omega2) / self.beta1
-
-
-@dataclass(frozen=True)
-class Atom3State:
-    """Conditioned amplitudes on (|0>, |1>, |2>); norm <= 1 between resets."""
-
-    c0: complex
-    c1: complex
-    c2: complex
-
-    @classmethod
-    def ground(cls) -> "Atom3State":
-        return cls(1.0 + 0.0j, 0.0j, 0.0j)
-
-    @classmethod
-    def from_array(cls, vec) -> "Atom3State":
-        v = np.asarray(vec, dtype=complex)
-        return cls(complex(v[0]), complex(v[1]), complex(v[2]))
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.c0, self.c1, self.c2], dtype=complex)
-
-    def norm_sq(self) -> float:
-        return abs(self.c0) ** 2 + abs(self.c1) ** 2 + abs(self.c2) ** 2
-
-    def normalized(self) -> "Atom3State":
-        n = math.sqrt(self.norm_sq())
-        return Atom3State(self.c0 / n, self.c1 / n, self.c2 / n)
-
-    def overlap(self, other: "Atom3State") -> complex:
-        return complex(np.vdot(self.as_array(), other.as_array()))
 
 
 def generator(p: Atom3Params) -> np.ndarray:
@@ -156,14 +124,14 @@ def dark_fraction(p: Atom3Params) -> tuple:
     return g / (2.0 + g), g
 
 
-def project_slow(p: Atom3Params, T: float, t: float) -> Atom3State:
+def project_slow(p: Atom3Params, T: float, t: float) -> np.ndarray:
     """Normalized slow-branch state after a click-free wait of length T.
 
     Once the fast modes have died out (beta1*T >> 1) the conditioned state
     collapses onto the slowly decaying eigenvector; its asymptotic form is
     (2i*eps, 2i*eps, 1)/sqrt(1+8 eps^2) rotating at the strong Rabi
-    frequency.  T only gates the regime check; the returned state is the
-    normalized eigenvector evaluated at time t.
+    frequency.  T only gates the regime check; the returned (3,) amplitudes
+    (c0, c1, c2) are the normalized eigenvector evaluated at time t.
     """
     _warn_regime(p.beta1 * T < 10.0,
                  "slow projection assumes beta1*T >> 1")
@@ -172,7 +140,8 @@ def project_slow(p: Atom3Params, T: float, t: float) -> Atom3State:
     eps = p.epsilon
     f = 1.0 / math.sqrt(1.0 + 8.0 * eps ** 2)
     phase = np.exp(1j * abs(p.omega1) * t)
-    return Atom3State(2j * eps * f * phase, 2j * eps * f * phase, f * phase)
+    return np.array([2j * eps * f * phase, 2j * eps * f * phase, f * phase],
+                    dtype=complex)
 
 
 def unitary_c1(p: Atom3Params, t) -> complex:

@@ -6,8 +6,11 @@ that order of increasing precedence.  It writes one CSV (RFC 4180, header
 row, shortest round-trip float formatting) and a JSON sidecar next to it
 holding the fully resolved config, a result summary, the explicitly given
 flags and the wall time.  Reruns with the same resolved config and seed
-produce byte-identical CSV.  scipy is imported only inside the functions
-that call it, so only the commands that need it load it.
+produce byte-identical CSV at a fixed BLAS thread count; ``transmon-dark``'s
+dense eigendecomposition rounds differently on one OpenBLAS thread than on
+two, which moves its norms from about the eleventh significant digit.
+scipy is imported only inside the functions that call it, so only the
+commands that need it load it.
 
 Exit codes: 0 success, 2 invalid configuration or arguments (a NaN or
 infinite number among them), 3 numerical failure (a non-finite summary value

@@ -3,13 +3,13 @@
 A cavity relaxing at rate ``kappa`` and fed by a resonant drive of strength
 ``Gamma = kappa*sqrt(nbar)/2`` is watched continuously by mixing its output
 with a strong detection beam of amplitude ``B``, offset in frequency by
-``omega`` (heterodyne) or locked in phase (homodyne).  The detector record is
-then white noise ``zeta'(t)`` of variance ``B**2`` per unit time riding on the
-signal, and conditioning on the record turns the state evolution into a
-linear stochastic equation.  On the coherent ansatz ``exp(alpha c^dag +
-beta)|0>`` that equation closes: ``alpha(t)`` obeys a deterministic linear ODE
-(the noise never feeds back into it) and only the scalar log-prefactor
-``beta(t)`` is stochastic.
+``omega`` (heterodyne); ``omega = 0`` is homodyne detection at phase 0.  The
+detector record is then white noise ``zeta'(t)`` of variance ``B**2`` per unit
+time riding on the signal, and conditioning on the record turns the state
+evolution into a linear stochastic equation.  On the coherent ansatz
+``exp(alpha c^dag + beta)|0>`` that equation closes: ``alpha(t)`` obeys a
+deterministic linear ODE (the noise never feeds back into it) and only the
+scalar log-prefactor ``beta(t)`` is stochastic.
 
 The coherent kernel advances ``(alpha, beta)`` exactly over each noise step
 (piecewise-constant record derivative, within-step phase integrated in closed
@@ -37,18 +37,17 @@ estimate ``sqrt(kappa*nbar)`` and the measurement accuracy.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import FockVector, RngStream, default_nmax
+from .numerics import FockVector, RngStream, coherent_amplitudes, default_nmax
 
 __all__ = [
     "CurrentStatistics",
     "HeterodyneParams",
     "NoisePath",
     "SSEState",
-    "coherent_amplitudes",
     "current_statistics",
     "ensemble_unraveling_check",
     "gauge_equivalence",
@@ -61,8 +60,6 @@ __all__ = [
     "sample_raw_currents",
     "sample_tilted_currents",
 ]
-
-_PHASE_MODES = ("heterodyne", "homodyne")
 
 # Stream indices reserved per sampler so that different ensembles drawn from
 # the same seed never share a noise sequence.
@@ -133,25 +130,19 @@ class NoisePath:
 
     ``increments[k]`` is the record increment over step k, Gaussian with
     variance B**2*dt under the ostensible measure.  The demodulation phase is
-    ``omega*t + phase0`` (heterodyne) or the constant ``phase0`` (homodyne).
+    ``omega*t``: omega = 0 is homodyne detection at phase 0.
     """
 
     dt: float
     increments: np.ndarray
     B: float
     omega: float = 0.0
-    phase0: float = 0.0
-    phase_mode: str = "heterodyne"
 
     def __post_init__(self):
         if not (math.isfinite(self.dt) and self.dt > 0):
             raise ValueError("dt must be positive and finite")
         if not (math.isfinite(self.B) and self.B > 0):
             raise ValueError("B must be positive and finite")
-        if self.phase_mode not in _PHASE_MODES:
-            raise ValueError(f"phase_mode must be one of {_PHASE_MODES}")
-        if self.phase_mode == "homodyne" and self.omega != 0.0:
-            raise ValueError("homodyne paths carry a constant phase; omega must be 0")
         inc = np.asarray(self.increments, dtype=float)
         if inc.ndim != 1:
             raise ValueError("increments must be a 1-D array")
@@ -165,33 +156,26 @@ class NoisePath:
     def duration(self) -> float:
         return self.nsteps * self.dt
 
-    def variance_ratio(self) -> float:
-        """Empirical increment variance over the nominal B**2*dt."""
-        if self.nsteps == 0:
-            return float("nan")
-        return float(np.var(self.increments) / (self.B**2 * self.dt))
-
     @classmethod
     def draw(cls, params: HeterodyneParams, duration: float, dt: float,
-             seed: int, stream: int = _STREAM_PATH, phase0: float = 0.0) -> "NoisePath":
+             seed: int) -> "NoisePath":
         """Sample a record under the ostensible (mean-zero) measure.
 
-        The path is fully determined by (seed, stream): one Gaussian draw of
-        all increments from the dedicated counter-based stream.
+        The path is fully determined by seed: one Gaussian draw of all
+        increments from the counter-based stream (seed, _STREAM_PATH).
         """
         nsteps = int(round(duration / dt))
-        rng = RngStream(seed, stream).generator()
+        rng = RngStream(seed, _STREAM_PATH).generator()
         dz = rng.normal(0.0, params.B * np.sqrt(dt), size=nsteps)
-        return cls(dt=dt, increments=dz, B=params.B, omega=params.omega,
-                   phase0=phase0)
+        return cls(dt=dt, increments=dz, B=params.B, omega=params.omega)
 
     @classmethod
-    def silent(cls, params: HeterodyneParams, duration: float, dt: float,
-               phase0: float = 0.0) -> "NoisePath":
+    def silent(cls, params: HeterodyneParams, duration: float,
+               dt: float) -> "NoisePath":
         """The zero-record path (deterministic flow)."""
         nsteps = int(round(duration / dt))
         return cls(dt=dt, increments=np.zeros(nsteps), B=params.B,
-                   omega=params.omega, phase0=phase0)
+                   omega=params.omega)
 
 
 @dataclass(frozen=True, eq=False)
@@ -211,10 +195,6 @@ class SSEState:
     beta: complex | None = None
     fock: FockVector | None = None
 
-    @property
-    def is_coherent(self) -> bool:
-        return self.fock is None
-
     def current(self) -> complex:
         if self.t <= 0:
             raise ValueError("current undefined at t = 0")
@@ -229,15 +209,6 @@ class SSEState:
         if self.fock is not None:
             return self.fock.norm_sq()
         return float(np.exp(2 * self.beta.real + abs(self.alpha) ** 2))
-
-
-def coherent_amplitudes(alpha: complex, beta: complex, nmax: int) -> np.ndarray:
-    """Fock amplitudes of exp(alpha c^dag + beta)|0>, stable in log space."""
-    from scipy import special
-    n = np.arange(nmax + 1)
-    logmag = n * np.log(np.abs(alpha) + 1e-300) - 0.5 * special.gammaln(n + 1.0)
-    ph = np.exp(1j * n * np.angle(alpha))
-    return np.exp(logmag + beta) * ph
 
 
 def _step_constants(kappa: float, omega: float, dt: float):
@@ -266,10 +237,10 @@ def _check_step(kappa: float, omega: float, dt: float):
             "resolve both the demodulation phase and the cavity decay")
 
 
-def _demod(omega: float, phase0: float, dt: float, steps: np.ndarray):
-    """Phases e^{-i(omega t_k + phase0)} at the starts of the given steps, and
-    their in-step averages ehat_k, the demodulation weights of the record."""
-    ph = np.exp(-1j * (omega * (dt * steps) + phase0))
+def _demod(omega: float, dt: float, steps: np.ndarray):
+    """Phases e^{-i omega t_k} at the starts of the given steps, and their
+    in-step averages ehat_k, the demodulation weights of the record."""
+    ph = np.exp(-1j * (omega * (dt * steps)))
     if omega == 0.0:
         return ph, ph
     return ph, ph * ((1 - np.exp(-1j * omega * dt)) / (1j * omega * dt))
@@ -288,7 +259,7 @@ def _coherent_terms(params: HeterodyneParams, path: NoisePath, steps: np.ndarray
     abar = 2 * Gam / kappa
     I1, I2, I3, I4 = _step_constants(kappa, path.omega, dt)
     d = (alpha0 - abar) * np.exp(-kappa / 2 * dt * steps)
-    ph, ehat = _demod(path.omega, path.phase0, dt, steps)
+    ph, ehat = _demod(path.omega, dt, steps)
     gain = (np.sqrt(kappa) / (path.B * dt)) * ph * (abar * I1 + d * I2)
     drift = -Gam * (abar * I3 + d * I4)
     return np.where(steps == 0, alpha0, abar + d), ehat, gain, drift
@@ -362,7 +333,7 @@ def integrate_sse(params: HeterodyneParams, path: NoisePath, psi0=None,
     if substeps < 1:
         raise ValueError("substeps must be >= 1")
     kappa, Gam, sqk = params.kappa, params.gamma_drive, np.sqrt(params.kappa)
-    B, omega, dt, phase0, dz = path.B, path.omega, path.dt, path.phase0, path.increments
+    B, omega, dt, dz = path.B, path.omega, path.dt, path.increments
     if psi0 is None:
         nmax = default_nmax(params.nbar)
         psi = np.zeros(nmax + 1, dtype=complex)
@@ -379,7 +350,7 @@ def integrate_sse(params: HeterodyneParams, path: NoisePath, psi0=None,
         zdot = dz[k] / dt
         for j in range(substeps):
             t = k * dt + j * h
-            u = (sqk / B) * zdot * np.exp(-1j * (omega * t + phase0))
+            u = (sqk / B) * zdot * np.exp(-1j * (omega * t))
             cpsi = np.zeros_like(psi)
             cpsi[:-1] = sqn * psi[1:]
             cdpsi = np.zeros_like(psi)
@@ -433,7 +404,7 @@ def _sampler_grid(params: HeterodyneParams, duration: float, dt: float):
         raise ValueError("heterodyne sampling needs omega > 0")
     _check_step(params.kappa, params.omega, dt)
     nsteps = int(round(duration / dt))
-    return nsteps, _demod(params.omega, 0.0, dt, np.arange(nsteps))[1]
+    return nsteps, _demod(params.omega, dt, np.arange(nsteps))[1]
 
 
 def sample_tilted_currents(params: HeterodyneParams, duration: float, dt: float,
@@ -536,23 +507,17 @@ class CurrentStatistics:
     npaths: int
 
 
-def current_statistics(ensemble, t: float | None = None, B: float = 1.0,
-                       bin_width: float = 0.05, margin: float = 0.2) -> CurrentStatistics:
-    """Peak and width of |I|/B over an ensemble of currents.
+def current_statistics(currents, B: float = 1.0) -> CurrentStatistics:
+    """Peak and width of |I|/B over an ensemble of complex currents.
 
-    ``ensemble`` may be complex currents, accumulated record integrals (pass
-    ``t`` to divide), or a sequence of SSEState.  The peak is located on a
-    fixed-width histogram and refined parabolically on log counts, which is
-    exact for the Gaussian-ridge shape of the current density.
+    The peak is located on a histogram of bin width 0.05 spanning the
+    sample with a margin of 0.2 on both sides, and refined parabolically on
+    log counts, which is exact for the Gaussian-ridge shape of the current
+    density.
     """
-    if len(ensemble) and isinstance(ensemble[0], SSEState):
-        currents = np.array([s.current() for s in ensemble])
-    else:
-        currents = np.asarray(ensemble, dtype=complex)
-        if t is not None:
-            currents = currents / t
-    x = np.abs(currents) / B
-    hist, edges = np.histogram(x, bins=np.arange(x.min() - margin, x.max() + margin, bin_width))
+    bin_width = 0.05
+    x = np.abs(np.asarray(currents, dtype=complex)) / B
+    hist, edges = np.histogram(x, bins=np.arange(x.min() - 0.2, x.max() + 0.2, bin_width))
     i = int(np.argmax(hist))
     d = 0.0
     if 0 < i < len(hist) - 1 and hist[i - 1] > 0 and hist[i + 1] > 0:
@@ -567,8 +532,8 @@ def current_statistics(ensemble, t: float | None = None, B: float = 1.0,
     return CurrentStatistics(float(peak), mean, std, float(rel), int(x.size))
 
 
-def null_correspondence(params: HeterodyneParams, t: float, alpha0: complex = 0j,
-                        nsamples: int = 501) -> dict:
+def null_correspondence(params: HeterodyneParams, t: float,
+                        alpha0: complex = 0j) -> dict:
     """Lock the record to its most likely value and compare flows.
 
     Substituting the maximum-likelihood demodulated signal (constant value
@@ -576,12 +541,13 @@ def null_correspondence(params: HeterodyneParams, t: float, alpha0: complex = 0j
     deterministic.  After removing the constant rescaling exp(-t II*/2 kappa)
     its solution must coincide, amplitude by amplitude, with the
     shifted-detection effective flow whose detection offset is gamma =
-    sqrt(nbar).  Both routes are integrated in closed form on a shared time
-    grid and compared elementwise.
+    sqrt(nbar).  Both routes are integrated in closed form on a shared grid
+    of 501 times and compared elementwise.
     """
     kappa, nbar = params.kappa, params.nbar
     Gam = params.gamma_drive
     abar = 2 * Gam / kappa
+    nsamples = 501
     ts = np.linspace(0.0, t, nsamples)
     delta0 = complex(alpha0) - abar
     decay = np.exp(-kappa * ts / 2)
@@ -612,8 +578,7 @@ def null_correspondence(params: HeterodyneParams, t: float, alpha0: complex = 0j
     }
 
 
-def gauge_equivalence(params: HeterodyneParams, path: NoisePath,
-                      t: float | None = None, nmax: int | None = None) -> dict:
+def gauge_equivalence(params: HeterodyneParams, path: NoisePath) -> dict:
     """Integrate two gauges of the conditional equation on one path.
 
     The drift gauge adds a classical term i*I(s)*c fed by the instantaneous
@@ -625,8 +590,6 @@ def gauge_equivalence(params: HeterodyneParams, path: NoisePath,
     and the decomposition beta_drift = beta_plain + scalar is checked.
     """
     _check_step(params.kappa, path.omega, path.dt)
-    if t is not None:
-        path = replace(path, increments=path.increments[:int(round(t / path.dt))])
     kappa, dt = params.kappa, path.dt
     steps = np.arange(path.nsteps + 1)
     al_p, be_p = _coherent_kernel(params, path, steps)[:2]
@@ -644,8 +607,7 @@ def gauge_equivalence(params: HeterodyneParams, path: NoisePath,
     qdev = np.max(np.abs(2 * al_p.real - 2 * al_d.real))
     al_p, be_p, al_d = al_p[-1], be_p[-1], al_d[-1]
 
-    if nmax is None:
-        nmax = default_nmax(params.nbar)
+    nmax = default_nmax(params.nbar)
     pa = coherent_amplitudes(al_p, be_p, nmax)
     pb = coherent_amplitudes(al_d, be_d, nmax)
     na = np.vdot(pa, pa).real

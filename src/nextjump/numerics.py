@@ -22,6 +22,7 @@ __all__ = [
     "RegimeWarning",
     "RngStream",
     "TruncationError",
+    "coherent_amplitudes",
     "default_nmax",
     "fock_ops",
     "integrate_ode",
@@ -86,21 +87,6 @@ class FockVector:
         amps[level, 0] = 1.0
         return cls(amps)
 
-    @classmethod
-    def coherent(cls, alpha: complex, nmax: int, levels: int = 1,
-                 level: int = 0) -> "FockVector":
-        """Normalized coherent state on one level (zeros elsewhere)."""
-        from scipy import special
-        n = np.arange(nmax + 1)
-        # exp(-|a|^2/2) a^n / sqrt(n!) evaluated in log space for stability
-        logfact = special.gammaln(n + 1.0)
-        mag = np.exp(-0.5 * abs(alpha) ** 2 + n * np.log(abs(alpha)) - 0.5 * logfact) \
-            if alpha != 0 else np.where(n == 0, 1.0, 0.0)
-        phase = np.exp(1j * n * np.angle(alpha)) if alpha != 0 else 1.0
-        amps = np.zeros((levels, nmax + 1), dtype=complex)
-        amps[level] = mag * phase
-        return cls(amps)
-
     def norm_sq(self) -> float:
         return float(np.sum(np.abs(self.amps) ** 2))
 
@@ -111,14 +97,15 @@ class FockVector:
     def inner(self, other: "FockVector") -> complex:
         return complex(np.sum(np.conj(self.amps) * other.amps))
 
-    def normalized(self) -> "FockVector":
-        n = math.sqrt(self.norm_sq())
-        if n == 0.0:
-            raise ValueError("cannot normalize the zero vector")
-        return FockVector(self.amps / n)
 
-    def copy(self) -> "FockVector":
-        return FockVector(self.amps.copy())
+def coherent_amplitudes(alpha: complex, beta: complex, nmax: int) -> np.ndarray:
+    """Fock amplitudes 0..nmax of exp(alpha c^dag + beta)|0>, stable in log
+    space; beta = -|alpha|^2/2 gives the normalized coherent state."""
+    from scipy import special
+    n = np.arange(nmax + 1)
+    logmag = n * np.log(np.abs(alpha) + 1e-300) - 0.5 * special.gammaln(n + 1.0)
+    ph = np.exp(1j * n * np.angle(alpha))
+    return np.exp(logmag + beta) * ph
 
 
 def fock_ops(nmax: int):
@@ -132,10 +119,9 @@ def fock_ops(nmax: int):
 # deterministic integration
 
 def integrate_ode(rhs, y0, t0: float, t1: float, tol: float = 1e-10,
-                  dense: bool = False, method: str = "DOP853",
-                  max_step: float = np.inf):
-    """Integrate dy/dt = rhs(t, y) for complex vector y with an adaptive
-    embedded Runge-Kutta pair.
+                  dense: bool = False):
+    """Integrate dy/dt = rhs(t, y) for complex vector y with the adaptive
+    embedded Runge-Kutta pair DOP853.
 
     Returns the final state, or (final state, dense interpolant) when
     ``dense`` is set.  tol is applied as rtol, with atol = tol * 1e-2.
@@ -145,8 +131,8 @@ def integrate_ode(rhs, y0, t0: float, t1: float, tol: float = 1e-10,
     y0 = np.asarray(y0, dtype=complex)
     if t1 == t0:
         return (y0.copy(), None) if dense else y0.copy()
-    sol = solve_ivp(rhs, (t0, t1), y0, method=method, rtol=tol,
-                    atol=tol * 1e-2, dense_output=dense, max_step=max_step)
+    sol = solve_ivp(rhs, (t0, t1), y0, method="DOP853", rtol=tol,
+                    atol=tol * 1e-2, dense_output=dense)
     if not sol.success:
         raise IntegrationError(f"integration failed at t={sol.t[-1]:.6g}: "
                                f"{sol.message}")

@@ -149,17 +149,17 @@ def figure1_dataset(nbar: float = 100.0, kappa: float = 1.0,
     )
 
 
-def y_oscillation_frequency(p: CavityParams, tau_max: float = 30.0,
-                            npts: int = 300001, window: float = 12.0) -> float:
+def y_oscillation_frequency(p: CavityParams) -> float:
     """Dominant oscillation frequency of Y(tau) in cycles per tau.
 
-    Spectral estimate on the early window where the ringing has not decayed:
-    mean-subtracted, Hann-windowed FFT with parabolic refinement of the peak
-    bin.  For a pull chi the ringing sits at chi/(2 pi kappa) cycles per tau.
+    Spectral estimate on the early window tau <= 12 (grid step 1e-4),
+    where the ringing has not decayed: mean-subtracted, Hann-windowed FFT
+    with parabolic refinement of the peak bin.  For a pull chi the ringing
+    sits at chi/(2 pi kappa) cycles per tau.
     """
-    tau = np.linspace(0.0, tau_max, npts)
+    tau = np.linspace(0.0, 30.0, 300001)
     Y = log_decrement_Y(p, tau)
-    m = tau <= window
+    m = tau <= 12.0
     yw = Y[m] - Y[m].mean()
     w = np.hanning(yw.size)
     F = np.fft.rfft(yw * w)
@@ -190,15 +190,14 @@ def y_consistency_check(p: CavityParams, tau_max: float = 30.0,
     return float(np.max(np.abs(np.exp(-integ) - W)))
 
 
-def min_error_next_jump(p: CavityParams, tau_max: float = 6.0,
-                        npts: int = 60001) -> dict:
+def min_error_next_jump(p: CavityParams, tau_max: float = 6.0) -> dict:
     """Locate the interior minimum of the next-jump error.
 
-    Scans eps(tau) on a uniform grid starting just above tau = 0 and reports
-    the minimum, its location, and the constant implied by the scaling
-    eps_min ~ (kappa nbar^{1/3}/|chi|)^2.
+    Scans eps(tau) on a uniform grid of 60001 points from just above tau = 0
+    to tau_max and reports the minimum, its location, and the constant
+    implied by the scaling eps_min ~ (kappa nbar^{1/3}/|chi|)^2.
     """
-    tau = np.linspace(1e-4, tau_max, npts)
+    tau = np.linspace(1e-4, tau_max, 60001)
     eps= error_next_jump(p, tau / p.kappa)
     i = int(np.argmin(eps))
     scale = (p.kappa * p.nbar ** (1.0 / 3.0) / abs(p.chi)) ** 2

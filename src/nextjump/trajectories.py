@@ -29,14 +29,12 @@ __all__ = [
     "EffectiveModel",
     "JumpRecord",
     "NullFlow",
-    "TelegraphTrace",
     "TelegraphStats",
     "lindblad_consistency",
     "run_trajectory",
     "sample_gaps",
     "telegraph_run",
     "telegraph_stats",
-    "telegraph_trace",
 ]
 
 #: expansion amplification a(psi) = ||V^-1 psi||_1 / ||psi||_2 above which
@@ -51,6 +49,8 @@ _ROOT_RTOL = 1e-13
 _GAP_GRID_CELLS = 2048
 #: samples solved together in ``sample_gaps``
 _GAP_BLOCK = 16384
+#: gaps ``telegraph_run`` draws per call of ``sample_gaps``
+_TELEGRAPH_BATCH = 4096
 
 
 @dataclass(frozen=True)
@@ -437,11 +437,11 @@ def run_trajectory(model: EffectiveModel, tmax: float, rng) -> JumpRecord:
 
 
 def telegraph_run(model: EffectiveModel, total_time: float, rng,
-                  rng_channels=None, batch: int = 4096,
-                  t_hi: float | None = None) -> JumpRecord:
+                  rng_channels=None) -> JumpRecord:
     """Long telegraph record for a constant-reset model.
 
-    Gaps are iid, so they are drawn in vectorized batches until their sum
+    Gaps are iid, so they are drawn in vectorized batches of
+    _TELEGRAPH_BATCH, each censored at 900/beta_fast, until their sum
     crosses total_time (the crossing gap is kept).  Channel labels are
     attributed afterwards from a second, independent stream, which keeps the
     gap sequence invariant under changes in channel handling.
@@ -452,13 +452,12 @@ def telegraph_run(model: EffectiveModel, total_time: float, rng,
         rng = rng.generator()
     if isinstance(rng_channels, RngStream):
         rng_channels = rng_channels.generator()
-    if t_hi is None:
-        t_hi = 900.0 / model.beta_fast
+    t_hi = 900.0 / model.beta_fast
     flow = NullFlow(model.generator, model.reset_state)
     chunks = []
     tot = 0.0
     while tot < total_time:
-        g = sample_gaps(flow.survival, batch, rng, t_hi)
+        g = sample_gaps(flow.survival, _TELEGRAPH_BATCH, rng, t_hi)
         cs = np.cumsum(g)
         if tot + cs[-1] >= total_time:
             k = int(np.searchsorted(tot + cs, total_time)) + 1
@@ -516,37 +515,6 @@ def telegraph_stats(record: JumpRecord, dark_threshold: float) -> TelegraphStats
             branch[label] = float(np.mean(term == k))
     return TelegraphStats(p, se, dark, branch, float(dark_threshold),
                           total, n_dark)
-
-
-@dataclass(frozen=True)
-class TelegraphTrace:
-    """Bright/dark segmentation of a record: maximal bright runs merged,
-    each dark gap its own segment.  Segments partition [0, last click]."""
-
-    threshold: float
-    starts: np.ndarray
-    ends: np.ndarray
-    dark: np.ndarray              # bool per segment
-    terminating_label: tuple      # channel name ending each segment
-
-    @property
-    def durations(self) -> np.ndarray:
-        return self.ends - self.starts
-
-
-def telegraph_trace(record: JumpRecord, dark_threshold: float) -> TelegraphTrace:
-    gaps = record.gaps()
-    if gaps.size == 0:
-        return TelegraphTrace(float(dark_threshold), np.empty(0), np.empty(0),
-                              np.empty(0, dtype=bool), ())
-    is_dark = gaps > dark_threshold
-    # a click closes a segment when its own gap is dark, when the next gap
-    # is dark, or when it is the last click
-    ends = np.flatnonzero(is_dark | np.append(is_dark[1:], True))
-    starts = np.concatenate(([0.0], record.times[ends[:-1]]))
-    labels = tuple(record.labels[k] for k in record.channels[ends])
-    return TelegraphTrace(float(dark_threshold), starts, record.times[ends],
-                          is_dark[ends], labels)
 
 
 def _lindblad_rhs(model: EffectiveModel):

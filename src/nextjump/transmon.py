@@ -27,6 +27,9 @@ __all__ = [
     "DarkSpectrum",
     "TransmonParams",
     "beta_B",
+    "bright_kernel_log",
+    "bright_population_exact",
+    "bright_population_gauss",
     "dark_eigenvalues",
     "dark_norm_fit",
     "dark_norm_oracle",
@@ -35,6 +38,7 @@ __all__ = [
     "multiscale_volterra",
     "norm_evolution_multiscale",
     "reduced_two_level",
+    "slow_rate",
     "two_level_fock",
     "unshifted_rate",
     "validity_ratio",
@@ -168,9 +172,9 @@ class DarkSpectrum:
         return self.beta_b > abs(self.i_e_plus) > abs(self.i_e_minus)
 
 
-def dark_eigenvalues(p: TransmonParams,
-                     method: str = "closed_form") -> DarkSpectrum:
-    """Roots of E^2 + (2i|omega_b|^2/beta_B) E - |omega_d|^2 = 0.
+def dark_eigenvalues(p: TransmonParams) -> DarkSpectrum:
+    """Roots of E^2 + (2i|omega_b|^2/beta_B) E - |omega_d|^2 = 0, with the
+    closed-form beta_B.
 
     The quadratic eliminates the broad bright level from the dark-period
     three-level block; its two roots are the complex frequencies of the
@@ -178,7 +182,7 @@ def dark_eigenvalues(p: TransmonParams,
     survivors.  A complex omega_d enters only through |omega_d|^2.
     Asymptotic forms are flagged unreliable outside 1 >> eps >> eta.
     """
-    bb = beta_B(p, method)
+    bb = beta_B(p, "closed_form")
     om2 = abs(p.omega_b) ** 2
     eps = abs(p.omega_b) / bb
     eta = abs(p.omega_d / p.omega_b) if p.omega_b != 0 else 0.0
@@ -222,26 +226,18 @@ def _dark_block_matrix(p: TransmonParams, nmax: int) -> np.ndarray:
         [[0, ob, 0], [np.conj(ob), 0, od], [0, np.conj(od), 0]]))
 
 
-def dark_norm_oracle(p: TransmonParams, t, nmax: int = 200,
-                     start: str = "gd") -> np.ndarray:
+def dark_norm_oracle(p: TransmonParams, t, nmax: int = 200) -> np.ndarray:
     """Squared norm of the dark-block state at times t (full Fock evolution
-    exp(-i h t) on NullFlow).
+    exp(-i h t) on NullFlow), started in the equal (G,D) vacuum
+    superposition.
 
-    start 'gd' is the equal (G,D) vacuum superposition; 'd' and 'g' start
-    in one level's vacuum.  The slowest fitted decay rate of the result
-    equals 2 iE_minus of dark_eigenvalues in the perturbative regime.
+    The slowest fitted decay rate of the result equals 2 iE_minus of
+    dark_eigenvalues in the perturbative regime.
     """
     dim = nmax + 1
     psi0 = np.zeros(3 * dim, dtype=complex)
-    if start == "gd":
-        psi0[dim] = 1.0 / math.sqrt(2.0)
-        psi0[2 * dim] = 1.0 / math.sqrt(2.0)
-    elif start == "g":
-        psi0[dim] = 1.0
-    elif start == "d":
-        psi0[2 * dim] = 1.0
-    else:
-        raise ValueError(f"unknown start {start!r}")
+    psi0[dim] = 1.0 / math.sqrt(2.0)
+    psi0[2 * dim] = 1.0 / math.sqrt(2.0)
     # h is built inside the call so that only -ih is alive while eig runs
     flow = NullFlow(-1j * _dark_block_matrix(p, nmax), psi0)
     norms = np.sum(np.abs(flow.state(t)) ** 2, axis=0)
@@ -249,7 +245,11 @@ def dark_norm_oracle(p: TransmonParams, t, nmax: int = 200,
 
 
 def _decay_rate(ts: np.ndarray, y: np.ndarray) -> float:
-    """Rate r of the least-squares line ln y = c - r t."""
+    """Rate r of the least-squares line ln y = c - r t.  Raises ValueError
+    on fewer than two points, which fix no line."""
+    if ts.size < 2:
+        raise ValueError(f"a decay fit needs at least two points, got "
+                         f"{ts.size}")
     a = np.vstack([ts, np.ones_like(ts)]).T
     return -float(np.linalg.lstsq(a, np.log(y), rcond=None)[0][0])
 
@@ -353,9 +353,10 @@ def multiscale_fit(p: TransmonParams, tmax: float, dt: float,
     return ts, c, _decay_rate(ts[m], c[m])
 
 
-def slow_rate(p: TransmonParams, method: str = "closed_form") -> float:
-    """First-order slow decay rate gamma = 2|omega_b|^2/beta_B."""
-    return 2.0 * abs(p.omega_b) ** 2 / beta_B(p, method)
+def slow_rate(p: TransmonParams) -> float:
+    """First-order slow decay rate gamma = 2|omega_b|^2/beta_B, with the
+    closed-form beta_B."""
+    return 2.0 * abs(p.omega_b) ** 2 / beta_B(p, "closed_form")
 
 
 def norm_evolution_multiscale(p: TransmonParams, t):

@@ -3,9 +3,10 @@
 Each criterion is one runner returning (passed, measured, detail); run_all
 wraps them with timing and exception capture and the CLI ``validate``
 subcommand prints one machine-readable line per criterion.  The "fast"
-level trims Monte Carlo sizes so the sweep stays around a minute; "full"
-runs the pinned sizes.  Tolerances are fixed here, not configurable: they
-are the contract.
+level trims Monte Carlo sizes; "full" runs the pinned sizes, about 4 s for
+all fifteen on a 2-core machine.  Every criterion has a wall-clock budget
+(_TIME_BOUNDS) and fails when it overruns it.  Tolerances are fixed here,
+not configurable: they are the contract.
 """
 
 from __future__ import annotations

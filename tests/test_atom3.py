@@ -4,14 +4,13 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from nextjump.atom3 import (Atom3Params, Atom3State, amplitude_c1_closed,
-                            beta_ell, dark_fraction, effective_model,
-                            generator, project_slow, scenario_a_log_survival,
-                            unitary_c1)
+from nextjump.atom3 import (Atom3Params, amplitude_c1_closed, beta_ell,
+                            dark_fraction, effective_model, generator,
+                            project_slow, scenario_a_log_survival, unitary_c1)
 from nextjump.numerics import RegimeWarning
 from nextjump.trajectories import NullFlow
 
-GROUND = Atom3State(1.0 + 0j, 0.0j, 0.0j)
+GROUND = np.array([1.0, 0.0, 0.0], dtype=complex)
 
 
 def _params(omega1=1.0, eps=0.05, beta1=1.0, beta2=0.0, delta2=None):
@@ -70,7 +69,7 @@ def test_survival_slow_slope():
                                       (0.1, 4.192433e-2, 0.0481)):
         p = _params(eps=eps)
         ts = np.linspace(40.0, 150.0, 2000)
-        w = NullFlow(generator(p), GROUND.as_array()).survival(ts)
+        w = NullFlow(generator(p), GROUND).survival(ts)
         slope = np.polyfit(ts, np.log(w), 1)[0]
         assert abs(-slope - want_slope) < 1e-6
         rel = (-slope - 2.0 * beta_ell(p)) / (2.0 * beta_ell(p))
@@ -83,7 +82,7 @@ def test_slow_slope_matches_exact_eigenvalue():
     slow = lam[np.argmax(lam.real)]
     assert abs(-2.0 * slow.real - 1.012510e-2) < 1e-7
     ts = np.linspace(40.0, 150.0, 2000)
-    w = NullFlow(generator(p), GROUND.as_array()).survival(ts)
+    w = NullFlow(generator(p), GROUND).survival(ts)
     slope = np.polyfit(ts, np.log(w), 1)[0]
     assert abs(-slope - (-2.0 * slow.real)) / (2.0 * abs(slow.real)) < 1e-3
 
@@ -92,17 +91,17 @@ def test_project_slow_overlap_grows_with_wait():
     p = _params(eps=0.05)
     want = {12.0: 0.898431, 16.0: 0.983585, 20.0: 0.998240, 30.0: 0.998939}
     for T, ov_want in want.items():
-        psi = NullFlow(generator(p), GROUND.as_array()).state(T)
+        psi = NullFlow(generator(p), GROUND).state(T)
         psi = psi / np.linalg.norm(psi)
-        slow = project_slow(p, T, T).as_array()
+        slow = project_slow(p, T, T)
         ov = abs(np.vdot(slow, psi))
         assert abs(ov - ov_want) < 1e-5
 
 
 def test_project_slow_state_form():
     p = _params(omega1=2.0, eps=0.05)
-    s = project_slow(p, 20.0, 25.0)
-    arr = s.as_array()
+    arr = project_slow(p, 20.0, 25.0)
+    assert arr.shape == (3,) and arr.dtype == complex
     assert abs(np.vdot(arr, arr).real - 1.0) < 1e-12
     eps = p.epsilon
     f = 1.0 / math.sqrt(1.0 + 8.0 * eps ** 2)
@@ -120,7 +119,7 @@ def test_closed_form_c1_strong_drive():
     # strong drive: closed form tracks the integrated amplitude
     p = _params(omega1=5.0, eps=0.05)
     ts = np.linspace(0.0, 6.0, 400)
-    flow = NullFlow(generator(p), GROUND.as_array())
+    flow = NullFlow(generator(p), GROUND)
     c1 = flow.state(ts)[1]
     cf = amplitude_c1_closed(p, ts)
     envelope = np.max(np.abs(c1))
@@ -129,7 +128,7 @@ def test_closed_form_c1_strong_drive():
 
 def test_closed_form_c1_slow_tail():
     p = _params(omega1=5.0, eps=0.05)
-    flow = NullFlow(generator(p), GROUND.as_array())
+    flow = NullFlow(generator(p), GROUND)
     got = abs(flow.state(30.0)[1])
     want = 4.0 * abs(p.omega2) ** 2 / p.beta1 ** 2 \
         * math.exp(-2.0 * abs(p.omega2) ** 2 / p.beta1 * 30.0)
@@ -155,7 +154,7 @@ def test_unitary_c1_matches_integration():
     m = generator(p)
     m[1, 1] += 0.5 * p.beta1   # strip the decay, keep the coherent part
     ts = np.linspace(0.0, 60.0, 1201)
-    flow = NullFlow(m, GROUND.as_array())
+    flow = NullFlow(m, GROUND)
     dev = np.max(np.abs(flow.state(ts)[1] - unitary_c1(p, ts)))
     assert dev < 1e-3
 
@@ -165,7 +164,7 @@ def test_strong_drive_envelope():
     for om1, ratio_want in ((10.0, 1.00449), (20.0, 1.00205)):
         p = Atom3Params(omega1=om1, omega2=0.0, delta2=0.0, beta1=1.0,
                         beta2=0.0)
-        flow = NullFlow(generator(p), GROUND.as_array())
+        flow = NullFlow(generator(p), GROUND)
         lnw = math.log(float(flow.survival(10.0)))
         assert abs(lnw / (-5.0) - ratio_want) < 1e-4
 
@@ -181,7 +180,7 @@ def test_mean_gap_saturates():
     for om1 in (5.0, 10.0):
         p = Atom3Params(omega1=om1, omega2=0.0, delta2=0.0, beta1=1.0,
                         beta2=0.0)
-        flow = NullFlow(generator(p), GROUND.as_array())
+        flow = NullFlow(generator(p), GROUND)
         w = lambda t: float(flow.survival(t))
         mean, err = quad(w, 0.0, 80.0, limit=200)
         want = 2.0 * (1.0 + 1.0 / (8.0 * om1 ** 2))
@@ -190,7 +189,7 @@ def test_mean_gap_saturates():
 
 def test_mean_gap_with_weak_branch():
     p = _params(omega1=5.0, eps=0.05)
-    flow = NullFlow(generator(p), GROUND.as_array())
+    flow = NullFlow(generator(p), GROUND)
     w = lambda t: float(flow.survival(t))
     mean = sum(quad(w, a, b, limit=500)[0]
                for a, b in ((0.0, 40.0), (40.0, 200.0), (200.0, 1500.0)))
@@ -199,7 +198,7 @@ def test_mean_gap_with_weak_branch():
 
 def test_evolve_null_matches_survival():
     p = _params(omega1=5.0, eps=0.05)
-    flow = NullFlow(generator(p), GROUND.as_array())
+    flow = NullFlow(generator(p), GROUND)
     arr = flow.state(4.0)
     w = float(flow.survival(4.0))
     assert abs(np.vdot(arr, arr).real - w) < 1e-10

@@ -3,14 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from nextjump.cavity import (CavityParams, CoherentTrajectory,
-                             coherent_ansatz_fidelity, detuned_flow,
-                             detuned_trajectory, effective_model,
-                             evolve_fock_oracle, mean_jump_time,
-                             resonant_flow, resonant_trajectory,
+from nextjump.cavity import (CavityParams, CoherentTrajectory, detuned_flow,
+                             effective_model, evolve_fock_oracle,
+                             mean_jump_time, resonant_flow,
                              shifted_basis_check, short_time_W,
                              wrong_state_flow)
-from nextjump.numerics import FockVector, default_nmax
+from nextjump.numerics import FockVector, coherent_amplitudes, default_nmax
 
 
 def test_params_validation():
@@ -18,8 +16,6 @@ def test_params_validation():
         CavityParams(kappa=0.0)
     with pytest.raises(ValueError):
         CavityParams(kappa=1.0, nbar=-1.0)
-    with pytest.raises(ValueError):
-        CavityParams(kappa=1.0, detuning_mode="sideways")
     p = CavityParams(kappa=2.0, nbar=9.0)
     assert p.gamma_drive == 3.0   # kappa*sqrt(nbar)/2
 
@@ -34,7 +30,8 @@ def test_params_reject_non_finite(bad):
 
 def test_resonant_trajectory_closed_form():
     p = CavityParams(kappa=1.0, nbar=4.0)
-    a, b = resonant_trajectory(p, 2.0)
+    flow = resonant_flow(p)
+    a, b = flow.alpha(2.0), flow.beta(2.0)
     assert abs(a - 1.2642411176571153) < 1e-14
     assert abs(b - (-1.4715177646857693)) < 1e-14
     # alpha = sqrt(nbar)(1 - e^{-kappa t/2})
@@ -42,7 +39,7 @@ def test_resonant_trajectory_closed_form():
     # beta = -(kappa nbar/2)[t + (2/kappa)(e^{-kappa t/2} - 1)]
     want_b = -2.0 * (2.0 + 2.0 * (math.exp(-1.0) - 1.0))
     assert abs(b - want_b) < 1e-14
-    w = resonant_flow(p).survival(2.0)
+    w = flow.survival(2.0)
     assert abs(w - 0.26061008241677147) < 1e-14
 
 
@@ -53,7 +50,11 @@ def test_fock_oracle_matches_closed_form():
     psi = evolve_fock_oracle(p, psi0, 2.0)
     w = flow.survival(2.0)
     assert abs(psi.norm_sq() / w - 1.0) < 1e-10
-    fid = coherent_ansatz_fidelity(psi, flow.alpha(2.0), flow.beta(2.0))
+    # the oracle state stays on the coherent ansatz exp(alpha c^dag + beta)|0>
+    ref = coherent_amplitudes(flow.alpha(2.0), flow.beta(2.0), psi.nmax)
+    a = psi.amps.ravel()
+    fid = abs(np.vdot(ref, a)) ** 2 / (np.vdot(ref, ref).real
+                                       * np.vdot(a, a).real)
     assert fid > 1.0 - 1e-12
 
 
@@ -91,7 +92,7 @@ def test_detuned_fixed_point():
     assert abs(g - (2.5 + 100.0j) / 400.25) < 1e-14
     assert abs(abs(g) - 10.0 / math.sqrt(1601.0)) < 1e-15
     # the flow actually relaxes there
-    a, _ = detuned_trajectory(p, math.sqrt(p.nbar), 50.0)
+    a = detuned_flow(p, math.sqrt(p.nbar)).alpha(50.0)
     assert abs(a - g) < 1e-9
 
 

@@ -142,6 +142,15 @@ def test_numerical_failure_exit_code(tmp_path):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["transmon-multiscale", "--fit-start", "100", "--tmax", "3"],   # no point
+    ["transmon-dark", "--npts", "1", "--nmax", "40"]])              # one point
+def test_decay_fit_on_too_few_points_exit_code(tmp_path, argv):
+    out = tmp_path / "f.csv"
+    assert _run(argv + ["--out", str(out)]) == 3
+    assert not out.exists() and not (tmp_path / "f.json").exists()
+
+
 @pytest.mark.parametrize("flag,value", [("--chi", "nan"), ("--kappa", "inf"),
                                         ("--nbar", "-inf")])
 def test_non_finite_flag_exit_code(tmp_path, flag, value):

@@ -12,10 +12,10 @@ from nextjump.atom3 import Atom3Params, effective_model
 from nextjump.numerics import RngStream
 from nextjump.trajectories import (BISECT_ITERS, EIG_COND_LIMIT,
                                    EffectiveModel, JumpRecord, NullFlow,
-                                   _GAP_BLOCK, _find_level, _unravel,
-                                   lindblad_consistency, run_trajectory,
-                                   sample_gaps, telegraph_run,
-                                   telegraph_stats, telegraph_trace)
+                                   _GAP_BLOCK, _TELEGRAPH_BATCH, _find_level,
+                                   _unravel, lindblad_consistency,
+                                   run_trajectory, sample_gaps, telegraph_run,
+                                   telegraph_stats)
 
 
 def _pilot_model():
@@ -337,54 +337,6 @@ def test_find_level_safeguard_on_a_jump():
     assert np.all(np.abs(t - 0.3) <= 1e-13 * 0.3)
 
 
-def test_telegraph_trace_segments():
-    gaps = np.array([0.5, 12.0, 0.3, 0.4, 15.0, 20.0, 1.0, 0.2])
-    rec = JumpRecord(np.cumsum(gaps), [0, 1, 0, 0, 1, 0, 1, 0],
-                     ("fast", "slow"), np.zeros(1), 50.0)
-    tr = telegraph_trace(rec, 10.0)
-    t = rec.times
-    assert np.array_equal(tr.starts, [0.0, t[0], t[1], t[3], t[4], t[5]])
-    assert np.array_equal(tr.ends, [t[0], t[1], t[3], t[4], t[5], t[7]])
-    assert tr.dark.tolist() == [False, True, False, True, True, False]
-    assert tr.terminating_label == ("fast", "slow", "fast", "slow", "fast",
-                                    "fast")
-    empty = telegraph_trace(JumpRecord([], [], ("fast",), np.zeros(1), 1.0),
-                            10.0)
-    assert empty.starts.size == empty.ends.size == empty.dark.size == 0
-
-
-@settings(max_examples=60, deadline=None)
-@given(gaps=st.lists(st.floats(min_value=1e-3, max_value=1e3), min_size=1,
-                     max_size=30),
-       seed=st.integers(min_value=0, max_value=2**32 - 1),
-       threshold=st.floats(min_value=0.01, max_value=100.0))
-def test_telegraph_trace_property(gaps, seed, threshold):
-    times = np.cumsum(gaps)
-    if np.any(np.diff(times) <= 0):
-        return
-    channels = np.random.default_rng(seed).integers(0, 3, times.size)
-    rec = JumpRecord(times, channels, ("a", "b", "c"), np.zeros(1),
-                     float(times[-1]))
-    tr = telegraph_trace(rec, threshold)
-    # the segments partition [0, last click] exactly
-    assert tr.starts[0] == 0.0 and tr.ends[-1] == times[-1]
-    assert np.array_equal(tr.starts[1:], tr.ends[:-1])
-    assert np.all(tr.ends > tr.starts)
-    # every segment ends on a click, labelled by that click's channel
-    at = np.searchsorted(times, tr.ends)
-    assert np.array_equal(times[at], tr.ends)
-    assert tr.terminating_label == tuple(rec.labels[k] for k in channels[at])
-    # dark segments are exactly the gaps above threshold
-    g = rec.gaps()
-    assert np.array_equal(at[tr.dark], np.flatnonzero(g > threshold))
-    assert np.array_equal(tr.durations[tr.dark], g[g > threshold])
-    # bright runs are merged: no two bright segments in a row
-    assert not np.any(~tr.dark[1:] & ~tr.dark[:-1])
-    starts_at = np.concatenate(([-1], at[:-1]))
-    for lo, hi, dark in zip(starts_at, at, tr.dark):
-        assert np.all((g[lo + 1:hi + 1] > threshold) == dark)
-
-
 def test_sample_next_jump_and_run_trajectory():
     model = _pilot_model()
     first = run_trajectory(model, 900.0, RngStream(4, 0))
@@ -408,6 +360,29 @@ def test_telegraph_run_deterministic():
     r2 = telegraph_run(model, 500.0, RngStream(2, 0))
     assert np.array_equal(r1.times, r2.times)
     assert np.array_equal(r1.channels, r2.channels)
+
+
+def test_telegraph_run_channels_from_second_stream():
+    # two channels: dark periods end through the slow one as well
+    p = Atom3Params(omega1=5.0, omega2=0.05, delta2=5.0, beta1=1.0, beta2=0.3)
+    model = effective_model(p)
+    plain = telegraph_run(model, 500.0, RngStream(2, 0))
+    rec = telegraph_run(model, 500.0, RngStream(2, 0),
+                        rng_channels=RngStream(2, 1))
+    # the gap sequence does not depend on the channel stream
+    assert np.array_equal(rec.times, plain.times)
+    assert np.all(plain.channels == 0)
+    # one batch of gaps from the reset state, cut after the crossing gap
+    flow = NullFlow(model.generator, model.reset_state)
+    n = rec.njumps
+    assert n < _TELEGRAPH_BATCH
+    gaps = sample_gaps(flow.survival, _TELEGRAPH_BATCH, RngStream(2, 0),
+                       900.0 / model.beta_fast)[:n]
+    assert np.array_equal(np.cumsum(gaps), rec.times)
+    want = model.choose_channels(flow.state(gaps),
+                                 RngStream(2, 1).generator().random(n))
+    assert np.array_equal(rec.channels, want)
+    assert set(rec.channels.tolist()) == {0, 1}
 
 
 def test_telegraph_stats_consistency():

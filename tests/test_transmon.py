@@ -98,7 +98,7 @@ def test_dark_norm_slow_decay():
     lo = 5.0 / spec.i_e_plus_asymptotic
     hi = 2.0 / spec.i_e_minus_asymptotic
     ts = np.geomspace(lo, hi, 60)
-    norms = dark_norm_oracle(p, ts, nmax=200, start="gd")
+    norms = dark_norm_oracle(p, ts, nmax=200)
     assert norms.shape == ts.shape
     assert np.all(np.diff(norms) < 0)
     A = np.stack([ts, np.ones_like(ts)], axis=1)
@@ -106,8 +106,6 @@ def test_dark_norm_slow_decay():
     assert abs(-slope - 7.780263e-4) < 1e-9
     want = 2.0 * spec.i_e_minus
     assert abs(-slope - want) / want < 0.10
-    with pytest.raises(ValueError):
-        dark_norm_oracle(p, 1.0, nmax=20, start="sideways")
     assert isinstance(dark_norm_oracle(p, 1.0, nmax=40), float)
 
 
@@ -264,19 +262,16 @@ def _expm_states(m, psi0, ts):
     return np.stack([expm(m * t) @ psi0 for t in ts], axis=1)
 
 
-@pytest.mark.parametrize("start", ["gd", "g", "d"])
-def test_dark_norm_oracle_matches_expm(start):
+def test_dark_norm_oracle_matches_expm():
     bb = beta_B(P100, "closed_form")
     p = dataclasses.replace(P100, omega_b=0.1 * bb, omega_d=0.001 * bb)
     ts = np.array([1.0, 60.0, 2000.0])
     dim = 41
     psi0 = np.zeros(3 * dim, dtype=complex)
-    psi0[[dim, 2 * dim]] = {"gd": (1.0, 1.0), "g": (1.0, 0.0),
-                            "d": (0.0, 1.0)}[start]
-    psi0 /= np.linalg.norm(psi0)
+    psi0[[dim, 2 * dim]] = 1.0 / np.sqrt(2.0)
     want = np.sum(np.abs(_expm_states(-1j * _dark_h(p, 40), psi0, ts)) ** 2,
                   axis=0)
-    got = dark_norm_oracle(p, ts, nmax=40, start=start)
+    got = dark_norm_oracle(p, ts, nmax=40)
     assert np.max(np.abs(got - want) / want) < 1e-9
 
 
