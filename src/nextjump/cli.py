@@ -147,13 +147,12 @@ def _run_atom3_null(cfg):
     logw = np.log(w)
     rows = [(t, wv, lv) for t, wv, lv in zip(ts, w, logw)]
     m = ts >= cfg["fit_start"]
-    summary = {"two_beta_ell": 2.0 * beta_ell(p),
-               "p_dark_formula": dark_fraction(p)[0]}
-    if int(m.sum()) >= 2:
-        slope = np.polyfit(ts[m], logw[m], 1)[0]
-        summary["fitted_slow_rate"] = -float(slope)
-        summary["rel_dev"] = abs(-float(slope) - summary["two_beta_ell"]) \
-            / summary["two_beta_ell"]
+    rate = _transmon._decay_rate(ts[m], w[m])
+    target = 2.0 * beta_ell(p)
+    summary = {"two_beta_ell": target,
+               "p_dark_formula": dark_fraction(p)[0],
+               "fitted_slow_rate": rate,
+               "rel_dev": abs(rate - target) / target}
     return ("t", "W", "logW"), rows, summary
 
 

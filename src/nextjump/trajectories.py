@@ -7,7 +7,13 @@ the decaying norm: draw u ~ U(0,1), then locate ln ||psi(t)||^2 = ln u on
 the closed eigenmode propagator with a bracketed root-finder (Illinois
 regula falsi, bisection-safeguarded).  With that sampling the trajectory
 ensemble carries the physical measure, so averages of normalized projectors
-reproduce the Lindblad density matrix.
+reproduce the Lindblad density matrix.  Independent gaps (``sample_gaps``)
+share one survival curve, so each root starts next to its answer: ln W is
+tabulated once on a grid graded toward t = 0, a monotone cubic interpolant
+of the inverse t(ln W) guesses the root, one straddle pass around the guess
+tightens its bracket, and the regula falsi finishes there (after Olver &
+Townsend, "Fast inverse transform sampling in one and two dimensions",
+arXiv:1307.1223).
 
 Ensembles run in lockstep: one propagator per model, the eigenmode
 coefficients of every live trajectory held as one (d, n) array, and all
@@ -45,8 +51,12 @@ EIG_COND_LIMIT = 1e8
 BISECT_ITERS = 64
 #: relative bracket width at which a jump time counts as located
 _ROOT_RTOL = 1e-13
-#: uniform cells of the ln W table that seeds ``sample_gaps``
+#: cells of the ln W table that seeds ``sample_gaps``
 _GAP_GRID_CELLS = 2048
+#: grading of that table: its cells grow geometrically from t_hi / ratio
+#: (below it they are even) up to t_hi, each about ln(ratio) / cells = 0.45%
+#: wider than the last
+_GAP_GRID_RATIO = 1e4
 #: samples solved together in ``sample_gaps``
 _GAP_BLOCK = 16384
 #: gaps ``telegraph_run`` draws per call of ``sample_gaps``
@@ -139,15 +149,27 @@ class EffectiveModel:
         scale = max(loss, gain, 1e-300)
         return abs(loss - gain) / scale
 
-    def reset(self, channel: int, psi_at_jump: np.ndarray) -> np.ndarray:
+    def reset(self, channels, states: np.ndarray) -> np.ndarray:
+        """Post-jump states, shaped like states: for a state (d,) and its
+        channel, or for the columns of states (d, n) and their channels (n,).
+        The constant reset state when there is one; otherwise L_k psi
+        normalized, one product L_k @ (columns of channel k) per channel.  A
+        state that its jump operator annihilates raises ValueError."""
+        shape = np.shape(states)
         if self.reset_state is not None:
-            return self.reset_state.copy()
-        post = self.jump_ops[channel] @ psi_at_jump
-        nrm = np.linalg.norm(post)
-        if nrm == 0.0:
+            col = self.reset_state.reshape((-1,) + (1,) * (len(shape) - 1))
+            return np.array(np.broadcast_to(col, shape))
+        cols = np.reshape(states, (self.dim, -1))
+        ks = np.broadcast_to(channels, cols.shape[1:])
+        post = np.empty(cols.shape, dtype=complex)
+        for k, L in enumerate(self.jump_ops):
+            sel = ks == k
+            post[:, sel] = L @ cols[:, sel]
+        nrm = np.linalg.norm(post, axis=0)
+        if not np.all(nrm > 0.0):
             raise ValueError("jump operator annihilated the state; "
                              "channel should have had zero rate")
-        return post / nrm
+        return (post / nrm).reshape(shape)
 
 
 class NullFlow:
@@ -310,32 +332,104 @@ def _log(w):
         return np.log(w)
 
 
+def _inverse_cells(grid: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """Per-cell seeds for the inverse of a tabulated ln W, rows (4, cells).
+
+    Column i holds (c3, c2, c1, half) for the cell [grid[i], grid[i+1]]:
+    the guess for a level y in it is t = grid[i] + ((c3 r + c2) r + c1) r
+    with r = y - table[i], and half is the straddle half-width.  The cubic
+    is the Hermite interpolant of t(y) with node slopes taken from the
+    cubic through the four nodes around each cell, limited as Hyman does
+    ("Accurate monotonicity preserving cubic interpolation", SIAM J. Sci.
+    Stat. Comput. 4, 645 (1983)) so it stays monotone; half is how far it
+    lies from that four-node cubic at the middle of the cell, an estimate
+    of its error.  A cell whose five nodes i-1 .. i+3 are not strictly
+    decreasing and finite, and the first cell and the last two, keep the
+    straight line through their ends with a quarter of their width as
+    half.
+    """
+    dt = np.diff(grid)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        dy = np.diff(table)
+        s = dt / dy                                # secant dt/dy, negative
+        cells = np.vstack((np.zeros_like(dt), np.zeros_like(dt), s,
+                           0.25 * dt))
+        h0, h1, h2 = dy[:-2], dy[1:-1], dy[2:]
+        # four-node cubic of the cells 1 .. n-2 in r: its derivative at
+        # the left node is a slope accurate to third order
+        d0 = (s[1:-1] - s[:-2]) / (h0 + h1)
+        d1 = (s[2:] - s[1:-1]) / (h1 + h2)
+        l3 = (d1 - d0) / (h0 + h1 + h2)
+        l2 = d0 + l3 * (h0 - h1)
+        l1 = s[1:-1] - d0 * h1 - l3 * h1 * h0
+        slope = np.minimum(np.maximum(l1, 3.0 * np.maximum(s[:-2], s[1:-1])),
+                           0.0)
+        # Hermite cubic of the cells 1 .. n-3 between those node slopes
+        m0, m1, sc, hc = slope[:-1], slope[1:], s[1:-2], h1[:-1]
+        c2 = (3.0 * sc - 2.0 * m0 - m1) / hc
+        c3 = (m0 + m1 - 2.0 * sc) / hc ** 2
+        r = 0.5 * hc
+        lag = ((l3[:-1] * r + l2[:-1]) * r + l1[:-1]) * r
+        half = np.abs(((c3 * r + c2) * r + m0) * r - lag)
+    # the cubic of cell i reads the table steps i-1 .. i+2
+    dec = np.isfinite(dy) & (dy < 0.0)
+    ok = dec[:-3] & dec[1:-2] & dec[2:-1] & dec[3:]
+    ok &= np.isfinite(c2) & np.isfinite(c3) & np.isfinite(half)
+    cells[:, 1:-2][:, ok] = np.vstack((c3, c2, m0, half))[:, ok]
+    return cells
+
+
 def sample_gaps(survival, n: int, rng, t_hi: float) -> np.ndarray:
     """n inverse-transform samples of the first-jump time for a survival
     curve W(t) (vectorized over t): draw u ~ U(0, 1) and solve W(t) = u.
 
-    ln W is tabulated once on a uniform grid over [0, t_hi] (its running
-    minimum, so the table stays monotone under rounding); each sample's
-    grid cell seeds the regula falsi of ``_find_level``, which runs in
-    blocks of _GAP_BLOCK samples.  A sample with u <= W(t_hi) is censored
-    and comes back as exactly t_hi, so ``gaps == t_hi`` is the censored
-    mask; choose t_hi so W(t_hi) is negligible for the statistic at hand.
+    ln W is tabulated once on a grid graded toward t = 0 (even cells below
+    t_hi / _GAP_GRID_RATIO, geometric ones above it, ending exactly at 0
+    and t_hi), as its running minimum so the table stays monotone under
+    rounding.  Then, in blocks of _GAP_BLOCK samples, each level's table
+    cell gives a bracket and a guess from a monotone cubic interpolant of
+    the inverse t(ln W) (``_inverse_cells``); one straddle pass evaluates
+    ln W at guess -/+ half-width, each point tightening the bracket on the
+    side its sign allows, and the regula falsi of ``_find_level`` finishes
+    on the tightened bracket.  A sample with u <= W(t_hi) is censored and
+    comes back as exactly t_hi, so ``gaps == t_hi`` is the censored mask;
+    choose t_hi so W(t_hi) is negligible for the statistic at hand.
     """
     if isinstance(rng, RngStream):
         rng = rng.generator()
     log_u = _log(rng.random(n))
-    grid = np.linspace(0.0, float(t_hi), _GAP_GRID_CELLS + 1)
+    grid = np.expm1(np.log1p(_GAP_GRID_RATIO)
+                    * np.linspace(0.0, 1.0, _GAP_GRID_CELLS + 1))
+    grid *= float(t_hi) / _GAP_GRID_RATIO
+    grid[-1] = t_hi
     table = np.minimum.accumulate(_log(survival(grid)))
-    # first grid point below each level; past the end means censored
-    cell = np.searchsorted(-table, -log_u, side="right")
-    cell = np.clip(cell, 1, _GAP_GRID_CELLS)
+    # one column per cell: its ends, ln W there, and its seed
+    cells = np.vstack((grid[:-1], grid[1:], table[:-1], table[1:],
+                       _inverse_cells(grid, table)))
     log_w = lambda t, idx: _log(survival(t))
     gaps = np.empty(n)
     for s in range(0, n, _GAP_BLOCK):
-        k = cell[s:s + _GAP_BLOCK]
         lu = log_u[s:s + _GAP_BLOCK]
-        gaps[s:s + _GAP_BLOCK] = _find_level(
-            log_w, lu, grid[k - 1], grid[k], table[k - 1] - lu, table[k] - lu)
+        # first grid point below each level; past the end means censored
+        k = np.searchsorted(-table, -lu, side="right")
+        k = np.clip(k, 1, _GAP_GRID_CELLS)
+        a, b, fa, fb, c3, c2, c1, half = cells.take(k - 1, axis=1)
+        fa -= lu
+        fb -= lu
+        r = -fa
+        guess = a + ((c3 * r + c2) * r + c1) * r
+        # straddle: guess - half then guess + half (kept in [a, b], so W is
+        # asked for no time outside [0, t_hi]), each strictly inside the
+        # bracket replaces the end whose sign it shares: fa >= 0 > fb holds
+        live = np.flatnonzero(~(fb >= 0.0))
+        g, h = guess[live], np.maximum(half[live], 0.5 * _ROOT_RTOL * b[live])
+        for xs in (np.maximum(g - h, a[live]), np.minimum(g + h, b[live])):
+            fs = _log(survival(xs)) - lu[live]
+            inside = (xs > a[live]) & (xs < b[live])
+            up, down = inside & (fs >= 0.0), inside & (fs < 0.0)
+            a[live[up]], fa[live[up]] = xs[up], fs[up]
+            b[live[down]], fb[live[down]] = xs[down], fs[down]
+        gaps[s:s + _GAP_BLOCK] = _find_level(log_w, lu, a, b, fa, fb)
     return gaps
 
 
@@ -413,10 +507,9 @@ def _unravel(model: EffectiveModel, tmax: float, rngs: list) -> tuple:
         if len(model.jump_ops) > 1:
             ks = model.choose_channels(
                 psi_j, np.array([rngs[j].random() for j in live]))
-        post = np.empty_like(psi_j)
-        for m, (j, k) in enumerate(zip(live, ks.tolist())):
-            post[:, m] = model.reset(k, psi_j[:, m])
-            t[j] += t_rel[m]
+        post = model.reset(ks, psi_j)
+        t[live] += t_rel
+        for j, k in zip(live.tolist(), ks.tolist()):
             times[j].append(t[j])
             channels[j].append(k)
         final[:, live] = post

@@ -1,3 +1,4 @@
+import csv
 import hashlib
 import json
 import os
@@ -8,6 +9,9 @@ import numpy as np
 import pytest
 
 from nextjump import cli
+from nextjump.atom3 import Atom3Params, effective_model
+from nextjump.numerics import RngStream
+from nextjump.trajectories import NullFlow
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
 
@@ -52,35 +56,80 @@ def test_reruns_are_byte_identical(tmp_path):
     assert side["config"]["seed"] == 7
 
 
+def _run_pinned(tmp_path, argv):
+    """Run a CLI command in a fresh interpreter on one BLAS thread (numpy
+    2.4 with its bundled OpenBLAS 0.3, x86-64); returns the CSV path and the
+    sidecar."""
+    out = tmp_path / "x.csv"
+    env = dict(os.environ, PYTHONPATH=SRC, OPENBLAS_NUM_THREADS="1",
+               OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    subprocess.run([sys.executable, "-m", "nextjump.cli", *argv,
+                    "--out", str(out)], env=env, check=True)
+    return out, json.loads((tmp_path / "x.json").read_text())
+
+
 @pytest.mark.parametrize("argv,csv_sha256,summary_sha256", [
-    (["telegraph", "--ntraj", "200", "--seed", "7"],
-     "33bb23c44da001b0f2102789a9cc8f95168e4e3fe3134d25a7aec3e894fb5017",
-     "e3748f934b3d3ea5570c620357fbbfe3f5ea65814e89b8d0effeced52feca3a0"),
     (["transmon-dark", "--nmax", "60", "--npts", "12"],
      "6fd3d02b1f937567c97ae11cd78045cf937467c2844b6c27fa1a3ceda262007f",
      "d01f83caba12a30fa73a466a58bbcfa213420b6437f166c7e22f8e75308b5c87"),
     (["transmon-multiscale", "--tmax", "3"],
      "2e87b21d14f705dd2f77405cd303a5090c47a119eabb0f2ea8c1d15e1a25147e",
      "1c9e3a61417e945259648dcd54cc7d433d21cf135ef55a869fab300caf284a48"),
-], ids=["telegraph", "transmon-dark", "transmon-multiscale"])
+], ids=["transmon-dark", "transmon-multiscale"])
 def test_outputs_are_pinned(tmp_path, argv, csv_sha256, summary_sha256):
     """The CSV bytes and the sidecar summary (the fitted rates live there)
-    of three commands whose fits and channel choice are shared with the
-    acceptance criteria.  The hashes were computed while each command still
-    ran its own copy of the fit and of the channel rule, so a change to the
-    shared code that moves any written digit fails here.  The dense eig of
-    transmon-dark rounds differently with the number of BLAS threads, so
-    the commands run in a fresh interpreter on one thread (numpy 2.4 with
-    its bundled OpenBLAS 0.3, x86-64)."""
-    out = tmp_path / "x.csv"
-    env = dict(os.environ, PYTHONPATH=SRC, OPENBLAS_NUM_THREADS="1",
-               OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
-    subprocess.run([sys.executable, "-m", "nextjump.cli", *argv,
-                    "--out", str(out)], env=env, check=True)
+    of two commands whose fits are shared with the acceptance criteria.
+    The hashes were computed while each command still ran its own copy of
+    the fit, so a change to the shared code that moves any written digit
+    fails here.  The dense eig of transmon-dark rounds differently with the
+    number of BLAS threads, hence one thread."""
+    out, side = _run_pinned(tmp_path, argv)
     assert hashlib.sha256(_read(out)).hexdigest() == csv_sha256
-    summary = json.loads((tmp_path / "x.json").read_text())["summary"]
-    text = json.dumps(summary, sort_keys=True).encode()
+    text = json.dumps(side["summary"], sort_keys=True).encode()
     assert hashlib.sha256(text).hexdigest() == summary_sha256
+
+
+def test_telegraph_output_is_pinned(tmp_path):
+    """``telegraph --ntraj 200 --seed 7`` against the values it wrote while
+    its gaps were still seeded from a uniform ln W table: the discrete
+    columns (k, channel, dark) and summary keys by hash, and every gap,
+    p_dark and p_dark_se to 1e-12 relative (the root-finder stops on
+    brackets 1e-13 wide, so a new seed may move the last digits).  Each gap
+    must also solve ln W(gap) = ln u for its level u of RngStream(7, 0)."""
+    out, side = _run_pinned(tmp_path, ["telegraph", "--ntraj", "200",
+                                       "--seed", "7"])
+    with open(os.path.join(os.path.dirname(__file__), "data",
+                           "telegraph_seed7.json")) as fh:
+        want = json.load(fh)
+    with open(out, newline="") as fh:
+        rows = list(csv.reader(fh))
+    discrete = json.dumps([[r[0], r[2], r[3]] for r in rows]).encode()
+    assert hashlib.sha256(discrete).hexdigest() == (
+        "e75c47a26ef5c96c8d7f40540bc0ee23dd459d1db7b5ad19f9a6da5524e25a13")
+    summary = side["summary"]
+    rest = {k: v for k, v in summary.items() if k not in ("p_dark",
+                                                         "p_dark_se")}
+    assert set(rest) == {"n_dark", "n_censored", "dark_threshold",
+                         "p_dark_formula", "beta_ell", "dark_ended_by_fast",
+                         "dark_ended_by_slow"}
+    text = json.dumps(rest, sort_keys=True).encode()
+    assert hashlib.sha256(text).hexdigest() == (
+        "b31e4aa132587bc162d69924cdc37a1dd3a218a76044c2843eaa172a13c76f06")
+    gaps = np.array([float(r[1]) for r in rows[1:]])
+    ref = np.array(want["gap"])
+    assert gaps.shape == ref.shape == (200,)
+    assert np.all(np.abs(gaps - ref) <= 1e-12 * ref)
+    for key in ("p_dark", "p_dark_se"):
+        assert abs(summary[key] - want[key]) <= 1e-12 * abs(want[key])
+    cfg = side["config"]
+    p = Atom3Params(omega1=cfg["omega1"], omega2=cfg["epsilon"] * cfg["beta1"],
+                    delta2=cfg["delta2"], beta1=cfg["beta1"],
+                    beta2=cfg["beta2"])
+    model = effective_model(p)
+    flow = NullFlow(model.generator, model.initial_state)
+    u = RngStream(7, 0).generator().random(200)
+    assert summary["n_censored"] == 0
+    assert np.max(np.abs(np.log(flow.survival(gaps)) - np.log(u))) <= 1e-12
 
 
 def test_alias_matches_primary_name(tmp_path):
@@ -144,7 +193,9 @@ def test_numerical_failure_exit_code(tmp_path):
 
 @pytest.mark.parametrize("argv", [
     ["transmon-multiscale", "--fit-start", "100", "--tmax", "3"],   # no point
-    ["transmon-dark", "--npts", "1", "--nmax", "40"]])              # one point
+    ["transmon-dark", "--npts", "1", "--nmax", "40"],               # one point
+    ["atom3-null", "--fit-start", "200"],                           # no point
+    ["atom3-null", "--fit-start", "149.99"]])                       # one point
 def test_decay_fit_on_too_few_points_exit_code(tmp_path, argv):
     out = tmp_path / "f.csv"
     assert _run(argv + ["--out", str(out)]) == 3

@@ -1,6 +1,7 @@
 """Start-up structure, checked in fresh interpreters: importing the package
-or its CLI loads no scipy module, and ``validate`` loads every scipy module
-the criteria reach before any criterion's clock starts."""
+or its CLI loads no scipy module, nor does sampling gaps on a ``NullFlow``,
+and ``validate`` loads every scipy module the criteria reach before any
+criterion's clock starts."""
 
 import json
 import os
@@ -28,6 +29,25 @@ def test_import_loads_no_scipy():
         "after_cli = sorted(k for k in sys.modules if k.split('.')[0] == 'scipy')\n"
         "print(json.dumps([after_package, after_cli, 'nextjump.validation' in sys.modules]))\n")
     assert loaded == [[], [], True]
+
+
+def test_sample_gaps_loads_no_scipy():
+    """The gap sampler's table and its inverse interpolant are numpy alone
+    (scipy.interpolate would cost start-up time and memory)."""
+    loaded = _fresh(
+        "import json, sys\n"
+        "from nextjump import atom3, trajectories\n"
+        "from nextjump.numerics import RngStream\n"
+        "p = atom3.Atom3Params(omega1=5.0, omega2=0.05, delta2=5.0,\n"
+        "                      beta1=1.0, beta2=0.0)\n"
+        "m = atom3.effective_model(p)\n"
+        "flow = trajectories.NullFlow(m.generator, m.initial_state)\n"
+        "gaps = trajectories.sample_gaps(flow.survival, 1000,\n"
+        "                                RngStream(1, 0), 900.0)\n"
+        "print(json.dumps([sorted(k for k in sys.modules\n"
+        "                         if k.split('.')[0] == 'scipy'),\n"
+        "                  bool(flow.uses_eig), bool((gaps > 0).all())]))\n")
+    assert loaded == [[], True, True]
 
 
 def test_validate_times_no_import():

@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -245,9 +246,30 @@ def test_sample_gaps_matches_scalar_bisection(case):
     u = RngStream(21, 0).generator().random(n)
     want = np.array([_bisect_reference(survival, v, t_hi) for v in u])
     assert np.max(np.abs(got - want)) < 1e-9
-    # after the one table of ln W, about 5 (cavity) to 9 (atom) passes a
-    # sample, where bisection took 64
-    assert sum(calls[1:]) < 12 * n
+    # after the one table of ln W, two straddle points and about 1.8
+    # (cavity) to 2.5 (atom) regula falsi passes a sample: 3.8 and 4.5
+    # points at this seed, where bisection takes 64
+    assert sum(calls[1:]) < 5 * n
+
+
+@pytest.mark.parametrize("case", ["atom", "cavity"])
+def test_sample_gaps_near_one_matches_scalar_bisection(case):
+    # W falls as t^3 from 1, so levels 1 - 1e-4 .. 1 - 1e-10 put the roots
+    # between about 1e-4 and 1e-1, on the smallest cells of the table;
+    # closer to 1 the rounding of W moves the root by more than 1e-9
+    if case == "atom":
+        model = _pilot_model()
+        survival = NullFlow(model.generator, model.initial_state).survival
+        t_hi = 900.0
+    else:
+        survival = cavity.resonant_flow(
+            cavity.CavityParams(kappa=1.0, nbar=4.0)).survival
+        t_hi = 40.0
+    u = 1.0 - 10.0 ** -np.arange(4.0, 11.0)
+    got = sample_gaps(survival, u.size, _Levels(u), t_hi)
+    want = np.array([_bisect_reference(survival, v, t_hi) for v in u])
+    assert np.all(got < 0.1)
+    assert np.max(np.abs(got - want)) < 1e-9
 
 
 @settings(max_examples=25, deadline=None)
@@ -291,6 +313,24 @@ def test_sample_gaps_independent_of_blocks():
     for i in sorted(picks):
         one = sample_gaps(flow.survival, 1, _Levels(u[i:i + 1]), t_hi=40.0)
         assert one[0] == gaps[i]
+
+
+def test_sample_gaps_memory_per_sample():
+    """Everything but the levels and the gaps (16 bytes a sample) is per
+    block, so the traced peak grows by at most 32 bytes per extra sample."""
+    model = _pilot_model()
+    flow = NullFlow(model.generator, model.initial_state)
+
+    def peak(n):
+        tracemalloc.start()
+        try:
+            sample_gaps(flow.survival, n, RngStream(5, 0), t_hi=900.0)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    growth = (peak(8 * _GAP_BLOCK) - peak(_GAP_BLOCK)) / (7 * _GAP_BLOCK)
+    assert growth <= 32.0
 
 
 def test_sample_gaps_plateau_converges_within_cap():
