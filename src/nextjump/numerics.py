@@ -5,7 +5,11 @@ Everything downstream works with unnormalized state vectors whose squared
 norm carries physical meaning (a no-click survival probability), so none of
 the helpers here renormalize behind the caller's back.  Random numbers come
 from a counter-based generator keyed by ``(seed, stream_index)`` so that
-ensembles are bit-reproducible regardless of execution order.
+ensembles are bit-reproducible regardless of execution order: one stream
+is a numpy ``Philox`` ``Generator`` (``RngStream.generator``), and the next
+doubles of a whole ensemble of streams come from a vectorized Philox4x64-10
+kernel (``StreamDraws``) that reproduces those generators bit for bit
+without building one.
 """
 
 from __future__ import annotations
@@ -21,6 +25,7 @@ __all__ = [
     "IntegrationError",
     "RegimeWarning",
     "RngStream",
+    "StreamDraws",
     "TruncationError",
     "coherent_amplitudes",
     "default_nmax",
@@ -151,6 +156,19 @@ class RngStream:
     given key reproduces the identical bit sequence on every platform, which
     is what makes ensembles deterministic: trajectory i always uses stream
     index i however the ensemble is scheduled.
+
+    The stream is Philox4x64-10 (Salmon, Moraes, Dror & Shaw, "Parallel
+    random numbers: as easy as 1, 2, 3", SC'11) keyed by (seed mod 2^64,
+    stream_index mod 2^64).  Its k-th double (k = 0, 1, ...) is word k % 4
+    of the Philox block at counter 1 + k // 4 (numpy increments the counter
+    before its first block), as (word >> 11) * 2^-53.  So it is a pure
+    function of (seed, stream_index, k), and two routes give the same bits:
+    ``generator()``, a numpy ``Generator``, serves one stream's bulk draws
+    (``sample_gaps``, ``telegraph_run`` and the heterodyne samplers), where
+    numpy's C Philox is fastest; ``StreamDraws`` serves the few draws per
+    step of many streams at once (the jump engine behind
+    ``lindblad_consistency`` and ``run_trajectory``) without a ``Generator``
+    per stream.
     """
 
     seed: int
@@ -160,3 +178,92 @@ class RngStream:
         key = np.array([self.seed % (1 << 64), self.stream_index % (1 << 64)],
                        dtype=np.uint64)
         return Generator(Philox(key=key))
+
+
+#: Philox4x64 round multipliers and Weyl key increments (Random123)
+_PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
+_PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
+_PHILOX_ROUNDS = 10
+#: doubles ``StreamDraws`` computes per stream at a time (whole blocks of
+#: 4); a refill is one kernel call whose fixed cost dominates at a few
+#: hundred streams, and no trajectory of criterion 14 draws more than 11
+#: doubles, so each of its ensembles fills its buffers once
+DRAW_BUFFER = 16
+
+_U64 = 1 << 64
+_LO32 = np.uint64(0xFFFFFFFF)
+_S32 = np.uint64(32)
+
+
+def _mulhilo(m: int, x: np.ndarray):
+    """High and low 64-bit words of the 128-bit products m * x, for the
+    constant m and uint64 x, from products of 32-bit halves (none of the
+    partial sums below overflows 64 bits)."""
+    m_lo, m_hi = np.uint64(m & 0xFFFFFFFF), np.uint64(m >> 32)
+    x_lo, x_hi = x & _LO32, x >> _S32
+    t = x_hi * m_lo + ((x_lo * m_lo) >> _S32)
+    u = x_lo * m_hi + (t & _LO32)
+    hi = x_hi * m_hi + (t >> _S32) + (u >> _S32)
+    return hi, x * np.uint64(m)
+
+
+def _philox_doubles(seed: int, streams: np.ndarray,
+                    counters: np.ndarray) -> np.ndarray:
+    """The four doubles of each Philox4x64-10 block, shaped counters.shape
+    + (4,), for key (seed mod 2^64, streams) and counter (counters, 0, 0,
+    0); streams (uint64) broadcasts against counters (uint64)."""
+    k0 = seed % _U64
+    k1 = np.broadcast_to(streams, counters.shape)
+    x0, x1 = counters, np.zeros_like(counters)
+    x2, x3 = x1, x1
+    for r in range(_PHILOX_ROUNDS):
+        if r:
+            k0 = (k0 + _PHILOX_W[0]) % _U64
+            k1 = k1 + np.uint64(_PHILOX_W[1])
+        hi0, lo0 = _mulhilo(_PHILOX_M[0], x0)
+        hi1, lo1 = _mulhilo(_PHILOX_M[1], x2)
+        x0, x1, x2, x3 = hi1 ^ x1 ^ np.uint64(k0), lo1, hi0 ^ x3 ^ k1, lo0
+    words = np.stack((x0, x1, x2, x3), axis=-1)
+    return (words >> np.uint64(11)) * (1.0 / 9007199254740992.0)
+
+
+class StreamDraws:
+    """The next doubles of the streams RngStream(seed, i), i in indices,
+    computed by counter: draw k of stream i equals draw k of
+    ``RngStream(seed, i).generator().random()``, bit for bit.
+
+    Each stream keeps its own draw counter (``drawn[j]`` doubles taken from
+    stream j so far) and a buffer of its next DRAW_BUFFER doubles; ``next``
+    advances only the rows it is given and refills, in one vectorized call,
+    only the rows whose buffer ran out.
+    """
+
+    def __init__(self, seed: int, indices):
+        if not (isinstance(indices, np.ndarray)
+                and indices.dtype.kind in "iu"):
+            indices = np.array([int(i) % _U64 for i in indices],
+                               dtype=np.uint64)
+        self._seed = int(seed)
+        self._streams = indices.astype(np.uint64).ravel()
+        self.drawn = np.zeros(self._streams.size, dtype=np.int64)
+        self._buffer = np.empty((self._streams.size, DRAW_BUFFER))
+
+    def __len__(self) -> int:
+        return self._streams.size
+
+    def next(self, rows) -> np.ndarray:
+        """One double from each of the streams at positions rows (distinct
+        ints), advancing their counters."""
+        rows = np.asarray(rows, dtype=np.intp)
+        pos = self.drawn[rows] % DRAW_BUFFER
+        empty = rows[pos == 0]
+        if empty.size:
+            blocks = DRAW_BUFFER // 4
+            first = (self.drawn[empty] // 4 + 1).astype(np.uint64)
+            counters = (first[:, np.newaxis]
+                        + np.arange(blocks, dtype=np.uint64))
+            self._buffer[empty] = _philox_doubles(
+                self._seed, self._streams[empty, np.newaxis],
+                counters).reshape(empty.size, DRAW_BUFFER)
+        self.drawn[rows] += 1
+        return self._buffer[rows, pos]

@@ -20,7 +20,10 @@ coefficients of every live trajectory held as one (d, n) array, and all
 pending jump times solved for together.  Everything is deterministic given
 (seed, stream): trajectory i consumes stream i of the counter-based
 generator, a time draw per segment and then a channel draw when the model
-has more than one channel, exactly as a lone trajectory would.
+has more than one channel, exactly as a lone trajectory would.  The engine
+computes those draws for every live trajectory at once from the Philox
+counters (``numerics.StreamDraws``) and builds no numpy ``Generator``;
+a ``Generator`` a caller passes in is drawn from as before.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import RngStream, integrate_ode
+from .numerics import RngStream, StreamDraws, integrate_ode
 
 __all__ = [
     "EffectiveModel",
@@ -460,12 +463,15 @@ class JumpRecord:
         return np.diff(self.times, prepend=0.0)
 
 
-def _unravel(model: EffectiveModel, tmax: float, rngs: list) -> tuple:
+def _unravel(model: EffectiveModel, tmax: float, rngs) -> tuple:
     """Lockstep jump unraveling of len(rngs) trajectories on [0, tmax].
 
-    Trajectory j draws from rngs[j] only, in the order a lone trajectory
-    would: the survival level u of each segment, then the channel when the
-    model has more than one.  Each round retires the trajectories whose
+    rngs is a ``StreamDraws`` over one stream per trajectory, or a list of
+    numpy ``Generator``s.  Trajectory j draws from its stream j only, in the
+    order a lone trajectory would: the survival level u of each segment,
+    then the channel when the model has more than one.  Each round draws
+    the levels of all live trajectories, and then the channels of those
+    that jump, in one call each.  Each round retires the trajectories whose
     norm stays above u through tmax.  The jump times of the rest are solved
     for together on one propagator by ``_find_level``, each on the bracket
     [0, remaining time] whose end values the retirement test already gave,
@@ -474,6 +480,10 @@ def _unravel(model: EffectiveModel, tmax: float, rngs: list) -> tuple:
     channel indices per trajectory, and the (d, n) final states,
     unnormalized relative to the last reset.
     """
+    if isinstance(rngs, StreamDraws):
+        draw = rngs.next
+    else:
+        draw = lambda rows: np.array([rngs[j].random() for j in rows])
     n = len(rngs)
     psi0 = model.initial_state / np.linalg.norm(model.initial_state)
     flow = NullFlow(model.generator, psi0)
@@ -485,7 +495,7 @@ def _unravel(model: EffectiveModel, tmax: float, rngs: list) -> tuple:
     channels = [[] for _ in range(n)]
     live = np.flatnonzero(t < tmax)
     while live.size:
-        u = np.array([rngs[j].random() for j in live])
+        u = draw(live)
         c, nrm = coef[:, live], norm0[live]
         remaining = tmax - t[live]
         psi_end = flow._evolve(c, remaining)
@@ -505,8 +515,7 @@ def _unravel(model: EffectiveModel, tmax: float, rngs: list) -> tuple:
         psi_j = flow._evolve(c, t_rel)
         ks = np.zeros(live.size, dtype=int)
         if len(model.jump_ops) > 1:
-            ks = model.choose_channels(
-                psi_j, np.array([rngs[j].random() for j in live]))
+            ks = model.choose_channels(psi_j, draw(live))
         post = model.reset(ks, psi_j)
         t[live] += t_rel
         for j, k in zip(live.tolist(), ks.tolist()):
@@ -521,10 +530,11 @@ def _unravel(model: EffectiveModel, tmax: float, rngs: list) -> tuple:
 
 def run_trajectory(model: EffectiveModel, tmax: float, rng) -> JumpRecord:
     """Jump unraveling of one trajectory on [0, tmax] (a lockstep batch of
-    one), consuming one random stream in order."""
-    if isinstance(rng, RngStream):
-        rng = rng.generator()
-    times, channels, final = _unravel(model, tmax, [rng])
+    one), consuming one random stream in order: an ``RngStream`` by counter,
+    or a numpy ``Generator``, which ends advanced by the doubles drawn."""
+    rngs = (StreamDraws(rng.seed, [rng.stream_index])
+            if isinstance(rng, RngStream) else [rng])
+    times, channels, final = _unravel(model, tmax, rngs)
     return JumpRecord(np.array(times[0]), np.array(channels[0], dtype=int),
                       model.labels, final[:, 0], float(tmax))
 
@@ -631,11 +641,12 @@ def lindblad_consistency(model: EffectiveModel, ntraj: int, t: float,
     integration.
 
     Trajectory i runs on RngStream(seedbase, i), and all of them run as one
-    lockstep batch.  The ensemble average uses normalized projectors at time
-    t (trajectories sampled by inverse transform already carry the physical
-    measure).  The direct solution integrates
-    drho/dt = G rho + rho G^dag + sum L rho L^dag.  Returns a report with
-    elementwise deviations against the 5/sqrt(ntraj) Monte Carlo band.
+    lockstep batch drawing by counter, with no ``Generator`` built.  The
+    ensemble average uses normalized projectors at time t (trajectories
+    sampled by inverse transform already carry the physical measure).  The
+    direct solution integrates drho/dt = G rho + rho G^dag + sum L rho L^dag.
+    Returns a report with elementwise deviations against the 5/sqrt(ntraj)
+    Monte Carlo band.
     """
     d = model.dim
     psi0 = model.initial_state / np.linalg.norm(model.initial_state)
@@ -643,8 +654,7 @@ def lindblad_consistency(model: EffectiveModel, ntraj: int, t: float,
     rho_direct = integrate_ode(_lindblad_rhs(model), rho0.reshape(-1),
                                0.0, t, tol=1e-10).reshape(d, d)
 
-    rngs = [RngStream(seedbase, i).generator() for i in range(ntraj)]
-    _, _, final = _unravel(model, t, rngs)
+    _, _, final = _unravel(model, t, StreamDraws(seedbase, np.arange(ntraj)))
     psi_t = final / np.linalg.norm(final, axis=0)
     rho_mc = (psi_t @ psi_t.conj().T) / ntraj
 

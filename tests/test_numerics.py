@@ -1,10 +1,13 @@
 import math
 
 import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.random import Generator, Philox
 
-from nextjump.numerics import (TAIL_TOL, FockVector, IntegrationError,
-                               RngStream, TruncationError, coherent_amplitudes,
+from nextjump.numerics import (DRAW_BUFFER, TAIL_TOL, FockVector,
+                               IntegrationError, RngStream, StreamDraws,
+                               TruncationError, coherent_amplitudes,
                                default_nmax, fock_ops, integrate_ode)
 
 
@@ -92,6 +95,50 @@ def test_rng_stream_reproducible_and_independent():
     b = RngStream(9, 1).generator().random(8)
     assert np.array_equal(a1, a2)
     assert not np.array_equal(a1, b)
+
+
+#: draw positions 0 .. 40: ten blocks, and the second buffer refill
+_NPOS = 2 * DRAW_BUFFER + 9
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.one_of(st.integers(min_value=-2**65, max_value=2**65),
+                      st.sampled_from([0, 14, 2**63 + 5, 2**64 - 1, 2**64])),
+       indices=st.lists(st.one_of(st.integers(min_value=0, max_value=2**16),
+                                  st.integers(min_value=2**64 - 2**16,
+                                              max_value=2**64 + 2**16)),
+                        min_size=1, max_size=5, unique=True),
+       masks=st.lists(st.integers(min_value=0, max_value=31), max_size=40))
+def test_stream_draws_match_philox_generator(seed, indices, masks):
+    """Each round advances the streams a bit mask picks, as the jump engine
+    advances its live trajectories; then every stream is drawn on to
+    position _NPOS - 1.  Every double equals numpy's Philox bit for bit."""
+    n = len(indices)
+    draws = StreamDraws(seed, indices)
+    got = [[] for _ in indices]
+    rounds = [[j for j in range(n) if mask >> j & 1] for mask in masks]
+    for rows in rounds:
+        for j, x in zip(rows, draws.next(rows)):
+            got[j].append(x)
+    while min(map(len, got)) < _NPOS:
+        rows = [j for j in range(n) if len(got[j]) < _NPOS]
+        for j, x in zip(rows, draws.next(rows)):
+            got[j].append(x)
+    assert draws.drawn.tolist() == [_NPOS] * n
+    for i, seq in zip(indices, got):
+        key = np.array([seed % 2**64, i % 2**64], dtype=np.uint64)
+        want = Generator(Philox(key=key)).random(_NPOS)
+        assert np.array(seq).tobytes() == want.tobytes()
+
+
+def test_stream_draws_accept_integer_arrays():
+    """An int64 index array wraps mod 2^64 as RngStream does."""
+    idx = np.array([-1, 0, 5, 2**62])
+    a = StreamDraws(3, idx).next(np.arange(4))
+    b = StreamDraws(3, [i % 2**64 for i in idx.tolist()]).next(np.arange(4))
+    want = [RngStream(3, int(i)).generator().random() for i in idx]
+    assert np.array_equal(a, want)
+    assert np.array_equal(b, want)
 
 
 def test_error_types_exist():

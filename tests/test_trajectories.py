@@ -8,9 +8,9 @@ from hypothesis import strategies as st
 from scipy import stats
 from scipy.linalg import expm
 
-from nextjump import cavity
+from nextjump import cavity, numerics
 from nextjump.atom3 import Atom3Params, effective_model
-from nextjump.numerics import RngStream
+from nextjump.numerics import DRAW_BUFFER, RngStream, StreamDraws
 from nextjump.trajectories import (BISECT_ITERS, EIG_COND_LIMIT,
                                    EffectiveModel, JumpRecord, NullFlow,
                                    _GAP_BLOCK, _TELEGRAPH_BATCH, _find_level,
@@ -499,6 +499,78 @@ def test_lindblad_consistency_same_seed_repeats():
         model, tmax, [RngStream(3, i).generator() for i in range(200)])
     assert np.array_equal(rec.times, times[7])
     assert np.array_equal(rec.channels, channels[7])
+
+
+#: (model, tmax, ntraj) long enough that some stream refills its buffer of
+#: counter draws at least twice
+_LONG_RUNS = {"atom": (MODELS["atom"][0], 40.0, 40),
+              "cavity": (MODELS["cavity"][0], 40.0, 40),
+              "defective": (_defective_model(), 40.0, 8)}
+
+
+@pytest.mark.parametrize("name", sorted(_LONG_RUNS))
+def test_counter_streams_match_generator_streams(name):
+    """The engine drawing by counter equals the engine drawing from one
+    numpy Generator per trajectory, bit for bit, member by member."""
+    model, tmax, ntraj = _LONG_RUNS[name]
+    draws = StreamDraws(9, np.arange(ntraj))
+    times, channels, final = _unravel(model, tmax, draws)
+    assert draws.drawn.max() > 2 * DRAW_BUFFER
+    ref_t, ref_c, ref_f = _unravel(
+        model, tmax, [RngStream(9, i).generator() for i in range(ntraj)])
+    assert times == ref_t
+    assert channels == ref_c
+    assert final.tobytes() == ref_f.tobytes()
+
+
+@pytest.mark.parametrize("name", ["atom", "cavity"])
+def test_caller_generator_ends_advanced_by_its_draws(name):
+    """A Generator passed to run_trajectory gives one time draw per segment
+    and one channel draw per click when there are several channels, and
+    nothing else, and the same trajectory as its RngStream by counter."""
+    model, _ = MODELS[name]
+    gen = RngStream(4, 2).generator()
+    rec = run_trajectory(model, 20.0, gen)
+    assert rec.njumps >= 2
+    want = RngStream(4, 2).generator()
+    want.random(rec.njumps + 1 + rec.njumps * (len(model.jump_ops) > 1))
+    np.testing.assert_equal(gen.bit_generator.state, want.bit_generator.state)
+    by_counter = run_trajectory(model, 20.0, RngStream(4, 2))
+    assert np.array_equal(rec.times, by_counter.times)
+    assert np.array_equal(rec.channels, by_counter.channels)
+
+
+def test_telegraph_generator_ends_advanced_by_whole_batches():
+    """telegraph_run draws a caller's Generator in whole gap batches."""
+    model = _pilot_model()
+    gen = RngStream(2, 0).generator()
+    rec = telegraph_run(model, 3e4, gen)
+    batches = -(-rec.njumps // _TELEGRAPH_BATCH)
+    assert batches >= 2
+    want = RngStream(2, 0).generator()
+    want.random(batches * _TELEGRAPH_BATCH)
+    np.testing.assert_equal(gen.bit_generator.state, want.bit_generator.state)
+
+
+def test_engine_streams_build_no_generator(monkeypatch):
+    """lindblad_consistency and run_trajectory on an RngStream draw by
+    counter: with every way to build a Generator refused, they still run."""
+    model, tmax = MODELS["cavity"]
+    want = lindblad_consistency(model, 200, tmax, seedbase=3)
+    lone = run_trajectory(model, tmax, RngStream(3, 7))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a numpy Generator was built")
+
+    monkeypatch.setattr(RngStream, "generator", refuse)
+    monkeypatch.setattr(np.random, "Generator", refuse)
+    monkeypatch.setattr(numerics, "Generator", refuse)
+    monkeypatch.setattr(numerics, "Philox", refuse)
+    rep = lindblad_consistency(model, 200, tmax, seedbase=3)
+    assert rep["rho_ensemble"].tobytes() == want["rho_ensemble"].tobytes()
+    rec = run_trajectory(model, tmax, RngStream(3, 7))
+    assert np.array_equal(rec.times, lone.times)
+    assert np.array_equal(rec.channels, lone.channels)
 
 
 def test_eig_fallback_first_jump_and_ensemble():
