@@ -5,7 +5,12 @@ defaults, then a flat JSON config file (--config), then explicit flags, in
 that order of increasing precedence.  It writes one CSV (RFC 4180, header
 row, shortest round-trip float formatting) and a JSON sidecar next to it
 holding the fully resolved config, a result summary, the explicitly given
-flags and the wall time.  Reruns with the same resolved config and seed
+flags and the wall time.  A command hands the writer columns, each a
+homogeneous 1-D array, list or range, all of one length.  Each becomes
+Python scalars once (``tolist``; a bool array as 0/1), so the csv module
+formats every float with ``repr`` in C.  ``abs_I`` is ``hypot(re, im)``,
+which rounds as the scalar ``abs(c)`` does; ``np.abs`` of a complex array
+does not, in the last bit.  Reruns with the same resolved config and seed
 produce byte-identical CSV at a fixed BLAS thread count; ``transmon-dark``'s
 dense eigendecomposition rounds differently on one OpenBLAS thread than on
 two, which moves its norms from about the eleventh significant digit.
@@ -69,24 +74,10 @@ class Command:
     aliases: tuple
     out_default: str
     flags: tuple
-    run: object                # cfg dict -> (header, rows, summary)
+    # cfg dict -> (header, columns, summary); one homogeneous 1-D array,
+    # list or range per name, all of one length, each converted once
+    run: object
     help: str
-
-
-def _cell(v) -> str:
-    """Shortest-round-trip cell text; floats keep full double precision."""
-    if isinstance(v, (bool, np.bool_)):
-        return "1" if v else "0"
-    if isinstance(v, (int, np.integer)):
-        return str(int(v))
-    if isinstance(v, (float, np.floating)):
-        return repr(float(v))
-    return str(v)
-
-
-#: exact-type cell formatters: the common cell types skip _cell's isinstance
-#: chain (np.float64 subclasses float, and bool, an int subclass, is not a key)
-_FORMAT = {float: float.__repr__, np.float64: float.__repr__, int: int.__repr__}
 
 
 def _jsonable(obj):
@@ -114,9 +105,8 @@ def _run_cavity_w(cfg):
     ts = np.linspace(0.0, cfg["tmax"], cfg["npts"])
     w = flow.survival(ts)
     d = flow.jump_density(ts)
-    rows = [(t, wv, dv) for t, wv, dv in zip(ts, w, d)]
     summary = {"W_final": float(w[-1]), "mean_jump_time": mean_jump_time(p)}
-    return ("t", "W", "D"), rows, summary
+    return ("t", "W", "D"), (ts, w, d), summary
 
 
 def _run_cavity_detuned(cfg):
@@ -126,14 +116,13 @@ def _run_cavity_detuned(cfg):
     al = flow.alpha(ts)
     be = flow.beta(ts)
     w = flow.survival(ts)
-    rows = [(t, a.real, a.imag, b.real, b.imag, wv)
-            for t, a, b, wv in zip(ts, al, be, w)]
     gl = flow.alpha_inf          # the dim fixed point gamma_L
     summary = {"gamma_L_re": gl.real, "gamma_L_im": gl.imag,
                "gamma_L_abs": abs(gl),
                "alpha_steady_re": gl.real, "alpha_steady_im": gl.imag,
                "W_final": float(w[-1])}
-    return ("t", "re_alpha", "im_alpha", "re_beta", "im_beta", "W"), rows, summary
+    return (("t", "re_alpha", "im_alpha", "re_beta", "im_beta", "W"),
+            (ts, al.real, al.imag, be.real, be.imag, w), summary)
 
 
 def _run_atom3_null(cfg):
@@ -144,8 +133,6 @@ def _run_atom3_null(cfg):
     nf = NullFlow(model.generator, model.initial_state)
     ts = np.linspace(0.0, cfg["tmax"], cfg["npts"])
     w = nf.survival(ts)
-    logw = np.log(w)
-    rows = [(t, wv, lv) for t, wv, lv in zip(ts, w, logw)]
     m = ts >= cfg["fit_start"]
     rate = _transmon._decay_rate(ts[m], w[m])
     target = 2.0 * beta_ell(p)
@@ -153,7 +140,7 @@ def _run_atom3_null(cfg):
                "p_dark_formula": dark_fraction(p)[0],
                "fitted_slow_rate": rate,
                "rel_dev": abs(rate - target) / target}
-    return ("t", "W", "logW"), rows, summary
+    return ("t", "W", "logW"), (ts, w, np.log(w)), summary
 
 
 def _run_telegraph(cfg):
@@ -173,8 +160,6 @@ def _run_telegraph(cfg):
                      labels=model.labels, final_state=model.initial_state,
                      tmax=float(np.sum(gaps)))
     st = telegraph_stats(rec, thr)
-    rows = [(k, g, model.labels[c], int(dv))
-            for k, (g, c, dv) in enumerate(zip(gaps, channels, dark))]
     summary = {"p_dark": st.p_dark, "p_dark_se": st.p_dark_se,
                "n_dark": st.n_dark, "dark_threshold": thr,
                "n_censored": int(np.count_nonzero(gaps == t_hi)),
@@ -182,7 +167,8 @@ def _run_telegraph(cfg):
                "beta_ell": beta_ell(p)}
     for label, share in st.branch_fractions.items():
         summary[f"dark_ended_by_{label}"] = share
-    return ("k", "gap", "channel", "dark"), rows, summary
+    return (("k", "gap", "channel", "dark"),
+            (range(n), gaps, np.asarray(model.labels)[channels], dark), summary)
 
 
 def _run_transmon_dark(cfg):
@@ -192,7 +178,6 @@ def _run_transmon_dark(cfg):
                        omega_b=omega_b, omega_d=cfg["eta"] * omega_b)
     spectrum, ts, norms, rate, target = _transmon.dark_norm_fit(
         p, cfg["npts"], cfg["nmax"])
-    rows = [(t, nv) for t, nv in zip(ts, norms)]
     summary = {"beta_b": spectrum.beta_b,
                "i_e_plus": spectrum.i_e_plus,
                "i_e_minus": spectrum.i_e_minus,
@@ -201,7 +186,7 @@ def _run_transmon_dark(cfg):
                "fitted_rate": rate, "target_rate": target,
                "rel_dev": abs(rate - target) / target,
                "window_lo": float(ts[0]), "window_hi": float(ts[-1])}
-    return ("t", "norm_sq"), rows, summary
+    return ("t", "norm_sq"), (ts, norms), summary
 
 
 def _run_transmon_multiscale(cfg):
@@ -210,19 +195,17 @@ def _run_transmon_multiscale(cfg):
     ts, c, rate = _transmon.multiscale_fit(p, cfg["tmax"], cfg["dt"],
                                            cfg["fit_start"])
     gam = _transmon.slow_rate(p)
-    rows = [(t, cv) for t, cv in zip(ts, c)]
     summary = {"fitted_rate": rate, "perturbative_rate": gam,
                "rel_dev": abs(rate - gam) / gam}
-    return ("t", "C"), rows, summary
+    return ("t", "C"), (ts, c), summary
 
 
 def _run_heterodyne_sse(cfg):
     params = HeterodyneParams(kappa=cfg["kappa"], nbar=cfg["nbar"])
     path = NoisePath.draw(params, cfg["duration"], cfg["dt"], cfg["seed"])
     series = integrate_sse_series(params, path, every=cfg["every"])
-    rows = [(s.t, s.alpha.real, s.alpha.imag, s.beta.real, s.beta.imag,
-             s.log_norm_sq(), s.record_T.real, s.record_T.imag)
-            for s in series]
+    al, be, rec = (np.array([getattr(s, f) for s in series])
+                   for f in ("alpha", "beta", "record_T"))
     last = series[-1]
     cur = last.record_T / last.t
     summary = {"alpha_final_re": last.alpha.real,
@@ -230,8 +213,10 @@ def _run_heterodyne_sse(cfg):
                "log_norm_sq_final": last.log_norm_sq(),
                "current_re": cur.real, "current_im": cur.imag,
                "current_abs": abs(cur)}
-    return ("t", "re_alpha", "im_alpha", "re_beta", "im_beta",
-            "log_norm_sq", "re_T", "im_T"), rows, summary
+    return (("t", "re_alpha", "im_alpha", "re_beta", "im_beta",
+             "log_norm_sq", "re_T", "im_T"),
+            ([s.t for s in series], al.real, al.imag, be.real, be.imag,
+             [s.log_norm_sq() for s in series], rec.real, rec.imag), summary)
 
 
 def _run_heterodyne_current(cfg):
@@ -253,13 +238,13 @@ def _run_heterodyne_current(cfg):
                "rel_width": st.rel_width,
                "target": params.B * np.sqrt(params.kappa * params.nbar),
                "mode": mode}
+    # hypot rounds as abs(c) does; np.abs(cur) differs in the last bit
+    header = ("k", "re_I", "im_I", "abs_I")
+    columns = (range(cur.size), cur.real, cur.imag, np.hypot(cur.real, cur.imag))
     if logw is None:
-        rows = [(k, c.real, c.imag, abs(c)) for k, c in enumerate(cur)]
-        return ("k", "re_I", "im_I", "abs_I"), rows, summary
+        return header, columns, summary
     summary["weighted_mean_abs"] = norm_weighted_mean_abs(cur, logw)
-    rows = [(k, c.real, c.imag, abs(c), lw)
-            for k, (c, lw) in enumerate(zip(cur, logw))]
-    return ("k", "re_I", "im_I", "abs_I", "log_weight"), rows, summary
+    return header + ("log_weight",), columns + (logw,), summary
 
 
 def _run_figure1(cfg):
@@ -268,8 +253,6 @@ def _run_figure1(cfg):
                          chi_over_kappa_nextjump=cfg["chi_nextjump"],
                          chi_over_kappa_dispersive=cfg["chi_dispersive"],
                          tau=tau)
-    rows = [(t, e, ed, yv) for t, e, ed, yv in
-            zip(ds.tau, ds.eps_nextjump, ds.eps_dispersive, ds.Y)]
     p_next = CavityParams(kappa=cfg["kappa"],
                           chi=cfg["chi_nextjump"] * cfg["kappa"],
                           nbar=cfg["nbar"])
@@ -278,7 +261,8 @@ def _run_figure1(cfg):
                "chi_t_min": m["chi_t_min"],
                "fft_freq": y_oscillation_frequency(p_next),
                "Y_final": float(ds.Y[-1])}
-    return ("tau", "eps", "eps_dr", "Y"), rows, summary
+    return (("tau", "eps", "eps_dr", "Y"),
+            (ds.tau, ds.eps_nextjump, ds.eps_dispersive, ds.Y), summary)
 
 
 _SEED = Flag("seed", int, 0, "base random seed (echoed even when unused)")
@@ -432,12 +416,20 @@ def _resolve_config(cmd: Command, args) -> tuple:
     return cfg, given
 
 
-def _write_outputs(out_path: str, header, rows, sidecar: dict) -> None:
+def _write_outputs(out_path: str, header, columns, sidecar: dict) -> None:
+    """Write the CSV column by column, then the sidecar.  Raises ValueError,
+    before opening any file, when the columns do not match the header or
+    differ in length (zip would cut the longer ones short)."""
+    lengths = [len(c) for c in columns]
+    if len(lengths) != len(header) or len(set(lengths)) > 1:
+        raise ValueError(f"CSV columns of lengths {lengths} under a header "
+                         f"of {len(header)} names")
+    cells = [(c.view(np.uint8) if c.dtype == np.bool_ else c).tolist()
+             if isinstance(c, np.ndarray) else c for c in columns]
     with open(out_path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        fmt = _FORMAT.get
-        writer.writerows([fmt(type(v), _cell)(v) for v in row] for row in rows)
+        writer.writerows(zip(*cells))
     side_path = os.path.splitext(out_path)[0] + ".json"
     with open(side_path, "w", encoding="utf-8") as fh:
         json.dump(_jsonable(sidecar), fh, indent=2)
@@ -538,7 +530,7 @@ def main(argv=None) -> int:
 
     t0 = time.perf_counter()
     try:
-        header, rows, summary = cmd.run(cfg)
+        header, columns, summary = cmd.run(cfg)
     except _NUMERICAL_ERRORS as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
@@ -555,7 +547,7 @@ def main(argv=None) -> int:
     sidecar = {"config": cfg, "summary": summary, "flags": given,
                "wall_time_seconds": wall}
     try:
-        _write_outputs(out_path, header, rows, sidecar)
+        _write_outputs(out_path, header, columns, sidecar)
     except OSError as exc:
         print(f"i/o failure: {exc}", file=sys.stderr)
         return 4

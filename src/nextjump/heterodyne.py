@@ -363,8 +363,9 @@ def integrate_sse(params: HeterodyneParams, path: NoisePath, psi0=None,
 
 
 def integrate_sse_series(params: HeterodyneParams, path: NoisePath,
-                         every: int = 1, psi0=None) -> list:
-    """Coherent-mode integration with a snapshot every ``every`` steps.
+                         every: int = 1) -> list:
+    """Coherent-mode integration from the vacuum, with a snapshot every
+    ``every`` steps.
 
     Same kernel as integrate_sse, so series[-1] equals the single-shot
     result bit for bit.  The initial and the final state are always included.
@@ -374,7 +375,7 @@ def integrate_sse_series(params: HeterodyneParams, path: NoisePath,
     _check_step(params.kappa, path.omega, path.dt)
     n = path.nsteps
     at = np.unique(np.r_[0:n + 1:every, n])
-    out = _coherent_kernel(params, path, at, *_coherent_start(psi0))
+    out = _coherent_kernel(params, path, at)
     return [SSEState(t=k * path.dt, record_T=complex(T), record_S=complex(S),
                      alpha=complex(al), beta=complex(be))
             for k, (al, be, T, S) in zip(at.tolist(), out.T.tolist())]

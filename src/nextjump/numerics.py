@@ -87,9 +87,9 @@ class FockVector:
         return self.amps.shape[1] - 1
 
     @classmethod
-    def vacuum(cls, nmax: int, levels: int = 1, level: int = 0) -> "FockVector":
-        amps = np.zeros((levels, nmax + 1), dtype=complex)
-        amps[level, 0] = 1.0
+    def vacuum(cls, nmax: int) -> "FockVector":
+        amps = np.zeros((1, nmax + 1), dtype=complex)
+        amps[0, 0] = 1.0
         return cls(amps)
 
     def norm_sq(self) -> float:

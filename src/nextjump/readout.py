@@ -174,15 +174,15 @@ def y_oscillation_frequency(p: CavityParams) -> float:
     return float(freqs[i] + d * (freqs[1] - freqs[0]))
 
 
-def y_consistency_check(p: CavityParams, tau_max: float = 30.0,
-                        npts: int = 300001) -> float:
-    """Max deviation of exp(-int Y nbar/(1+(2chi/kappa)^2) dtau) from W(tau).
+def y_consistency_check(p: CavityParams) -> float:
+    """Max deviation of exp(-int Y nbar/(1+(2chi/kappa)^2) dtau) from W(tau)
+    on 300001 points of 0 <= tau <= 30.
 
     Y is defined as a logarithmic decrement, so integrating it back must
     reproduce the survival curve; returns the worst absolute deviation.
     """
     from scipy.integrate import cumulative_simpson
-    tau = np.linspace(0.0, tau_max, npts)
+    tau = np.linspace(0.0, 30.0, 300001)
     Y = log_decrement_Y(p, tau)
     integ = cumulative_simpson(Y * p.nbar / (1.0 + (2.0 * p.chi / p.kappa) ** 2),
                                x=tau, initial=0.0)

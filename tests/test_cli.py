@@ -14,6 +14,9 @@ from nextjump.numerics import RngStream
 from nextjump.trajectories import NullFlow
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+#: environment of a fresh interpreter on one BLAS thread
+ONE_THREAD = dict(os.environ, PYTHONPATH=SRC, OPENBLAS_NUM_THREADS="1",
+                  OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
 
 
 def _run(argv):
@@ -61,32 +64,103 @@ def _run_pinned(tmp_path, argv):
     2.4 with its bundled OpenBLAS 0.3, x86-64); returns the CSV path and the
     sidecar."""
     out = tmp_path / "x.csv"
-    env = dict(os.environ, PYTHONPATH=SRC, OPENBLAS_NUM_THREADS="1",
-               OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
     subprocess.run([sys.executable, "-m", "nextjump.cli", *argv,
-                    "--out", str(out)], env=env, check=True)
+                    "--out", str(out)], env=ONE_THREAD, check=True)
     return out, json.loads((tmp_path / "x.json").read_text())
 
 
-@pytest.mark.parametrize("argv,csv_sha256,summary_sha256", [
-    (["transmon-dark", "--nmax", "60", "--npts", "12"],
-     "6fd3d02b1f937567c97ae11cd78045cf937467c2844b6c27fa1a3ceda262007f",
-     "d01f83caba12a30fa73a466a58bbcfa213420b6437f166c7e22f8e75308b5c87"),
-    (["transmon-multiscale", "--tmax", "3"],
-     "2e87b21d14f705dd2f77405cd303a5090c47a119eabb0f2ea8c1d15e1a25147e",
-     "1c9e3a61417e945259648dcd54cc7d433d21cf135ef55a869fab300caf284a48"),
-], ids=["transmon-dark", "transmon-multiscale"])
-def test_outputs_are_pinned(tmp_path, argv, csv_sha256, summary_sha256):
+#: every data command (heterodyne-current in each mode) at small flags, with
+#: the sha256 of its CSV and of its sorted sidecar summary.  The two
+#: transmon hashes were computed while each command still ran its own copy
+#: of the fit; the others before the CSV writer took columns in place of
+#: rows.
+PINNED = {
+    "cavity-w": (
+        ["cavity-w", "--npts", "41", "--tmax", "3"],
+        "06adc62d8a0d6747a51b6e741a20170693ad326c2751221e54a28c421e0ba30e",
+        "f4efe4f64ed7aa90696e266273490ac3f75e8afe5c97d0db2b811aceec100d82"),
+    "cavity-detuned": (
+        ["cavity-detuned", "--npts", "41", "--tmax", "2"],
+        "e4e61152b063018a68f5780375c3a96cb275ead4b4abcdb3652e759a1ab7f4d7",
+        "93f3abe43fa8ac122d10d9d2e046e2f3b2bae9d02e7983ae7190ad47e85d2e9f"),
+    "atom3-null": (
+        ["atom3-null", "--npts", "200", "--tmax", "60", "--fit-start", "20"],
+        "5030507c7c4d53984ade038df4f9778d94225dd8737a9066f5e493419a1f9094",
+        "6b3ba675c3771b25f81d8655b5690782bbfc8de235caf9971e24aea970dbf85d"),
+    "atom3-telegraph": (
+        ["atom3-telegraph", "--ntraj", "60", "--seed", "3"],
+        "f41bab5815bdfa9a6502a70dc6fe0539293f54709fe80f724724e89ce866bc97",
+        "1787ab0af4a98d84187e1a314fd83c3cb6a7670a0f7ef0aa1dc4e316c7d14d39"),
+    "transmon-dark": (
+        ["transmon-dark", "--nmax", "60", "--npts", "12"],
+        "6fd3d02b1f937567c97ae11cd78045cf937467c2844b6c27fa1a3ceda262007f",
+        "d01f83caba12a30fa73a466a58bbcfa213420b6437f166c7e22f8e75308b5c87"),
+    "transmon-multiscale": (
+        ["transmon-multiscale", "--tmax", "3"],
+        "2e87b21d14f705dd2f77405cd303a5090c47a119eabb0f2ea8c1d15e1a25147e",
+        "1c9e3a61417e945259648dcd54cc7d433d21cf135ef55a869fab300caf284a48"),
+    "heterodyne-sse": (
+        ["heterodyne-sse", "--duration", "0.5", "--seed", "5"],
+        "2036b15c7b4a399d7d4a903755f5de9fcac65b0f8da1de27507bb46e87a69ffd",
+        "7f429cf924e7865b9133cff97e38be9e3625dc114e1998491692b36d50a0aaaf"),
+    "heterodyne-current-tilted": (
+        ["heterodyne-current", "--mode", "tilted", "--npaths", "200",
+         "--duration", "2", "--seed", "5"],
+        "f0b0a384be55d3f4f2c96cde773394beb5d7ff0d5672b9208275ce8403a98520",
+        "0b76a384689225ef3c35cdaad2bd98e4dff31008e2c0f6a8d94d2782296ebf10"),
+    "heterodyne-current-raw": (
+        ["heterodyne-current", "--mode", "raw", "--npaths", "200",
+         "--duration", "2", "--seed", "5"],
+        "3c1654343a7081b9b67a888b8a00385de2732e29b530557bca21008c9bfab850",
+        "46443b1df8184eecd3624894e9059e5e5c3b450dfdec9e8e18a0dc95d7f44f3b"),
+    "heterodyne-current-ostensible": (
+        ["heterodyne-current", "--mode", "ostensible", "--npaths", "200",
+         "--duration", "2", "--seed", "5"],
+        "59952e8abd51016752e1e90a6335e1d0cc5076e87e3deaa81e1392c102a06e7d",
+        "5b89dd124264ffcbf576cf60c177b0368655eb192f8d68c0e2bda3f2f34fe6c1"),
+    "readout-figure1": (
+        ["readout-figure1", "--npts", "121", "--tmax", "3"],
+        "6b2d71e7705f59252692096af5a475e32969213e08d0d6e9d5ba4954ac4aedb3",
+        "ae116495fa1b1f97e955fd368b41c4af828489359d66a662831c9b3035e1ce02"),
+}
+
+_PIN_SCRIPT = """
+import hashlib, json, sys
+from nextjump import cli
+out = {}
+for name, argv in json.loads(sys.argv[1]).items():
+    if cli.main(argv + ["--out", name + ".csv"]) != 0:
+        raise SystemExit(name + " failed")
+    with open(name + ".csv", "rb") as fh:
+        csv_sha = hashlib.sha256(fh.read()).hexdigest()
+    with open(name + ".json") as fh:
+        text = json.dumps(json.load(fh)["summary"], sort_keys=True)
+    out[name] = [csv_sha, hashlib.sha256(text.encode()).hexdigest()]
+print(json.dumps(out))
+"""
+
+
+@pytest.fixture(scope="module")
+def pinned_hashes(tmp_path_factory):
+    """All of PINNED in one fresh interpreter on one BLAS thread (numpy 2.4
+    with its bundled OpenBLAS 0.3, x86-64): name -> [csv, summary] sha256.
+    The dense eig of transmon-dark rounds differently with the number of
+    BLAS threads, hence one thread."""
+    runs = json.dumps({name: argv for name, (argv, _, _) in PINNED.items()})
+    proc = subprocess.run([sys.executable, "-c", _PIN_SCRIPT, runs],
+                          cwd=tmp_path_factory.mktemp("pinned"),
+                          env=ONE_THREAD, check=True, capture_output=True,
+                          text=True)
+    return json.loads(proc.stdout)
+
+
+@pytest.mark.parametrize("name", sorted(PINNED))
+def test_outputs_are_pinned(pinned_hashes, name):
     """The CSV bytes and the sidecar summary (the fitted rates live there)
-    of two commands whose fits are shared with the acceptance criteria.
-    The hashes were computed while each command still ran its own copy of
-    the fit, so a change to the shared code that moves any written digit
-    fails here.  The dense eig of transmon-dark rounds differently with the
-    number of BLAS threads, hence one thread."""
-    out, side = _run_pinned(tmp_path, argv)
-    assert hashlib.sha256(_read(out)).hexdigest() == csv_sha256
-    text = json.dumps(side["summary"], sort_keys=True).encode()
-    assert hashlib.sha256(text).hexdigest() == summary_sha256
+    of every data command.  A change to shared code, or to the CSV writer,
+    that moves any written digit fails here."""
+    _, csv_sha256, summary_sha256 = PINNED[name]
+    assert pinned_hashes[name] == [csv_sha256, summary_sha256]
 
 
 def test_telegraph_output_is_pinned(tmp_path):
@@ -281,14 +355,26 @@ def test_successive_calls_share_no_values(tmp_path):
 
 
 def test_cells_format_by_type(tmp_path):
-    """Floats (numpy included) keep shortest round-trip text, ints and bools
-    print as integers, everything else as str."""
+    """Floats (numpy included) keep shortest round-trip text, ints and bool
+    arrays print as integers, everything else as str."""
     out = tmp_path / "x.csv"
-    rows = [(0.1, np.float64(1 / 3), 7, True, np.int64(-2), np.bool_(False),
-             "a,b", np.float32(0.1), 1e-300)]
-    cli._write_outputs(str(out), ("c",) * 9, rows, {})
+    columns = [[0.1], np.array([1 / 3]), [7], np.array([True]),
+               np.array([-2]), np.array([False]), ["a,b"],
+               np.array([0.1], dtype=np.float32), [1e-300]]
+    cli._write_outputs(str(out), ("c",) * 9, columns, {})
     assert _read(out).decode().splitlines()[1] == (
         '0.1,0.3333333333333333,7,1,-2,0,"a,b",0.10000000149011612,1e-300')
+
+
+@pytest.mark.parametrize("header,columns", [
+    (("a", "b"), [np.arange(3.0), np.arange(2.0)]),
+    (("a", "b", "c"), [np.arange(3.0), range(3)]),
+], ids=["short-column", "missing-column"])
+def test_mismatched_columns_write_nothing(tmp_path, header, columns):
+    out = tmp_path / "x.csv"
+    with pytest.raises(ValueError, match="columns of lengths"):
+        cli._write_outputs(str(out), header, columns, {})
+    assert not out.exists() and not (tmp_path / "x.json").exists()
 
 
 def test_validate_subcommand(tmp_path, capsys):

@@ -31,7 +31,9 @@ def test_vacuum_and_promotion():
     assert v.norm_sq() == 1.0
     flat = FockVector(np.array([1.0, 0.0, 0.0], dtype=complex))
     assert flat.amps.shape == (1, 3)       # 1-D input promoted to one level
-    v3 = FockVector.vacuum(4, levels=3, level=2)
+    amps = np.zeros((3, 5), dtype=complex)
+    amps[2, 0] = 1.0
+    v3 = FockVector(amps)
     assert v3.amps[2, 0] == 1.0
     assert v3.amps[0, 0] == 0.0
 
