@@ -18,7 +18,7 @@ from dataclasses import astuple, dataclass
 
 import numpy as np
 
-from .numerics import RegimeWarning
+from .numerics import ParameterError, RegimeWarning
 from .trajectories import EffectiveModel
 
 __all__ = [
@@ -53,11 +53,11 @@ class Atom3Params:
 
     def __post_init__(self):
         if not all(map(cmath.isfinite, astuple(self))):
-            raise ValueError("drive amplitudes, detuning and rates must be finite")
+            raise ParameterError("drive amplitudes, detuning and rates must be finite")
         if self.beta1 <= 0:
-            raise ValueError("beta1 must be positive")
+            raise ParameterError("beta1 must be positive")
         if self.beta2 < 0:
-            raise ValueError("beta2 must be non-negative")
+            raise ParameterError("beta2 must be non-negative")
 
     @property
     def epsilon(self) -> float:

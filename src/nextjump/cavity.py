@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .trajectories import EffectiveModel
-from .numerics import (TAIL_TOL, FockVector, TruncationError,
+from .numerics import (TAIL_TOL, FockVector, ParameterError, TruncationError,
                        coherent_amplitudes, default_nmax, fock_ops,
                        integrate_ode)
 
@@ -47,26 +47,27 @@ class CavityParams:
     kappa: cavity decay rate, finite and > 0.
     chi: dispersive shift per photon (signed).
     nbar: steady bright-state occupation, finite and >= 0.
-    gamma_drive: drive amplitude; defaults to kappa*sqrt(nbar)/2 so the
-        resonant steady state holds nbar photons.  Each flow below states
-        which manifold it evolves (resonant_flow, detuned_flow).
     gamma_shift: coherent detection reference (0 = bare photon counting).
+
+    The drive amplitude is derived, ``gamma_drive = kappa*sqrt(nbar)/2``, so
+    the resonant steady state holds nbar photons.  Each flow below states
+    which manifold it evolves (resonant_flow, detuned_flow).
     """
 
     kappa: float
     chi: float = 0.0
     nbar: float = 0.0
-    gamma_drive: float | None = None
     gamma_shift: complex = 0.0 + 0.0j
 
     def __post_init__(self):
         if not (math.isfinite(self.kappa) and self.kappa > 0):
-            raise ValueError("kappa must be positive and finite")
+            raise ParameterError("kappa must be positive and finite")
         if not (math.isfinite(self.nbar) and self.nbar >= 0):
-            raise ValueError("nbar must be non-negative and finite")
-        if self.gamma_drive is None:
-            object.__setattr__(self, "gamma_drive",
-                               0.5 * self.kappa * math.sqrt(self.nbar))
+            raise ParameterError("nbar must be non-negative and finite")
+
+    @property
+    def gamma_drive(self) -> float:
+        return 0.5 * self.kappa * math.sqrt(self.nbar)
 
 
 @dataclass(frozen=True)
@@ -88,7 +89,6 @@ class CoherentTrajectory:
     chi_eff: float = 0.0
     gamma_det: complex = 0.0 + 0.0j
     alpha0: complex = 0.0 + 0.0j
-    beta0: complex = 0.0 + 0.0j
 
     @property
     def lam(self) -> complex:
@@ -110,18 +110,19 @@ class CoherentTrajectory:
                 + (self.alpha0 - self.alpha_inf) * np.expm1(self.lam * t) / self.lam)
 
     def beta(self, t):
+        """beta(t) with beta(0) = 0."""
         g = self.kappa * np.conj(self.gamma_det) - self.drive
         h = -0.5 * self.kappa * abs(self.gamma_det) ** 2
         t_arr = np.asarray(t, dtype=float)
-        val = self.beta0 + g * self._alpha_integral(t) + h * t_arr
+        # + 0j turns a -0.0 real part at t = 0 into 0.0
+        val = g * self._alpha_integral(t) + h * t_arr + 0j
         return complex(val) if val.ndim == 0 else val
 
     def log_survival(self, t):
         """ln W(t) with W(0) = 1; W = exp(2 Re beta + |alpha|^2), normalized."""
         a = self.alpha(t)
         b = self.beta(t)
-        base = 2.0 * np.real(self.beta0) + abs(self.alpha0) ** 2
-        val = 2.0 * np.real(b) + np.abs(a) ** 2 - base
+        val = 2.0 * np.real(b) + np.abs(a) ** 2 - abs(self.alpha0) ** 2
         return float(val) if np.ndim(val) == 0 else val
 
     def survival(self, t):
@@ -200,9 +201,7 @@ def evolve_fock_oracle(p: CavityParams, state0: FockVector,
     module.  Raises TruncationError if amplitude reaches the cutoff bin.
     """
     rhs = _fock_rhs(p, state0.nmax)
-    c = integrate_ode(rhs, state0.amps.ravel().astype(complex),
-                      0.0, float(t))
-    out = FockVector(c.reshape(state0.amps.shape))
+    out = FockVector(integrate_ode(rhs, state0.amps, 0.0, float(t)))
     norm = math.sqrt(out.norm_sq())
     if norm > 0 and out.tail_mass() > TAIL_TOL * max(norm, 1e-30):
         raise TruncationError(

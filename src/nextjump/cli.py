@@ -18,8 +18,9 @@ scipy is imported only inside the functions that call it, so only the
 commands that need it load it.
 
 Exit codes: 0 success, 2 invalid configuration or arguments (a NaN or
-infinite number among them), 3 numerical failure (a non-finite summary value
-among them, caught before anything is written), 4 I/O failure.
+infinite number, or a model parameter outside its domain, among them), 3
+numerical failure (a non-finite summary value among them, caught before
+anything is written), 4 I/O failure.
 ``validate`` reports criterion failures as report lines and still exits 0;
 only being unable to run is an error.
 """
@@ -47,7 +48,8 @@ from .heterodyne import (HeterodyneParams, NoisePath, current_statistics,
                          integrate_sse_series, norm_weighted_mean_abs,
                          sample_ostensible_currents, sample_raw_currents,
                          sample_tilted_currents)
-from .numerics import IntegrationError, RngStream, TruncationError
+from .numerics import (IntegrationError, ParameterError, RngStream,
+                       TruncationError)
 from .readout import figure1_dataset, min_error_next_jump, y_oscillation_frequency
 from .trajectories import JumpRecord, NullFlow, sample_gaps, telegraph_stats
 from .transmon import TransmonParams, beta_B
@@ -207,7 +209,7 @@ def _run_heterodyne_sse(cfg):
     al, be, rec = (np.array([getattr(s, f) for s in series])
                    for f in ("alpha", "beta", "record_T"))
     last = series[-1]
-    cur = last.record_T / last.t
+    cur = last.current()
     summary = {"alpha_final_re": last.alpha.real,
                "alpha_final_im": last.alpha.imag,
                "log_norm_sq_final": last.log_norm_sq(),
@@ -531,6 +533,9 @@ def main(argv=None) -> int:
     t0 = time.perf_counter()
     try:
         header, columns, summary = cmd.run(cfg)
+    except ParameterError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     except _NUMERICAL_ERRORS as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3

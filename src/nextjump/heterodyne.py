@@ -41,7 +41,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import FockVector, RngStream, coherent_amplitudes, default_nmax
+from .numerics import (FockVector, ParameterError, RngStream,
+                       coherent_amplitudes, default_nmax)
 
 __all__ = [
     "CurrentStatistics",
@@ -100,15 +101,15 @@ class HeterodyneParams:
 
     def __post_init__(self):
         if not (math.isfinite(self.kappa) and self.kappa > 0):
-            raise ValueError("kappa must be positive and finite")
+            raise ParameterError("kappa must be positive and finite")
         if not (math.isfinite(self.nbar) and self.nbar >= 0):
-            raise ValueError("nbar must be nonnegative and finite")
+            raise ParameterError("nbar must be nonnegative and finite")
         if not (math.isfinite(self.B) and self.B > 0):
-            raise ValueError("detection beam amplitude B must be positive and finite")
+            raise ParameterError("detection beam amplitude B must be positive and finite")
         if self.omega is None:
             object.__setattr__(self, "omega", 50.0 * self.kappa)
         elif not (math.isfinite(self.omega) and self.omega >= 0):
-            raise ValueError("omega must be nonnegative and finite")
+            raise ParameterError("omega must be nonnegative and finite")
 
     @property
     def gamma_drive(self) -> float:
@@ -118,10 +119,6 @@ class HeterodyneParams:
     def alpha_steady(self) -> float:
         """Fixed point of the amplitude flow, 2*Gamma/kappa = sqrt(nbar)."""
         return 2 * self.gamma_drive / self.kappa
-
-    def max_step(self) -> float:
-        """Largest noise step resolving both the phase and the decay."""
-        return _max_step(self.kappa, self.omega)
 
 
 @dataclass(frozen=True, eq=False)
@@ -319,7 +316,7 @@ def integrate_sse(params: HeterodyneParams, path: NoisePath, psi0=None,
     noise step) on a truncated number basis.
 
     ``psi0``: coherent mode accepts None (vacuum), a complex alpha0, or an
-    (alpha0, beta0) pair; Fock mode accepts None or a single-level FockVector.
+    (alpha0, beta0) pair; Fock mode accepts None or a FockVector.
     """
     _check_step(params.kappa, path.omega, path.dt)
     if mode == "coherent":
@@ -339,10 +336,8 @@ def integrate_sse(params: HeterodyneParams, path: NoisePath, psi0=None,
         psi = np.zeros(nmax + 1, dtype=complex)
         psi[0] = 1.0
     else:
-        if psi0.levels != 1:
-            raise ValueError("Fock mode integrates a single cavity level")
-        psi = np.array(psi0.amps[0], dtype=complex)
-        nmax = psi.size - 1
+        psi = psi0.amps.copy()
+        nmax = psi0.nmax
     nvec = np.arange(nmax + 1)
     sqn = np.sqrt(nvec[1:].astype(float))
     h = dt / substeps

@@ -23,6 +23,7 @@ from numpy.random import Generator, Philox
 __all__ = [
     "FockVector",
     "IntegrationError",
+    "ParameterError",
     "RegimeWarning",
     "RngStream",
     "StreamDraws",
@@ -46,6 +47,11 @@ class IntegrationError(RuntimeError):
     """Raised when the adaptive integrator fails to reach the end time."""
 
 
+class ParameterError(ValueError):
+    """Raised by a model's parameter record for a value outside its domain:
+    bad input, not a numerical failure."""
+
+
 class RegimeWarning(UserWarning):
     """Emitted when parameters leave the regime a closed form was built for.
 
@@ -61,35 +67,24 @@ def default_nmax(nbar: float) -> int:
 
 @dataclass
 class FockVector:
-    """Unnormalized state on ``levels`` discrete levels times a truncated
-    Fock ladder of ``nmax + 1`` photon states.
-
-    ``amps[l, n]`` is the amplitude on discrete level ``l`` with ``n``
-    photons.  ``levels`` is 1 for a bare oscillator, 2 or 3 when an atom or
-    qubit rides along.
-    """
+    """Unnormalized state of one truncated Fock ladder: ``amps[n]`` is the
+    amplitude with n photons, n = 0 .. nmax."""
 
     amps: np.ndarray
 
     def __post_init__(self):
         self.amps = np.asarray(self.amps, dtype=complex)
-        if self.amps.ndim == 1:
-            self.amps = self.amps[np.newaxis, :]
-        if self.amps.ndim != 2 or not (1 <= self.amps.shape[0] <= 3):
-            raise ValueError("amps must be (levels, nmax+1) with 1..3 levels")
-
-    @property
-    def levels(self) -> int:
-        return self.amps.shape[0]
+        if self.amps.ndim != 1:
+            raise ValueError("amps must be one ladder, shaped (nmax+1,)")
 
     @property
     def nmax(self) -> int:
-        return self.amps.shape[1] - 1
+        return self.amps.size - 1
 
     @classmethod
     def vacuum(cls, nmax: int) -> "FockVector":
-        amps = np.zeros((1, nmax + 1), dtype=complex)
-        amps[0, 0] = 1.0
+        amps = np.zeros(nmax + 1, dtype=complex)
+        amps[0] = 1.0
         return cls(amps)
 
     def norm_sq(self) -> float:
@@ -97,7 +92,7 @@ class FockVector:
 
     def tail_mass(self) -> float:
         """Amplitude magnitude sitting in the topmost Fock bin."""
-        return float(np.max(np.abs(self.amps[:, -1])))
+        return float(np.abs(self.amps[-1]))
 
     def inner(self, other: "FockVector") -> complex:
         return complex(np.sum(np.conj(self.amps) * other.amps))
@@ -162,13 +157,15 @@ class RngStream:
     stream_index mod 2^64).  Its k-th double (k = 0, 1, ...) is word k % 4
     of the Philox block at counter 1 + k // 4 (numpy increments the counter
     before its first block), as (word >> 11) * 2^-53.  So it is a pure
-    function of (seed, stream_index, k), and two routes give the same bits:
-    ``generator()``, a numpy ``Generator``, serves one stream's bulk draws
-    (``sample_gaps``, ``telegraph_run`` and the heterodyne samplers), where
-    numpy's C Philox is fastest; ``StreamDraws`` serves the few draws per
-    step of many streams at once (the jump engine behind
-    ``lindblad_consistency`` and ``run_trajectory``) without a ``Generator``
-    per stream.
+    function of (seed, stream_index, k), and two routes give the same bits.
+    ``generator()``, a numpy ``Generator``, serves one stream's bulk draws,
+    where numpy's C Philox is fastest: ``sample_gaps`` and ``telegraph_run``
+    (gaps and channels), ``NoisePath.draw``, the heterodyne samplers and
+    ``ensemble_unraveling_check``, and the channel draws of the CLI's
+    telegraph.  ``StreamDraws`` serves the few draws per step of many
+    streams at once, without a ``Generator`` per stream: it is the jump
+    engine's only route, behind ``lindblad_consistency`` and
+    ``run_trajectory``.
     """
 
     seed: int

@@ -20,11 +20,11 @@ chi/kappa = 1/2 for dispersive readout).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cavity import CavityParams, detuned_flow
+from .cavity import CavityParams, detuned_flow, resonant_flow
 
 __all__ = [
     "ReadoutCurves",
@@ -39,12 +39,6 @@ __all__ = [
 ]
 
 
-def _with_chi(p: CavityParams, chi: float) -> CavityParams:
-    """p with only the dispersive pull changed; drive and detection
-    reference stay, so both readout branches share them."""
-    return replace(p, chi=chi)
-
-
 def error_next_jump(p: CavityParams, t):
     """Next-jump readout error at time t (cumulative-click conditioning).
 
@@ -56,7 +50,7 @@ def error_next_jump(p: CavityParams, t):
     """
     t = np.asarray(t, dtype=float)
     traj_g = detuned_flow(p, 0j)
-    traj_b = detuned_flow(_with_chi(p, 0.0), 0j)
+    traj_b = resonant_flow(p)
     pg = 1.0 - traj_g.survival(t)
     pb = 1.0 - traj_b.survival(t)
     tot = pg + pb

@@ -21,9 +21,9 @@ pending jump times solved for together.  Everything is deterministic given
 (seed, stream): trajectory i consumes stream i of the counter-based
 generator, a time draw per segment and then a channel draw when the model
 has more than one channel, exactly as a lone trajectory would.  The engine
-computes those draws for every live trajectory at once from the Philox
-counters (``numerics.StreamDraws``) and builds no numpy ``Generator``;
-a ``Generator`` a caller passes in is drawn from as before.
+has one random route: it computes those draws for every live trajectory at
+once from the Philox counters (``numerics.StreamDraws``) and builds no
+numpy ``Generator``.
 """
 
 from __future__ import annotations
@@ -463,11 +463,10 @@ class JumpRecord:
         return np.diff(self.times, prepend=0.0)
 
 
-def _unravel(model: EffectiveModel, tmax: float, rngs) -> tuple:
-    """Lockstep jump unraveling of len(rngs) trajectories on [0, tmax].
+def _unravel(model: EffectiveModel, tmax: float, draws: StreamDraws) -> tuple:
+    """Lockstep jump unraveling of len(draws) trajectories on [0, tmax].
 
-    rngs is a ``StreamDraws`` over one stream per trajectory, or a list of
-    numpy ``Generator``s.  Trajectory j draws from its stream j only, in the
+    Trajectory j draws by counter from stream j of ``draws`` only, in the
     order a lone trajectory would: the survival level u of each segment,
     then the channel when the model has more than one.  Each round draws
     the levels of all live trajectories, and then the channels of those
@@ -480,11 +479,7 @@ def _unravel(model: EffectiveModel, tmax: float, rngs) -> tuple:
     channel indices per trajectory, and the (d, n) final states,
     unnormalized relative to the last reset.
     """
-    if isinstance(rngs, StreamDraws):
-        draw = rngs.next
-    else:
-        draw = lambda rows: np.array([rngs[j].random() for j in rows])
-    n = len(rngs)
+    n = len(draws)
     psi0 = model.initial_state / np.linalg.norm(model.initial_state)
     flow = NullFlow(model.generator, psi0)
     coef = np.repeat(flow._coef[:, np.newaxis], n, axis=1)
@@ -495,7 +490,7 @@ def _unravel(model: EffectiveModel, tmax: float, rngs) -> tuple:
     channels = [[] for _ in range(n)]
     live = np.flatnonzero(t < tmax)
     while live.size:
-        u = draw(live)
+        u = draws.next(live)
         c, nrm = coef[:, live], norm0[live]
         remaining = tmax - t[live]
         psi_end = flow._evolve(c, remaining)
@@ -515,7 +510,7 @@ def _unravel(model: EffectiveModel, tmax: float, rngs) -> tuple:
         psi_j = flow._evolve(c, t_rel)
         ks = np.zeros(live.size, dtype=int)
         if len(model.jump_ops) > 1:
-            ks = model.choose_channels(psi_j, draw(live))
+            ks = model.choose_channels(psi_j, draws.next(live))
         post = model.reset(ks, psi_j)
         t[live] += t_rel
         for j, k in zip(live.tolist(), ks.tolist()):
@@ -528,13 +523,13 @@ def _unravel(model: EffectiveModel, tmax: float, rngs) -> tuple:
     return times, channels, final
 
 
-def run_trajectory(model: EffectiveModel, tmax: float, rng) -> JumpRecord:
+def run_trajectory(model: EffectiveModel, tmax: float,
+                   rng: RngStream) -> JumpRecord:
     """Jump unraveling of one trajectory on [0, tmax] (a lockstep batch of
-    one), consuming one random stream in order: an ``RngStream`` by counter,
-    or a numpy ``Generator``, which ends advanced by the doubles drawn."""
-    rngs = (StreamDraws(rng.seed, [rng.stream_index])
-            if isinstance(rng, RngStream) else [rng])
-    times, channels, final = _unravel(model, tmax, rngs)
+    one), drawing from the stream rng by counter in the order member
+    rng.stream_index of a batch on rng.seed would."""
+    times, channels, final = _unravel(
+        model, tmax, StreamDraws(rng.seed, [rng.stream_index]))
     return JumpRecord(np.array(times[0]), np.array(channels[0], dtype=int),
                       model.labels, final[:, 0], float(tmax))
 

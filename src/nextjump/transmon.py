@@ -20,7 +20,7 @@ from dataclasses import astuple, dataclass
 
 import numpy as np
 
-from .numerics import IntegrationError, RegimeWarning, fock_ops
+from .numerics import IntegrationError, ParameterError, RegimeWarning, fock_ops
 from .trajectories import NullFlow
 
 __all__ = [
@@ -65,11 +65,11 @@ class TransmonParams:
 
     def __post_init__(self):
         if not all(map(cmath.isfinite, astuple(self))):
-            raise ValueError("rates, photon number and drive amplitudes must be finite")
+            raise ParameterError("rates, photon number and drive amplitudes must be finite")
         if self.kappa <= 0:
-            raise ValueError("kappa must be positive")
+            raise ParameterError("kappa must be positive")
         if self.nbar < 0:
-            raise ValueError("nbar must be non-negative")
+            raise ParameterError("nbar must be non-negative")
 
     @property
     def gamma_drive(self) -> float:

@@ -266,6 +266,18 @@ def test_numerical_failure_exit_code(tmp_path):
 
 
 @pytest.mark.parametrize("argv", [
+    ["atom3-null", "--beta2", "-1"],
+    ["atom3-telegraph", "--beta2", "-0.5"]])
+def test_out_of_range_model_parameter_exit_code(tmp_path, argv, capsys):
+    """A parameter record refusing a value is bad input (exit 2), not a
+    numerical failure, and nothing is written."""
+    out = tmp_path / "p.csv"
+    assert _run(argv + ["--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists() and not (tmp_path / "p.json").exists()
+
+
+@pytest.mark.parametrize("argv", [
     ["transmon-multiscale", "--fit-start", "100", "--tmax", "3"],   # no point
     ["transmon-dark", "--npts", "1", "--nmax", "40"],               # one point
     ["atom3-null", "--fit-start", "200"],                           # no point

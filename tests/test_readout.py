@@ -37,10 +37,8 @@ def test_error_next_jump_scale_invariance():
 
 def test_error_next_jump_keeps_drive_and_detection_reference():
     # both branches must share gamma_shift and gamma_drive; only chi differs
-    p = CavityParams(kappa=1.0, chi=20.0, nbar=100.0, gamma_drive=4.0,
-                     gamma_shift=10.0)
-    p_b = CavityParams(kappa=1.0, chi=0.0, nbar=100.0, gamma_drive=4.0,
-                       gamma_shift=10.0)
+    p = CavityParams(kappa=1.0, chi=20.0, nbar=100.0, gamma_shift=10.0)
+    p_b = CavityParams(kappa=1.0, chi=0.0, nbar=100.0, gamma_shift=10.0)
     for t in (0.3, 0.7, 2.0):
         pg = 1.0 - detuned_flow(p, 0j).survival(t)
         pb = 1.0 - detuned_flow(p_b, 0j).survival(t)

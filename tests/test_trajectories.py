@@ -138,10 +138,12 @@ def test_choose_channels_rejects_vanishing_rates():
 
 
 def _assert_engine_matches_reference(model, tmax, seedbase, ntraj):
-    """Engine and reference agree trajectory by trajectory; returns the
-    reference's normalized final states as columns."""
-    times, channels, final = _unravel(
-        model, tmax, [RngStream(seedbase, i).generator() for i in range(ntraj)])
+    """Engine, drawing by counter, and reference, drawing from one numpy
+    Generator per trajectory, agree trajectory by trajectory; returns the
+    reference's normalized final states as columns and the doubles each
+    stream gave the engine."""
+    draws = StreamDraws(seedbase, np.arange(ntraj))
+    times, channels, final = _unravel(model, tmax, draws)
     ref_final = np.empty_like(final)
     for i in range(ntraj):
         ref_t, ref_c, ref_f = _reference_trajectory(
@@ -152,7 +154,7 @@ def _assert_engine_matches_reference(model, tmax, seedbase, ntraj):
         got = final[:, i] / np.linalg.norm(final[:, i])
         ref_final[:, i] = want = ref_f / np.linalg.norm(ref_f)
         assert np.max(np.abs(got - want)) < 1e-10
-    return ref_final
+    return ref_final, draws.drawn
 
 
 def test_null_flow_matches_expm():
@@ -473,7 +475,8 @@ def test_lindblad_consistency_small_ensemble():
 @pytest.mark.parametrize("name", sorted(MODELS))
 def test_engine_matches_sequential_reference(name):
     model, tmax = MODELS[name]
-    ref = _assert_engine_matches_reference(model, tmax, seedbase=14, ntraj=200)
+    ref, _ = _assert_engine_matches_reference(model, tmax, seedbase=14,
+                                              ntraj=200)
     rep = lindblad_consistency(model, 200, tmax, seedbase=14)
     want = ref @ ref.conj().T / 200
     assert np.max(np.abs(rep["rho_ensemble"] - want)) < 1e-10
@@ -495,10 +498,23 @@ def test_lindblad_consistency_same_seed_repeats():
     assert np.array_equal(r1["rho_ensemble"], r2["rho_ensemble"])
     # each trajectory of the batch is the trajectory run on its own
     rec = run_trajectory(model, tmax, RngStream(3, 7))
-    times, channels, _ = _unravel(
-        model, tmax, [RngStream(3, i).generator() for i in range(200)])
+    times, channels, _ = _unravel(model, tmax, StreamDraws(3, np.arange(200)))
     assert np.array_equal(rec.times, times[7])
     assert np.array_equal(rec.channels, channels[7])
+
+
+@pytest.mark.parametrize("name", ["atom", "cavity"])
+def test_every_lone_trajectory_matches_its_batch_member(name):
+    """Each of 200 lone runs has its batch member's channels exactly and its
+    jump times to 1e-10.  The times are not compared bit for bit: the batch
+    products round a column differently with the batch size, so bit-for-bit
+    equality waits on batch invariance of the engine (ROADMAP item 3(d))."""
+    model, tmax = MODELS[name]
+    times, channels, _ = _unravel(model, tmax, StreamDraws(3, np.arange(200)))
+    for i in range(200):
+        rec = run_trajectory(model, tmax, RngStream(3, i))
+        assert rec.channels.tolist() == channels[i]
+        assert np.max(np.abs(rec.times - times[i]), initial=0.0) < 1e-10
 
 
 #: (model, tmax, ntraj) long enough that some stream refills its buffer of
@@ -510,34 +526,29 @@ _LONG_RUNS = {"atom": (MODELS["atom"][0], 40.0, 40),
 
 @pytest.mark.parametrize("name", sorted(_LONG_RUNS))
 def test_counter_streams_match_generator_streams(name):
-    """The engine drawing by counter equals the engine drawing from one
-    numpy Generator per trajectory, bit for bit, member by member."""
+    """The engine drawing by counter matches the sequential reference
+    drawing from one numpy Generator per trajectory, member by member, over
+    runs that refill some stream's buffer of counter draws twice."""
     model, tmax, ntraj = _LONG_RUNS[name]
-    draws = StreamDraws(9, np.arange(ntraj))
-    times, channels, final = _unravel(model, tmax, draws)
-    assert draws.drawn.max() > 2 * DRAW_BUFFER
-    ref_t, ref_c, ref_f = _unravel(
-        model, tmax, [RngStream(9, i).generator() for i in range(ntraj)])
-    assert times == ref_t
-    assert channels == ref_c
-    assert final.tobytes() == ref_f.tobytes()
+    _, drawn = _assert_engine_matches_reference(model, tmax, 9, ntraj)
+    assert drawn.max() > 2 * DRAW_BUFFER
 
 
 @pytest.mark.parametrize("name", ["atom", "cavity"])
 def test_caller_generator_ends_advanced_by_its_draws(name):
-    """A Generator passed to run_trajectory gives one time draw per segment
-    and one channel draw per click when there are several channels, and
-    nothing else, and the same trajectory as its RngStream by counter."""
+    """A trajectory takes one time draw per segment and one channel draw
+    per click when there are several channels, and nothing else, from its
+    stream; run_trajectory is that trajectory as a batch of one."""
     model, _ = MODELS[name]
-    gen = RngStream(4, 2).generator()
-    rec = run_trajectory(model, 20.0, gen)
-    assert rec.njumps >= 2
-    want = RngStream(4, 2).generator()
-    want.random(rec.njumps + 1 + rec.njumps * (len(model.jump_ops) > 1))
-    np.testing.assert_equal(gen.bit_generator.state, want.bit_generator.state)
-    by_counter = run_trajectory(model, 20.0, RngStream(4, 2))
-    assert np.array_equal(rec.times, by_counter.times)
-    assert np.array_equal(rec.channels, by_counter.channels)
+    draws = StreamDraws(4, [2])
+    times, channels, _ = _unravel(model, 20.0, draws)
+    njumps = len(times[0])
+    assert njumps >= 2
+    assert draws.drawn.tolist() == [
+        njumps + 1 + njumps * (len(model.jump_ops) > 1)]
+    rec = run_trajectory(model, 20.0, RngStream(4, 2))
+    assert np.array_equal(rec.times, times[0])
+    assert np.array_equal(rec.channels, channels[0])
 
 
 def test_telegraph_generator_ends_advanced_by_whole_batches():
