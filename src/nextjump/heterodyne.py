@@ -17,8 +17,10 @@ form) and carries two demodulated record integrals: the plain average
 ``record_T`` whose time average ``I = record_T/t`` is the measured current,
 and the exponentially filtered ``record_S`` with memory ``2/kappa``.  It takes
 a whole record at once: alpha in closed form, beta and ``record_T`` as
-cumulative sums, ``record_S`` as a blocked decaying sum.  A Fock-basis Euler
-integrator serves as an oracle for the coherent route.
+cumulative sums, ``record_S`` as a blocked decaying sum.  ``fock_sse_oracle``,
+explicit Euler on a truncated number basis, is its brute-force oracle.  A
+``NoisePath`` is the record alone (its step and increments); ``B`` and
+``omega`` are read from the ``HeterodyneParams`` it is integrated with.
 
 Since alpha(t) does not depend on the record, every quantity the ensemble
 samplers return is a constant plus a fixed linear combination of the
@@ -42,7 +44,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .numerics import (FockVector, ParameterError, RngStream,
-                       coherent_amplitudes, default_nmax)
+                       coherent_amplitudes, default_nmax, fock_ops)
 
 __all__ = [
     "CurrentStatistics",
@@ -51,6 +53,7 @@ __all__ = [
     "SSEState",
     "current_statistics",
     "ensemble_unraveling_check",
+    "fock_sse_oracle",
     "gauge_equivalence",
     "integrate_sse",
     "integrate_sse_series",
@@ -77,11 +80,20 @@ _STREAM_UNRAVELING = 5
 _BLOCK = 2048
 
 
-def _max_step(kappa: float, omega: float) -> float:
+def _max_step(params: HeterodyneParams) -> float:
     """Largest noise step resolving both the phase and the decay."""
-    if omega > 0:
-        return min(0.05 / omega, 0.01 / kappa)
-    return 0.01 / kappa
+    if params.omega > 0:
+        return min(0.05 / params.omega, 0.01 / params.kappa)
+    return 0.01 / params.kappa
+
+
+def _record_steps(duration: float, dt: float) -> int:
+    """Noise steps in a record of the given duration, at least one."""
+    nsteps = int(round(duration / dt))
+    if nsteps < 1:
+        raise ParameterError(f"duration {duration:g} holds no noise step of "
+                             f"dt={dt:g}")
+    return nsteps
 
 
 @dataclass(frozen=True)
@@ -125,21 +137,19 @@ class HeterodyneParams:
 class NoisePath:
     """One realization of the detector record.
 
-    ``increments[k]`` is the record increment over step k, Gaussian with
-    variance B**2*dt under the ostensible measure.  The demodulation phase is
-    ``omega*t``: omega = 0 is homodyne detection at phase 0.
+    ``increments[k]`` is the record increment over step k of length dt.  The
+    record carries nothing else: its variance B**2*dt under the ostensible
+    measure and its demodulation phase ``omega*t`` (omega = 0 is homodyne
+    detection at phase 0) belong to the HeterodyneParams it is drawn and
+    integrated with.
     """
 
     dt: float
     increments: np.ndarray
-    B: float
-    omega: float = 0.0
 
     def __post_init__(self):
         if not (math.isfinite(self.dt) and self.dt > 0):
             raise ValueError("dt must be positive and finite")
-        if not (math.isfinite(self.B) and self.B > 0):
-            raise ValueError("B must be positive and finite")
         inc = np.asarray(self.increments, dtype=float)
         if inc.ndim != 1:
             raise ValueError("increments must be a 1-D array")
@@ -160,37 +170,28 @@ class NoisePath:
 
         The path is fully determined by seed: one Gaussian draw of all
         increments from the counter-based stream (seed, _STREAM_PATH).
+        Raises ParameterError when the duration rounds to no step.
         """
-        nsteps = int(round(duration / dt))
+        nsteps = _record_steps(duration, dt)
         rng = RngStream(seed, _STREAM_PATH).generator()
         dz = rng.normal(0.0, params.B * np.sqrt(dt), size=nsteps)
-        return cls(dt=dt, increments=dz, B=params.B, omega=params.omega)
-
-    @classmethod
-    def silent(cls, params: HeterodyneParams, duration: float,
-               dt: float) -> "NoisePath":
-        """The zero-record path (deterministic flow)."""
-        nsteps = int(round(duration / dt))
-        return cls(dt=dt, increments=np.zeros(nsteps), B=params.B,
-                   omega=params.omega)
+        return cls(dt=dt, increments=dz)
 
 
 @dataclass(frozen=True, eq=False)
 class SSEState:
-    """Conditioned (unnormalized) state after integrating one record.
-
-    Coherent form carries (alpha, beta) with norm^2 = exp(2 Re beta +
-    |alpha|^2); Fock form carries the amplitude vector.  Both carry the
-    accumulated demodulated record integral ``record_T`` (current I =
-    record_T/t, stored in units of B) and the filtered record ``record_S``.
+    """Conditioned (unnormalized) state exp(alpha c^dag + beta)|0> after
+    integrating a record up to time t, with norm^2 = exp(2 Re beta +
+    |alpha|^2).  It carries the accumulated demodulated record integral
+    ``record_T`` (current I = record_T/t, stored in units of B) and the
+    filtered record ``record_S``.
     """
 
     t: float
     record_T: complex
     record_S: complex
-    alpha: complex | None = None
-    beta: complex | None = None
-    fock: FockVector | None = None
+    alpha: complex
+    beta: complex
 
     def current(self) -> complex:
         if self.t <= 0:
@@ -198,13 +199,9 @@ class SSEState:
         return self.record_T / self.t
 
     def log_norm_sq(self) -> float:
-        if self.fock is not None:
-            return float(np.log(self.fock.norm_sq()))
         return float(2 * self.beta.real + abs(self.alpha) ** 2)
 
     def norm_sq(self) -> float:
-        if self.fock is not None:
-            return self.fock.norm_sq()
         return float(np.exp(2 * self.beta.real + abs(self.alpha) ** 2))
 
 
@@ -226,8 +223,8 @@ def _step_constants(kappa: float, omega: float, dt: float):
     return I1, I2, I3, I4
 
 
-def _check_step(kappa: float, omega: float, dt: float):
-    limit = _max_step(kappa, omega)
+def _check_step(params: HeterodyneParams, dt: float):
+    limit = _max_step(params)
     if dt > limit * (1 + 1e-12):
         raise ValueError(
             f"noise step dt={dt:g} exceeds {limit:g}; the step must "
@@ -243,21 +240,21 @@ def _demod(omega: float, dt: float, steps: np.ndarray):
     return ph, ph * ((1 - np.exp(-1j * omega * dt)) / (1j * omega * dt))
 
 
-def _coherent_terms(params: HeterodyneParams, path: NoisePath, steps: np.ndarray,
+def _coherent_terms(params: HeterodyneParams, dt: float, steps: np.ndarray,
                     alpha0: complex = 0j):
-    """Coefficients of the coherent update at the given steps of the grid of
-    ``path`` (its increments are not read).
+    """Coefficients of the coherent update at the given steps of a record
+    with step dt.
 
     Returns alpha at the start of each step, the demodulation weights ehat_k,
     and the beta increment of step k as ``gain_k*dz_k + drift_k``, where with
     delta_k = alpha_k - abar, gain_k = (sqrt(kappa)/(B dt)) e^{-i phi_k}
     (abar I1 + delta_k I2) and drift_k = -Gamma (abar I3 + delta_k I4)."""
-    kappa, Gam, dt = params.kappa, params.gamma_drive, path.dt
+    kappa, Gam = params.kappa, params.gamma_drive
     abar = 2 * Gam / kappa
-    I1, I2, I3, I4 = _step_constants(kappa, path.omega, dt)
+    I1, I2, I3, I4 = _step_constants(kappa, params.omega, dt)
     d = (alpha0 - abar) * np.exp(-kappa / 2 * dt * steps)
-    ph, ehat = _demod(path.omega, dt, steps)
-    gain = (np.sqrt(kappa) / (path.B * dt)) * ph * (abar * I1 + d * I2)
+    ph, ehat = _demod(params.omega, dt, steps)
+    gain = (np.sqrt(kappa) / (params.B * dt)) * ph * (abar * I1 + d * I2)
     drift = -Gam * (abar * I3 + d * I4)
     return np.where(steps == 0, alpha0, abar + d), ehat, gain, drift
 
@@ -275,15 +272,15 @@ def _coherent_kernel(params: HeterodyneParams, path: NoisePath, at: np.ndarray,
     """
     kappa, dt, n = params.kappa, path.dt, path.nsteps
     r = np.exp(-kappa * dt / 2)
-    a_gain = np.sqrt(kappa) / path.B * np.exp(-kappa * dt / 4)
+    a_gain = np.sqrt(kappa) / params.B * np.exp(-kappa * dt / 4)
     out = np.empty((4, at.size), dtype=complex)
-    out[0] = _coherent_terms(params, path, at, alpha0)[0]
+    out[0] = _coherent_terms(params, dt, at, alpha0)[0]
     carry = np.array([beta0, 0j, 0j])
     out[1:, at == 0] = carry[:, None]
     for j in range(0, n, _BLOCK):
         steps = np.arange(j, min(j + _BLOCK, n))
         dz = path.increments[j:j + steps.size]
-        _, ehat, gain, drift = _coherent_terms(params, path, steps, alpha0)
+        _, ehat, gain, drift = _coherent_terms(params, dt, steps, alpha0)
         q = r ** (steps - (j - 1))
         block = np.stack([np.cumsum(gain * dz + drift), np.cumsum(dz * ehat),
                           np.cumsum(a_gain * dz * ehat / q)])
@@ -295,79 +292,54 @@ def _coherent_kernel(params: HeterodyneParams, path: NoisePath, at: np.ndarray,
     return out
 
 
-def _coherent_start(psi0):
-    """(alpha0, beta0) from None (vacuum), a complex alpha0 or a pair."""
-    if psi0 is None:
-        return 0j, 0j
-    if isinstance(psi0, tuple):
-        return complex(psi0[0]), complex(psi0[1])
-    return complex(psi0), 0j
+def integrate_sse(params: HeterodyneParams, path: NoisePath) -> SSEState:
+    """Integrate the conditional evolution along one noise path from the
+    vacuum.
 
-
-def integrate_sse(params: HeterodyneParams, path: NoisePath, psi0=None,
-                  mode: str = "coherent", substeps: int = 1) -> SSEState:
-    """Integrate the conditional evolution along one noise path.
-
-    Coherent mode (the primary route) advances (alpha, beta) exactly over
-    each step: the record derivative is constant within a step, so the
-    amplitude relaxation and the phase factors integrate in closed form and
-    the only discretization is the piecewise-constant record itself.  Fock
-    mode is the brute-force oracle: explicit Euler substeps (``substeps`` per
-    noise step) on a truncated number basis.
-
-    ``psi0``: coherent mode accepts None (vacuum), a complex alpha0, or an
-    (alpha0, beta0) pair; Fock mode accepts None or a FockVector.
+    Advances (alpha, beta) exactly over each step: the record derivative is
+    constant within a step, so the amplitude relaxation and the phase factors
+    integrate in closed form and the only discretization is the
+    piecewise-constant record itself.
     """
-    _check_step(params.kappa, path.omega, path.dt)
-    if mode == "coherent":
-        al, be, T, S = _coherent_kernel(params, path, np.array([path.nsteps]),
-                                        *_coherent_start(psi0))[:, 0]
-        return SSEState(t=path.duration, record_T=complex(T), record_S=complex(S),
-                        alpha=complex(al), beta=complex(be))
+    _check_step(params, path.dt)
+    al, be, T, S = _coherent_kernel(params, path, np.array([path.nsteps]))[:, 0]
+    return SSEState(t=path.duration, record_T=complex(T), record_S=complex(S),
+                    alpha=complex(al), beta=complex(be))
 
-    if mode != "fock":
-        raise ValueError("mode must be 'coherent' or 'fock'")
+
+def fock_sse_oracle(params: HeterodyneParams, path: NoisePath,
+                    state0: FockVector, substeps: int) -> FockVector:
+    """Brute-force oracle of the coherent kernel: explicit Euler, ``substeps``
+    per noise step, of d psi/dt = [(sqrt(kappa)/B) zdot e^{-i omega t} c +
+    Gamma (c^dag - c) - (kappa/2) c^dag c] psi on the truncated number basis
+    of state0, with the record derivative zdot constant within a step.
+    Returns the unnormalized final state.
+    """
     if substeps < 1:
         raise ValueError("substeps must be >= 1")
-    kappa, Gam, sqk = params.kappa, params.gamma_drive, np.sqrt(params.kappa)
-    B, omega, dt, dz = path.B, path.omega, path.dt, path.increments
-    if psi0 is None:
-        nmax = default_nmax(params.nbar)
-        psi = np.zeros(nmax + 1, dtype=complex)
-        psi[0] = 1.0
-    else:
-        psi = psi0.amps.copy()
-        nmax = psi0.nmax
-    nvec = np.arange(nmax + 1)
-    sqn = np.sqrt(nvec[1:].astype(float))
-    h = dt / substeps
-    for k in range(path.nsteps):
-        zdot = dz[k] / dt
+    _check_step(params, path.dt)
+    a, n = fock_ops(state0.nmax)
+    flow = params.gamma_drive * (a.T - a) - (params.kappa / 2) * n
+    gain = np.sqrt(params.kappa) / params.B
+    dt, h = path.dt, path.dt / substeps
+    psi = state0.amps.copy()
+    for k, dzk in enumerate(path.increments):
         for j in range(substeps):
-            t = k * dt + j * h
-            u = (sqk / B) * zdot * np.exp(-1j * (omega * t))
-            cpsi = np.zeros_like(psi)
-            cpsi[:-1] = sqn * psi[1:]
-            cdpsi = np.zeros_like(psi)
-            cdpsi[1:] = sqn * psi[:-1]
-            dpsi = u * cpsi + Gam * (cdpsi - cpsi) - (kappa / 2) * nvec * psi
-            psi = psi + h * dpsi
-    T, S = _coherent_kernel(params, path, np.array([path.nsteps]))[2:, 0]
-    return SSEState(t=path.duration, record_T=complex(T), record_S=complex(S),
-                    fock=FockVector(psi))
+            u = gain * (dzk / dt) * np.exp(-1j * (params.omega * (k * dt + j * h)))
+            psi = psi + h * (u * (a @ psi) + flow @ psi)
+    return FockVector(psi)
 
 
 def integrate_sse_series(params: HeterodyneParams, path: NoisePath,
                          every: int = 1) -> list:
-    """Coherent-mode integration from the vacuum, with a snapshot every
-    ``every`` steps.
+    """integrate_sse with a snapshot every ``every`` steps.
 
     Same kernel as integrate_sse, so series[-1] equals the single-shot
     result bit for bit.  The initial and the final state are always included.
     """
     if every < 1:
         raise ValueError("every must be >= 1")
-    _check_step(params.kappa, path.omega, path.dt)
+    _check_step(params, path.dt)
     n = path.nsteps
     at = np.unique(np.r_[0:n + 1:every, n])
     out = _coherent_kernel(params, path, at)
@@ -398,8 +370,8 @@ def _sampler_grid(params: HeterodyneParams, duration: float, dt: float):
     """Step count and demodulation weights shared by the ensemble samplers."""
     if params.omega <= 0:
         raise ValueError("heterodyne sampling needs omega > 0")
-    _check_step(params.kappa, params.omega, dt)
-    nsteps = int(round(duration / dt))
+    _check_step(params, dt)
+    nsteps = _record_steps(duration, dt)
     return nsteps, _demod(params.omega, dt, np.arange(nsteps))[1]
 
 
@@ -585,16 +557,16 @@ def gauge_equivalence(params: HeterodyneParams, path: NoisePath) -> dict:
     (the states stay on one ray).  The scalar is also accumulated separately
     and the decomposition beta_drift = beta_plain + scalar is checked.
     """
-    _check_step(params.kappa, path.omega, path.dt)
+    _check_step(params, path.dt)
     kappa, dt = params.kappa, path.dt
     steps = np.arange(path.nsteps + 1)
     al_p, be_p = _coherent_kernel(params, path, steps)[:2]
 
     # drift gauge, summed on its own: the plain increments plus i*J_k, the
     # exact step integral of I(s)*alpha(s), alpha = abar + delta e^{-kappa s/2}
-    al_d, _, gain, drift = _coherent_terms(params, path, steps)
+    al_d, _, gain, drift = _coherent_terms(params, dt, steps)
     abar = params.alpha_steady
-    I4 = _step_constants(kappa, path.omega, dt)[3]
+    I4 = _step_constants(kappa, params.omega, dt)[3]
     I5 = (1 - np.exp(-kappa * dt)) / kappa
     d = al_d[:-1] - abar
     J = 2 * abar**2 * dt + 2 * abar * (d + d.real) * I4 + 2 * d.real * d * I5
@@ -632,11 +604,8 @@ def ensemble_unraveling_check(params: HeterodyneParams, duration: float, dt: flo
     Returns the sampled mean norm^2 with its standard error and the amplitude
     deviation from the closed form.
     """
-    if params.omega <= 0:
-        raise ValueError("heterodyne sampling needs omega > 0")
-    _check_step(params.kappa, params.omega, dt)
-    grid = NoisePath.silent(params, duration, dt)
-    alpha, _, gain, drift = _coherent_terms(params, grid, np.arange(grid.nsteps + 1))
+    nsteps = _sampler_grid(params, duration, dt)[0]
+    alpha, _, gain, drift = _coherent_terms(params, dt, np.arange(nsteps + 1))
     re_beta = _sample_gaussian(gain[None, :-1].real, [drift[:-1].real.sum()],
                                params.B * np.sqrt(dt), npaths,
                                RngStream(seed, _STREAM_UNRAVELING).generator())

@@ -160,9 +160,9 @@ class RngStream:
     function of (seed, stream_index, k), and two routes give the same bits.
     ``generator()``, a numpy ``Generator``, serves one stream's bulk draws,
     where numpy's C Philox is fastest: ``sample_gaps`` and ``telegraph_run``
-    (gaps and channels), ``NoisePath.draw``, the heterodyne samplers and
-    ``ensemble_unraveling_check``, and the channel draws of the CLI's
-    telegraph.  ``StreamDraws`` serves the few draws per step of many
+    (gaps and channels), ``NoisePath.draw`` (a record's increments), the
+    four heterodyne samplers and ``ensemble_unraveling_check`` (one block of
+    normals each), and the channel draws of the CLI's telegraph.  ``StreamDraws`` serves the few draws per step of many
     streams at once, without a ``Generator`` per stream: it is the jump
     engine's only route, behind ``lindblad_consistency`` and
     ``run_trajectory``.

@@ -49,6 +49,9 @@ CALLED_FROM_TESTS_ONLY = {
     "heterodyne.ensemble_unraveling_check":
         "the conditioned norm is a martingale: the ensemble averages to the "
         "master equation",
+    "heterodyne.fock_sse_oracle":
+        "explicit Euler on the number basis, the oracle of the coherent "
+        "kernel",
     "heterodyne.sample_filtered_statistic":
         "exact law of the filtered record S, <|S|^2> = 1 - e^{-kappa t}",
     "readout.y_consistency_check":
@@ -212,13 +215,6 @@ def _library_api():
 #: or the benchmark sets or calls, kept as oracles of a paper claim or as
 #: physical fields of a model
 SET_FROM_TESTS_ONLY = {
-    "heterodyne.integrate_sse(psi0=)":
-        "the Fock oracle is compared with the coherent kernel from a "
-        "displaced start",
-    "heterodyne.integrate_sse(mode=)":
-        "selects the Fock oracle of the coherent kernel",
-    "heterodyne.integrate_sse(substeps=)":
-        "Euler substeps of the Fock oracle, refined until it converges",
     "heterodyne.sample_tilted_currents(start=)":
         "vacuum start of the tilted law, against the fixed-amplitude one",
     "heterodyne.null_correspondence(alpha0=)":

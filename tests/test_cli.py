@@ -267,7 +267,12 @@ def test_numerical_failure_exit_code(tmp_path):
 
 @pytest.mark.parametrize("argv", [
     ["atom3-null", "--beta2", "-1"],
-    ["atom3-telegraph", "--beta2", "-0.5"]])
+    ["atom3-telegraph", "--beta2", "-0.5"],
+    # durations that round to a record of no noise step
+    ["heterodyne-sse", "--duration", "0.00001"],
+    ["heterodyne-current", "--duration", "0.0001", "--npaths", "10"],
+    ["heterodyne-current", "--duration", "0.0001", "--npaths", "10",
+     "--mode", "ostensible"]])
 def test_out_of_range_model_parameter_exit_code(tmp_path, argv, capsys):
     """A parameter record refusing a value is bad input (exit 2), not a
     numerical failure, and nothing is written."""

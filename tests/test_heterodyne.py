@@ -7,15 +7,18 @@ from scipy import stats
 from nextjump import heterodyne as het
 from nextjump.heterodyne import (CurrentStatistics, HeterodyneParams,
                                  NoisePath, SSEState, current_statistics,
-                                 ensemble_unraveling_check, gauge_equivalence,
-                                 integrate_sse, integrate_sse_series,
+                                 ensemble_unraveling_check, fock_sse_oracle,
+                                 gauge_equivalence, integrate_sse,
+                                 integrate_sse_series,
                                  norm_weighted_mean_abs, null_correspondence,
                                  sample_filtered_statistic,
                                  sample_ostensible_currents,
                                  sample_raw_currents, sample_tilted_currents)
-from nextjump.numerics import FockVector, RngStream, coherent_amplitudes
+from nextjump.numerics import (FockVector, ParameterError, RngStream,
+                               coherent_amplitudes)
 
 P4 = HeterodyneParams(kappa=1.0, nbar=4.0)
+PH = HeterodyneParams(kappa=1.0, nbar=4.0, omega=0.0)     # homodyne
 PQ = HeterodyneParams(kappa=1.0, nbar=0.25)
 P100 = HeterodyneParams(kappa=1.0, nbar=100.0)
 
@@ -115,7 +118,7 @@ def _martingale_z(be, al):
 
 def ref_coherent_series(p, path, alpha0=0j, beta0=0j):
     """(alpha, beta, record_T, record_S) after every step, one step at a time."""
-    kappa, B, omega, dt = p.kappa, path.B, path.omega, path.dt
+    kappa, B, omega, dt = p.kappa, p.B, p.omega, path.dt
     Gam = p.gamma_drive
     abar = 2 * Gam / kappa
     sqk = math.sqrt(kappa)
@@ -155,7 +158,7 @@ def test_params_validation():
     assert P4.omega == 50.0          # default 50*kappa
     assert P4.alpha_steady == 2.0    # sqrt(nbar)
     assert P4.gamma_drive == 1.0
-    assert het._max_step(P4.kappa, P4.omega) == min(0.05 / 50.0, 0.01)
+    assert het._max_step(P4) == min(0.05 / 50.0, 0.01)
 
 
 @pytest.mark.parametrize("field", ["kappa", "nbar", "B", "omega"])
@@ -167,16 +170,15 @@ def test_params_reject_non_finite(field, value):
 
 def test_noise_path_validation_and_draw():
     with pytest.raises(ValueError):
-        NoisePath(dt=0.0, increments=np.zeros(3), B=1.0)
-    with pytest.raises(ValueError):
-        NoisePath(dt=0.1, increments=np.zeros(3), B=0.0)
+        NoisePath(dt=0.0, increments=np.zeros(3))
     for bad in (math.nan, math.inf):
         with pytest.raises(ValueError):
-            NoisePath(dt=bad, increments=np.zeros(3), B=1.0)
-        with pytest.raises(ValueError):
-            NoisePath(dt=0.1, increments=np.zeros(3), B=bad)
+            NoisePath(dt=bad, increments=np.zeros(3))
     with pytest.raises(ValueError):
-        NoisePath(dt=0.1, increments=np.zeros((3, 2)), B=1.0)
+        NoisePath(dt=0.1, increments=np.zeros((3, 2)))
+    # a duration that rounds to no step is bad input, not an empty record
+    with pytest.raises(ParameterError, match="holds no noise step"):
+        NoisePath.draw(P4, 4e-4, 1e-3, seed=5)
     a = NoisePath.draw(P4, 1.0, 1e-3, seed=5)
     b = NoisePath.draw(P4, 1.0, 1e-3, seed=5)
     c = NoisePath.draw(P4, 1.0, 1e-3, seed=6)
@@ -184,9 +186,7 @@ def test_noise_path_validation_and_draw():
     assert not np.array_equal(a.increments, c.increments)
     assert a.nsteps == 1000 and abs(a.duration - 1.0) < 1e-12
     # increments have the nominal variance B**2*dt
-    assert abs(np.var(a.increments) / (a.B ** 2 * a.dt) - 1.0) < 0.1
-    s = NoisePath.silent(P4, 1.0, 1e-3)
-    assert np.all(s.increments == 0.0)
+    assert abs(np.var(a.increments) / (P4.B ** 2 * a.dt) - 1.0) < 0.1
 
 
 # ---------------------------------------------------------------------------
@@ -195,19 +195,18 @@ def test_noise_path_validation_and_draw():
 def test_integrate_sse_silent_path():
     # zero record: alpha relaxes deterministically and beta integrates
     # -Gamma*alpha; both have closed forms
-    st = integrate_sse(P4, NoisePath.silent(P4, 2.0, 1e-4))
+    st = integrate_sse(P4, NoisePath(1e-4, np.zeros(20_000)))
     assert abs(st.alpha - 2.0 * (1.0 - math.exp(-1.0))) < 1e-12
     assert abs(st.beta - (-4.0 * math.exp(-1.0))) < 1e-10
     assert st.record_T == 0.0
     assert st.record_S == 0.0
-    assert st.fock is None
     assert abs(st.norm_sq() - math.exp(st.log_norm_sq())) < 1e-12
 
 
 def test_integrate_sse_record_accumulators():
     path = NoisePath.draw(P4, 2.0, 1e-4, seed=7)
     st = integrate_sse(P4, path)
-    eh = _demod_factors(path.omega, path.dt, path.nsteps)
+    eh = _demod_factors(P4.omega, path.dt, path.nsteps)
     t_direct = np.sum(path.increments * eh)
     assert abs(st.record_T - t_direct) < 1e-12
     tg = np.arange(path.nsteps) * path.dt
@@ -225,16 +224,17 @@ def test_integrate_sse_step_guard():
         integrate_sse(P4, coarse)
 
 
-def test_step_guard_uses_the_path_omega():
-    # a homodyne record has no phase to resolve: only kappa*dt <= 0.01 binds,
-    # although the params' own omega = 50 would ask for dt <= 0.001
-    homodyne = NoisePath(dt=0.01, increments=np.zeros(10), B=1.0, omega=0.0)
-    assert het._max_step(P4.kappa, P4.omega) == 0.001
-    assert integrate_sse(P4, homodyne).t == pytest.approx(0.1)
-    too_coarse = NoisePath(dt=0.011, increments=np.zeros(10), B=1.0,
-                           omega=0.0)
+def test_step_guard_uses_the_params_omega():
+    # homodyne detection has no phase to resolve: only kappa*dt <= 0.01
+    # binds, while the heterodyne default omega = 50 asks for dt <= 0.001
+    record = NoisePath(dt=0.01, increments=np.zeros(10))
+    assert het._max_step(P4) == 0.001
+    assert integrate_sse(PH, record).t == pytest.approx(0.1)
+    with pytest.raises(ValueError, match="exceeds 0.001"):
+        integrate_sse(P4, record)
+    too_coarse = NoisePath(dt=0.011, increments=np.zeros(10))
     with pytest.raises(ValueError, match="exceeds 0.01"):
-        integrate_sse(P4, too_coarse)
+        integrate_sse(PH, too_coarse)
     with pytest.raises(ValueError):
         gauge_equivalence(P4, NoisePath.draw(P4, 1.0, 0.002, seed=1))
 
@@ -250,8 +250,15 @@ def test_ensemble_samplers_step_guard():
         with pytest.raises(ValueError, match="exceeds 0.001"):
             sampler(P4, 1.0, 0.002, 10, seed=1)
     # dt exactly at the limit is accepted
-    limit = het._max_step(P4.kappa, P4.omega)
+    limit = het._max_step(P4)
     assert sample_raw_currents(P4, 0.1, limit, 10, seed=1).shape == (10,)
+    # a duration that rounds to no step: no empty ensemble law
+    for sampler in (sample_tilted_currents, sample_ostensible_currents,
+                    sample_raw_currents, sample_filtered_statistic):
+        with pytest.raises(ParameterError, match="holds no noise step"):
+            sampler(P4, 4e-4, 1e-3, 10, seed=1)
+    with pytest.raises(ParameterError, match="holds no noise step"):
+        ensemble_unraveling_check(P4, 4e-4, 1e-3, 10, seed=1)
 
 
 def test_integrate_sse_series_consistency():
@@ -273,56 +280,65 @@ def test_integrate_sse_series_snapshot_grid():
     snaps = integrate_sse_series(P4, path, every=100)
     assert [round(s.t / path.dt) for s in snaps] == [0, 100, 200, 250]
     assert len(integrate_sse_series(P4, path, every=1)) == 251
-    empty = NoisePath(dt=1e-3, increments=np.zeros(0), B=1.0, omega=50.0)
+    empty = NoisePath(dt=1e-3, increments=np.zeros(0))
     assert len(integrate_sse_series(P4, empty, every=7)) == 1
     only = het._coherent_kernel(P4, empty, np.array([0]), 0.5, 0.25j)
     assert only.shape == (4, 1) and only[0, 0] == 0.5 and only[1, 0] == 0.25j
 
 
-@pytest.mark.parametrize("psi0,homodyne", [
-    (None, False), (0.7 - 0.4j, False),
-    ((2.0 + 0.5j, -0.3 + 0.2j), False), (0.3j, True)])
-def test_coherent_kernel_matches_stepwise(psi0, homodyne):
-    if homodyne:
+# ids: the start (None is the vacuum) and whether the record is homodyne
+@pytest.mark.parametrize("p,a0,b0", [
+    pytest.param(P4, 0j, 0j, id="None-False"),
+    pytest.param(P4, 0.7 - 0.4j, 0j, id="(0.7-0.4j)-False"),
+    pytest.param(P4, 2.0 + 0.5j, -0.3 + 0.2j, id="psi02-False"),
+    pytest.param(PH, 0.3j, 0j, id="0.3j-True"),
+    pytest.param(HeterodyneParams(kappa=1.0, nbar=4.0, B=2.5), 0j, 0j,
+                 id="B2.5-False")])
+def test_coherent_kernel_matches_stepwise(p, a0, b0):
+    if p.omega == 0.0:
         rng = RngStream(3, 9).generator()
-        path = NoisePath(dt=0.005, increments=rng.normal(0.0, math.sqrt(0.005), 6000),
-                         B=1.0)
+        path = NoisePath(dt=0.005, increments=rng.normal(0.0, math.sqrt(0.005), 6000))
     else:
-        path = NoisePath.draw(P4, 9.0, 1e-3, seed=21)
+        path = NoisePath.draw(p, 9.0, 1e-3, seed=21)
     assert path.nsteps > 4096        # the record_S sum spans several blocks
-    a0, b0 = het._coherent_start(psi0)
-    ref = ref_coherent_series(P4, path, a0, b0)
-    got = het._coherent_kernel(P4, path, np.arange(path.nsteps + 1), a0, b0).T
+    ref = ref_coherent_series(p, path, a0, b0)
+    got = het._coherent_kernel(p, path, np.arange(path.nsteps + 1), a0, b0).T
     # cumulative sums round differently from the step loop: well inside 1e-12
     tol = 1e-12 * (1.0 + np.max(np.abs(ref), axis=0))
     assert np.all(np.abs(got - ref) <= tol)
-    fin = integrate_sse(P4, path, psi0=psi0)
-    assert (fin.alpha, fin.beta, fin.record_T, fin.record_S) == tuple(got[-1])
+    if a0 == 0 and b0 == 0:
+        fin = integrate_sse(p, path)
+        assert (fin.alpha, fin.beta, fin.record_T, fin.record_S) == tuple(got[-1])
 
 
 def test_record_S_at_the_step_guard_stays_finite():
     # kappa*dt = 0.01 over kappa*t = 500: the unblocked rescaling e^{kappa t/2}
     # would reach e^250; blocks keep it below e^20.5
     rng = RngStream(4, 9).generator()
-    path = NoisePath(dt=0.01, increments=rng.normal(0.0, 0.1, 50_000), B=1.0)
-    ref = ref_coherent_series(P4, path)[:, 3]
-    got = _series_array(integrate_sse_series(P4, path, every=1))[:, 3]
+    path = NoisePath(dt=0.01, increments=rng.normal(0.0, 0.1, 50_000))
+    ref = ref_coherent_series(PH, path)[:, 3]
+    got = _series_array(integrate_sse_series(PH, path, every=1))[:, 3]
     assert np.all(np.isfinite(got))
     assert np.max(np.abs(got - ref)) < 1e-12
 
 
-def test_fock_oracle_matches_coherent_kernel():
-    path = NoisePath.draw(P4, 0.4, 1e-3, seed=23)
-    co = integrate_sse(P4, path, psi0=0.5 + 0.2j)
+# explicit Euler is first order, its error (u alpha h)^2/2 per substep: the
+# heterodyne phase averages it out, a homodyne record adds it up, so the
+# homodyne case takes 4 times the substeps (4.2e-3 off at 20, 1.0e-3 at 80)
+@pytest.mark.parametrize("p,substeps", [(P4, 20), (PH, 80)],
+                         ids=["heterodyne", "homodyne"])
+def test_fock_oracle_matches_coherent_kernel(p, substeps):
+    path = NoisePath.draw(p, 0.4, 1e-3, seed=23)
+    al, be = het._coherent_kernel(p, path, np.array([path.nsteps]),
+                                  0.5 + 0.2j, 0j)[:2, 0]
     start = FockVector(coherent_amplitudes(0.5 + 0.2j, 0j, 40))
-    fo = integrate_sse(P4, path, psi0=start, mode="fock", substeps=20)
-    amps = coherent_amplitudes(co.alpha, co.beta, 40)
-    # explicit Euler at h = 5e-5 is first order: about 3e-4 off here
-    assert np.max(np.abs(fo.fock.amps - amps)) < 2e-3 * np.max(np.abs(amps))
-    assert abs(fo.log_norm_sq() - co.log_norm_sq()) < 2e-3
-    assert (fo.record_T, fo.record_S) == (co.record_T, co.record_S)
+    fo = fock_sse_oracle(p, path, start, substeps)
+    amps = coherent_amplitudes(al, be, 40)
+    # heterodyne at h = 5e-5: about 3e-4 off
+    assert np.max(np.abs(fo.amps - amps)) < 2e-3 * np.max(np.abs(amps))
+    assert abs(math.log(fo.norm_sq()) - (2 * be.real + abs(al) ** 2)) < 2e-3
     with pytest.raises(ValueError):
-        integrate_sse(P4, path, mode="wigner")
+        fock_sse_oracle(p, path, start, 0)
 
 
 def test_null_correspondence_locked_record():
@@ -347,7 +363,7 @@ def test_gauge_equivalence_one_path():
     assert abs(rep["norm_ratio"] - 1.0) < 1e-12
     assert abs(rep["ray_fidelity"] - 1.0) < 1e-12
     assert abs(rep["alpha_final"] - 2.0 * (1.0 - math.exp(-1.5))) < 1e-12
-    silent = gauge_equivalence(P4, NoisePath.silent(P4, 3.0, 1e-3))
+    silent = gauge_equivalence(P4, NoisePath(1e-3, np.zeros(3000)))
     assert abs(silent["ray_fidelity"] - 1.0) < 1e-12
 
 
