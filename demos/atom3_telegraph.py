@@ -1,10 +1,11 @@
 """Telegraphic fluorescence of a three-level emitter.
 
 A strongly driven fast transition blinks off whenever the weakly driven
-slow transition captures the population.  The script samples inter-click
-gaps exactly from the no-click survival curve, splits them into bright
-and dark stretches, and compares the dark-time share against the
-closed-form prediction.
+slow transition captures the population.  The script records a click
+telegraph (gaps drawn exactly from the no-click survival curve, each
+click's channel attributed afterwards), splits its gaps into bright and
+dark stretches, and compares the dark-time share against the closed-form
+prediction.
 
 Run:  python3 demos/atom3_telegraph.py [seed]
 """
@@ -13,22 +14,18 @@ import sys
 
 import numpy as np
 
-from nextjump.atom3 import Atom3Params, beta_ell, dark_fraction, generator
+from nextjump.atom3 import (Atom3Params, beta_ell, dark_fraction,
+                            effective_model)
 from nextjump.numerics import RngStream
-from nextjump.trajectories import (JumpRecord, NullFlow, sample_gaps,
-                                   telegraph_stats)
+from nextjump.trajectories import telegraph_run, telegraph_stats
 
 
 def main(seed: int = 2):
     p = Atom3Params(omega1=5.0, omega2=0.05, delta2=5.0, beta1=1.0, beta2=0.0)
-    ground = np.array([1.0, 0.0, 0.0], dtype=complex)
-    nf = NullFlow(generator(p), ground)
-    n = 2000
-    gaps = sample_gaps(nf.survival, n, RngStream(seed, 0), t_hi=900.0)
-    # every click of the fast channel resets the emitter to the ground state
-    rec = JumpRecord(times=np.cumsum(gaps), channels=np.zeros(n, dtype=int),
-                     labels=("fast",), final_state=ground,
-                     tmax=float(gaps.sum()))
+    # every click resets the emitter to the ground state
+    rec = telegraph_run(effective_model(p), 6000.0, RngStream(seed, 0))
+    gaps = rec.gaps()
+    n = rec.njumps
     stats = telegraph_stats(rec, dark_threshold=10.0)
     pd_pred, _ = dark_fraction(p)
     print(f"emitter: omega1={p.omega1}, omega2={p.omega2}, "

@@ -3,9 +3,12 @@
 Between detector clicks a coherently driven cavity stays in a (non-unit-norm)
 coherent state exp(alpha c^dag + beta)|0>, so the whole no-click evolution
 reduces to two scalar ODEs with closed solutions.  This module carries those
-closed forms, the survival probability W(t) and next-jump density D(t) they
-imply, and a truncated-Fock integrator that serves as the numerical oracle
-for every closed form here.
+closed forms and the survival probability W(t) and next-jump density D(t)
+they imply.  On a truncated Fock ladder the same no-click evolution is one
+matrix, ``fock_generator``, and every truncated driven-cavity flow in the
+package builds on it: the Fock oracle of the closed forms here
+(``evolve_fock_oracle``), the cavity jump model (``effective_model``), the
+heterodyne SSE oracle and the two-level transmon ground truth.
 
 Frame conventions.  All evolutions track one conditioned qubit manifold.
 `chi_eff = 0` means the drive is resonant with that manifold's cavity line;
@@ -24,8 +27,8 @@ import numpy as np
 
 from .trajectories import EffectiveModel
 from .numerics import (TAIL_TOL, FockVector, ParameterError, TruncationError,
-                       coherent_amplitudes, default_nmax, fock_ops,
-                       integrate_ode)
+                       coherent_amplitudes, decay_rate, default_nmax,
+                       fock_ops, integrate_ode)
 
 __all__ = [
     "CavityParams",
@@ -33,6 +36,7 @@ __all__ = [
     "detuned_flow",
     "effective_model",
     "evolve_fock_oracle",
+    "fock_generator",
     "mean_jump_time",
     "resonant_flow",
     "shifted_basis_check",
@@ -172,36 +176,35 @@ def mean_jump_time(p: CavityParams) -> float:
     return (3.0 / (p.kappa * p.gamma_drive ** 2)) ** (1.0 / 3.0)
 
 
-def _fock_rhs(p: CavityParams, nmax: int):
-    # dC_n/dt = (i chi n + h) C_n - (kappa/2) n C_n + f sqrt(n) C_{n-1}
-    #           + g sqrt(n+1) C_{n+1}
+def fock_generator(p: CavityParams, nmax: int) -> np.ndarray:
+    """No-click generator of the driven cavity on Fock states 0..nmax,
+
+        M = (i chi - kappa/2) n - (kappa/2)|gamma|^2 + Gamma a^dag
+            + (kappa conj(gamma) - Gamma) a,
+
+    Gamma = p.gamma_drive, gamma = p.gamma_shift: between clicks dC/dt =
+    M C, and M + M^dag = -kappa (a - gamma)^dag (a - gamma).  Dense and
+    complex, zero off its three bands."""
     n = np.arange(nmax + 1, dtype=float)
+    sq = np.sqrt(n[1:])
     gamma = p.gamma_shift
-    f = p.gamma_drive
-    g = p.kappa * np.conj(gamma) - p.gamma_drive
-    h = -0.5 * p.kappa * abs(gamma) ** 2
-    diag = (1j * p.chi - 0.5 * p.kappa) * n + h
-    sq = np.sqrt(n)
-
-    def rhs(t, c):
-        out = diag * c
-        out[1:] += f * sq[1:] * c[:-1]
-        out[:-1] += g * sq[1:] * c[1:]
-        return out
-
-    return rhs
+    diag = (1j * p.chi - 0.5 * p.kappa) * n - 0.5 * p.kappa * abs(gamma) ** 2
+    return (np.diag(diag) + np.diag(p.gamma_drive * sq, -1)
+            + np.diag((p.kappa * np.conj(gamma) - p.gamma_drive) * sq, 1))
 
 
 def evolve_fock_oracle(p: CavityParams, state0: FockVector,
                        t: float) -> FockVector:
-    """Integrate the truncated Fock amplitude ODEs directly.
+    """Integrate the truncated Fock amplitude ODEs dC/dt = M C directly, M
+    = fock_generator(p, state0.nmax).
 
     Uses p.chi as the manifold rotation, so pass chi=0 for the resonant
     variant.  Serves as the numerical oracle for every closed form in this
     module.  Raises TruncationError if amplitude reaches the cutoff bin.
     """
-    rhs = _fock_rhs(p, state0.nmax)
-    out = FockVector(integrate_ode(rhs, state0.amps, 0.0, float(t)))
+    m = fock_generator(p, state0.nmax)
+    out = FockVector(integrate_ode(lambda _, c: m @ c, state0.amps, 0.0,
+                                   float(t)))
     norm = math.sqrt(out.norm_sq())
     if norm > 0 and out.tail_mass() > TAIL_TOL * max(norm, 1e-30):
         raise TruncationError(
@@ -228,14 +231,14 @@ def shifted_basis_check(p: CavityParams) -> dict:
     nmax = default_nmax(p.nbar)
     psi0 = FockVector(coherent_amplitudes(root, -0.5 * root ** 2, nmax))
     times = np.linspace(0.0, 1.0, 9)
-    lognorm = np.empty(times.size)
+    norms = np.empty(times.size)
     infid = 0.0
     for i, t in enumerate(times):
         psi = psi0 if t == 0.0 else evolve_fock_oracle(p, psi0, t)
-        lognorm[i] = math.log(psi.norm_sq())
+        norms[i] = psi.norm_sq()
         ov = abs(psi.inner(psi0)) ** 2 / (psi.norm_sq() * psi0.norm_sq())
         infid = max(infid, 1.0 - ov)
-    fitted = -float(np.polyfit(times, lognorm, 1)[0])
+    fitted = decay_rate(times, norms)
     predicted = p.kappa * abs(root - p.gamma_shift) ** 2
     tol = max(1e-7, 1e-3 * predicted)
     return {
@@ -249,14 +252,15 @@ def shifted_basis_check(p: CavityParams) -> dict:
 
 def effective_model(p: CavityParams, nmax: int,
                     initial_state=None) -> EffectiveModel:
-    """Truncated jump-unraveling model of the resonantly driven cavity.
+    """Truncated jump-unraveling model of the driven cavity.
 
-    No-click generator gamma_drive (a^dag - a) - (kappa/2) a^dag a on the
-    first nmax+1 number states, one detection channel sqrt(kappa) a.  There
-    is no constant reset: a click applies the annihilation operator and
-    renormalizes.  Both unraveling and density-matrix routes share the
-    truncated operators, so pick nmax comfortably above nbar for the
-    comparison to say anything about the untruncated cavity.
+    No-click generator fock_generator(p, nmax), so the manifold is detuned
+    by p.chi, and one detection channel sqrt(kappa) (a - gamma_shift), the
+    photon counter displaced by the detection reference.  There is no
+    constant reset: a click applies that channel operator and renormalizes.
+    Both unraveling and density-matrix routes share the truncated
+    operators, so pick nmax comfortably above nbar for the comparison to say
+    anything about the untruncated cavity.
 
     initial_state defaults to vacuum.  Note that from vacuum every
     trajectory stays coherent and a click leaves a coherent state fixed,
@@ -265,8 +269,8 @@ def effective_model(p: CavityParams, nmax: int,
     """
     if nmax < 1:
         raise ValueError("nmax must be at least 1")
-    a, n = fock_ops(nmax)
-    gen = p.gamma_drive * (a.T - a) - (p.kappa / 2) * n
+    a, _ = fock_ops(nmax)
+    jump = np.sqrt(p.kappa) * (a - p.gamma_shift * np.eye(nmax + 1))
     if initial_state is None:
         psi0 = np.zeros(nmax + 1, dtype=complex)
         psi0[0] = 1.0
@@ -275,6 +279,6 @@ def effective_model(p: CavityParams, nmax: int,
         if psi0.shape != (nmax + 1,):
             raise ValueError("initial_state must have length nmax+1")
         psi0 = psi0 / np.sqrt(np.vdot(psi0, psi0).real)
-    return EffectiveModel(generator=gen, jump_ops=(np.sqrt(p.kappa) * a,),
+    return EffectiveModel(generator=fock_generator(p, nmax), jump_ops=(jump,),
                           labels=("emission",), initial_state=psi0,
                           beta_fast=p.kappa, reset_state=None)

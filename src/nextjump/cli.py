@@ -49,7 +49,7 @@ from .heterodyne import (HeterodyneParams, NoisePath, current_statistics,
                          sample_ostensible_currents, sample_raw_currents,
                          sample_tilted_currents)
 from .numerics import (IntegrationError, ParameterError, RngStream,
-                       TruncationError)
+                       TruncationError, decay_rate)
 from .readout import figure1_dataset, min_error_next_jump, y_oscillation_frequency
 from .trajectories import JumpRecord, NullFlow, sample_gaps, telegraph_stats
 from .transmon import TransmonParams, beta_B
@@ -136,7 +136,7 @@ def _run_atom3_null(cfg):
     ts = np.linspace(0.0, cfg["tmax"], cfg["npts"])
     w = nf.survival(ts)
     m = ts >= cfg["fit_start"]
-    rate = _transmon._decay_rate(ts[m], w[m])
+    rate = decay_rate(ts[m], w[m])
     target = 2.0 * beta_ell(p)
     summary = {"two_beta_ell": target,
                "p_dark_formula": dark_fraction(p)[0],

@@ -43,6 +43,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .cavity import CavityParams, fock_generator
 from .numerics import (FockVector, ParameterError, RngStream,
                        coherent_amplitudes, default_nmax, fock_ops)
 
@@ -310,16 +311,19 @@ def integrate_sse(params: HeterodyneParams, path: NoisePath) -> SSEState:
 def fock_sse_oracle(params: HeterodyneParams, path: NoisePath,
                     state0: FockVector, substeps: int) -> FockVector:
     """Brute-force oracle of the coherent kernel: explicit Euler, ``substeps``
-    per noise step, of d psi/dt = [(sqrt(kappa)/B) zdot e^{-i omega t} c +
-    Gamma (c^dag - c) - (kappa/2) c^dag c] psi on the truncated number basis
-    of state0, with the record derivative zdot constant within a step.
-    Returns the unnormalized final state.
+    per noise step, of d psi/dt = [(sqrt(kappa)/B) zdot e^{-i omega t} c + M]
+    psi on the truncated number basis of state0, with the record derivative
+    zdot constant within a step.  The drift M = Gamma (c^dag - c) - (kappa/2)
+    c^dag c is the resonant cavity's no-click generator,
+    ``cavity.fock_generator`` at this kappa and nbar.  Returns the
+    unnormalized final state.
     """
     if substeps < 1:
         raise ValueError("substeps must be >= 1")
     _check_step(params, path.dt)
-    a, n = fock_ops(state0.nmax)
-    flow = params.gamma_drive * (a.T - a) - (params.kappa / 2) * n
+    a, _ = fock_ops(state0.nmax)
+    flow = fock_generator(CavityParams(params.kappa, nbar=params.nbar),
+                          state0.nmax)
     gain = np.sqrt(params.kappa) / params.B
     dt, h = path.dt, path.dt / substeps
     psi = state0.amps.copy()

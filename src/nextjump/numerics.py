@@ -29,6 +29,7 @@ __all__ = [
     "StreamDraws",
     "TruncationError",
     "coherent_amplitudes",
+    "decay_rate",
     "default_nmax",
     "fock_ops",
     "integrate_ode",
@@ -116,7 +117,7 @@ def fock_ops(nmax: int):
 
 
 # ---------------------------------------------------------------------------
-# deterministic integration
+# deterministic integration and fits
 
 def integrate_ode(rhs, y0, t0: float, t1: float, tol: float = 1e-10,
                   dense: bool = False):
@@ -140,6 +141,16 @@ def integrate_ode(rhs, y0, t0: float, t1: float, tol: float = 1e-10,
     return (yf, sol.sol) if dense else yf
 
 
+def decay_rate(ts: np.ndarray, y: np.ndarray) -> float:
+    """Rate r of the least-squares line ln y = c - r t.  Raises ValueError
+    on fewer than two points, which fix no line."""
+    if ts.size < 2:
+        raise ValueError(f"a decay fit needs at least two points, got "
+                         f"{ts.size}")
+    a = np.vstack([ts, np.ones_like(ts)]).T
+    return -float(np.linalg.lstsq(a, np.log(y), rcond=None)[0][0])
+
+
 # ---------------------------------------------------------------------------
 # reproducible randomness
 
@@ -159,12 +170,13 @@ class RngStream:
     before its first block), as (word >> 11) * 2^-53.  So it is a pure
     function of (seed, stream_index, k), and two routes give the same bits.
     ``generator()``, a numpy ``Generator``, serves one stream's bulk draws,
-    where numpy's C Philox is fastest: ``sample_gaps`` and ``telegraph_run``
-    (gaps and channels), ``NoisePath.draw`` (a record's increments), the
-    four heterodyne samplers and ``ensemble_unraveling_check`` (one block of
-    normals each), and the channel draws of the CLI's telegraph.  ``StreamDraws`` serves the few draws per step of many
-    streams at once, without a ``Generator`` per stream: it is the jump
-    engine's only route, behind ``lindblad_consistency`` and
+    where numpy's C Philox is fastest: ``sample_gaps`` (the gaps),
+    ``NoisePath.draw`` (a record's increments), the four heterodyne samplers
+    and ``ensemble_unraveling_check`` (one block of normals each), and the
+    channel draws of ``telegraph_run`` and the CLI's telegraph, both from
+    the stream after the gaps' one.  ``StreamDraws`` serves the few draws
+    per step of many streams at once, without a ``Generator`` per stream:
+    it is the jump engine's only route, behind ``lindblad_consistency`` and
     ``run_trajectory``.
     """
 

@@ -20,7 +20,7 @@ chi/kappa = 1/2 for dispersive readout).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -99,7 +99,6 @@ class ReadoutCurves:
     eps_dispersive: np.ndarray
     snr: np.ndarray
     Y: np.ndarray
-    params: dict = field(default_factory=dict)
 
     def __post_init__(self):
         for name in ("eps_nextjump", "eps_dispersive"):
@@ -134,12 +133,6 @@ def figure1_dataset(nbar: float = 100.0, kappa: float = 1.0,
         eps_dispersive=np.asarray(error_dispersive(snr)),
         snr=np.asarray(snr),
         Y=np.asarray(log_decrement_Y(p_next, tau)),
-        params={
-            "nbar": nbar,
-            "kappa": kappa,
-            "chi_nextjump": p_next.chi,
-            "chi_dispersive": p_disp.chi,
-        },
     )
 
 

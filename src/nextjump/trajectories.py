@@ -534,28 +534,26 @@ def run_trajectory(model: EffectiveModel, tmax: float,
                       model.labels, final[:, 0], float(tmax))
 
 
-def telegraph_run(model: EffectiveModel, total_time: float, rng,
-                  rng_channels=None) -> JumpRecord:
+def telegraph_run(model: EffectiveModel, total_time: float,
+                  rng: RngStream) -> JumpRecord:
     """Long telegraph record for a constant-reset model.
 
     Gaps are iid, so they are drawn in vectorized batches of
-    _TELEGRAPH_BATCH, each censored at 900/beta_fast, until their sum
-    crosses total_time (the crossing gap is kept).  Channel labels are
-    attributed afterwards from a second, independent stream, which keeps the
-    gap sequence invariant under changes in channel handling.
+    _TELEGRAPH_BATCH from one generator of rng, each censored at
+    900/beta_fast, until their sum crosses total_time (the crossing gap is
+    kept).  Channel labels are attributed afterwards, one uniform per gap
+    from the paired stream RngStream(rng.seed, rng.stream_index + 1), which
+    keeps the gap sequence invariant under changes in channel handling.
     """
     if model.reset_state is None:
         raise ValueError("telegraph_run needs a constant reset state")
-    if isinstance(rng, RngStream):
-        rng = rng.generator()
-    if isinstance(rng_channels, RngStream):
-        rng_channels = rng_channels.generator()
+    gen = rng.generator()
     t_hi = 900.0 / model.beta_fast
     flow = NullFlow(model.generator, model.reset_state)
     chunks = []
     tot = 0.0
     while tot < total_time:
-        g = sample_gaps(flow.survival, _TELEGRAPH_BATCH, rng, t_hi)
+        g = sample_gaps(flow.survival, _TELEGRAPH_BATCH, gen, t_hi)
         cs = np.cumsum(g)
         if tot + cs[-1] >= total_time:
             k = int(np.searchsorted(tot + cs, total_time)) + 1
@@ -565,14 +563,9 @@ def telegraph_run(model: EffectiveModel, total_time: float, rng,
         chunks.append(g)
         tot += cs[-1]
     gaps = np.concatenate(chunks) if chunks else np.empty(0)
-    times = np.cumsum(gaps)
-
-    if len(model.jump_ops) == 1 or rng_channels is None:
-        channels = np.zeros(gaps.size, dtype=int)
-    else:
-        channels = model.choose_channels(flow.state(gaps),
-                                         rng_channels.random(gaps.size))
-    return JumpRecord(times, channels, model.labels,
+    u = RngStream(rng.seed, rng.stream_index + 1).generator().random(gaps.size)
+    channels = model.choose_channels(flow.state(gaps), u)
+    return JumpRecord(np.cumsum(gaps), channels, model.labels,
                       model.reset_state.copy(), float(max(total_time, tot)))
 
 

@@ -20,7 +20,9 @@ from dataclasses import astuple, dataclass
 
 import numpy as np
 
-from .numerics import IntegrationError, ParameterError, RegimeWarning, fock_ops
+from .cavity import CavityParams, fock_generator
+from .numerics import (IntegrationError, ParameterError, RegimeWarning,
+                       decay_rate, fock_ops)
 from .trajectories import NullFlow
 
 __all__ = [
@@ -244,16 +246,6 @@ def dark_norm_oracle(p: TransmonParams, t, nmax: int = 200) -> np.ndarray:
     return float(norms) if np.ndim(t) == 0 else norms
 
 
-def _decay_rate(ts: np.ndarray, y: np.ndarray) -> float:
-    """Rate r of the least-squares line ln y = c - r t.  Raises ValueError
-    on fewer than two points, which fix no line."""
-    if ts.size < 2:
-        raise ValueError(f"a decay fit needs at least two points, got "
-                         f"{ts.size}")
-    a = np.vstack([ts, np.ones_like(ts)]).T
-    return -float(np.linalg.lstsq(a, np.log(y), rcond=None)[0][0])
-
-
 def dark_norm_fit(p: TransmonParams, npts: int, nmax: int) -> tuple:
     """Slow decay rate of the dark-block norm, fitted on the Fock oracle.
 
@@ -266,7 +258,7 @@ def dark_norm_fit(p: TransmonParams, npts: int, nmax: int) -> tuple:
     ts = np.linspace(5.0 / spec.i_e_plus_asymptotic,
                      2.0 / spec.i_e_minus_asymptotic, npts)
     norms = dark_norm_oracle(p, ts, nmax=nmax)
-    return spec, ts, norms, _decay_rate(ts, norms), 2.0 * spec.i_e_minus
+    return spec, ts, norms, decay_rate(ts, norms), 2.0 * spec.i_e_minus
 
 
 # ---------------------------------------------------------------------------
@@ -350,7 +342,7 @@ def multiscale_fit(p: TransmonParams, tmax: float, dt: float,
     a straight line over t >= fit_start.  Returns (times, C, rate)."""
     ts, c = multiscale_volterra(p, tmax=tmax, dt=dt)
     m = ts >= fit_start
-    return ts, c, _decay_rate(ts[m], c[m])
+    return ts, c, decay_rate(ts[m], c[m])
 
 
 def slow_rate(p: TransmonParams) -> float:
@@ -362,7 +354,8 @@ def slow_rate(p: TransmonParams) -> float:
 def norm_evolution_multiscale(p: TransmonParams, t):
     """(norm, dnorm_dt) of the monitored slow-lull state.
 
-    norm(t) = e^{-2 gamma t} + bright excursion population
+    norm(t) = e^{-2 gamma t} + bright_population_gauss(p, t), the bright
+        excursion population
         e^{-2 gamma t} 2 gamma int_0^t e^{2 gamma x - kappa^3 nbar x^3/12} dx
     dnorm_dt = -2 gamma norm + 2 gamma e^{-kappa^3 nbar t^3/12}.
 
@@ -371,14 +364,11 @@ def norm_evolution_multiscale(p: TransmonParams, t):
     stay negative for t > 0: the cubic-law factor is < 1 while norm is
     continuous from 1.
     """
-    from scipy.integrate import quad
     gam = slow_rate(p)
     cube = p.kappa ** 3 * p.nbar / 12.0
 
     def one(tv: float):
-        val, _ = quad(lambda x: math.exp(2.0 * gam * x - cube * x ** 3),
-                      0.0, tv)
-        norm = math.exp(-2.0 * gam * tv) * (1.0 + 2.0 * gam * val)
+        norm = math.exp(-2.0 * gam * tv) + bright_population_gauss(p, tv)
         dn = -2.0 * gam * norm + 2.0 * gam * math.exp(-cube * tv ** 3)
         return norm, dn
 
@@ -414,8 +404,8 @@ def bright_population_exact(p: TransmonParams, t: float) -> float:
 
 
 def bright_population_gauss(p: TransmonParams, t: float) -> float:
-    """Gaussian-kernel form of the bright-excursion population (the term
-    added to e^{-2 gamma t} inside norm_evolution_multiscale)."""
+    """Gaussian-kernel form of the bright-excursion population, the term
+    norm_evolution_multiscale adds to e^{-2 gamma t}."""
     from scipy.integrate import quad
     gam = slow_rate(p)
     cube = p.kappa ** 3 * p.nbar / 12.0
@@ -452,25 +442,22 @@ def two_level_fock(p: TransmonParams, t, nmax: int = 160,
     """Ground-vacuum amplitude |C_G0|(t) from the full two-level Fock
     evolution, the ground truth for multiscale_volterra.
 
-    'unshifted': both blocks driven, ground block detuned by chi.
-    'shifted': bright block carries the displaced collapse drive, ground
-    block bare.  Start is ground x vacuum.
+    Each block is a cavity.fock_generator; the bright one is the resonant
+    driven cavity in both frames.  'unshifted': the ground block is driven
+    too, detuned by chi.  'shifted': it is the bare detuned line (nbar 0).
+    The qubit drive couples the blocks photon-diagonally.  Start is ground
+    x vacuum.
     """
-    a, n = fock_ops(nmax)
-    g = p.gamma_drive
-    if frame == "unshifted":
-        drive = -1j * g * (a - a.T)
-        hb = -0.5j * p.kappa * n + drive
-        hg = (-p.chi - 0.5j * p.kappa) * n + drive
-    elif frame == "shifted":
-        hb = -0.5j * p.kappa * n \
-            - 0.5j * p.kappa * math.sqrt(p.nbar) * (a - a.T)
-        hg = (-p.chi - 0.5j * p.kappa) * n
-    else:
+    if frame not in ("shifted", "unshifted"):
         raise ValueError(f"unknown frame {frame!r}")
+    bright = fock_generator(CavityParams(p.kappa, nbar=p.nbar), nmax)
+    ground = fock_generator(CavityParams(
+        p.kappa, chi=p.chi, nbar=p.nbar if frame == "unshifted" else 0.0),
+        nmax)
     psi0 = np.zeros(2 * (nmax + 1), dtype=complex)
     psi0[nmax + 1] = 1.0
-    flow = NullFlow(-1j * _level_blocks(
-        (hb, hg), -np.array([[0, p.omega_b], [np.conj(p.omega_b), 0]])), psi0)
+    flow = NullFlow(_level_blocks(
+        (bright, ground),
+        1j * np.array([[0, p.omega_b], [np.conj(p.omega_b), 0]])), psi0)
     out = np.abs(flow.state(t)[nmax + 1])
     return float(out) if np.ndim(t) == 0 else out

@@ -36,8 +36,6 @@ CALLED_FROM_TESTS_ONLY = {
         "unitary fast-level amplitude, the no-measurement contrast",
     "transmon.bright_population_exact":
         "2-D quadrature oracle for the Gaussian-kernel bright population",
-    "transmon.bright_population_gauss":
-        "Gaussian-kernel bright population inside the monitored norm",
     "transmon.diffusion_overlap":
         "kappa -> 0 limit of the collapsing overlap, exp(-C^2 t^2/8)",
     "transmon.reduced_two_level":
@@ -220,9 +218,6 @@ SET_FROM_TESTS_ONLY = {
     "heterodyne.null_correspondence(alpha0=)":
         "the locked-record flow matches the shifted detection off the "
         "fixed point too",
-    "trajectories.telegraph_run(rng_channels=)":
-        "channel attribution from a second stream, leaving the gaps as "
-        "they are",
     "transmon.two_level_fock(nmax=)":
         "Fock cutoff of the ground truth, raised until it converges",
     "transmon.two_level_fock(frame=)":

@@ -5,10 +5,11 @@ import pytest
 
 from nextjump.cavity import (CavityParams, CoherentTrajectory, detuned_flow,
                              effective_model, evolve_fock_oracle,
-                             mean_jump_time, resonant_flow,
+                             fock_generator, mean_jump_time, resonant_flow,
                              shifted_basis_check, short_time_W,
                              wrong_state_flow)
 from nextjump.numerics import FockVector, coherent_amplitudes, default_nmax
+from nextjump.trajectories import lindblad_consistency
 
 
 def test_params_validation():
@@ -156,3 +157,52 @@ def test_effective_model_validation():
     one = np.zeros(9, dtype=complex)
     one[1] = 1.0
     assert abs(m.jump_rates(one)[0] - p.kappa) < 1e-12
+
+
+def _fock_rhs_reference(p, nmax):
+    """dC_n/dt = (i chi n + h - (kappa/2) n) C_n + f sqrt(n) C_{n-1}
+    + g sqrt(n+1) C_{n+1}, banded, with f the drive, g = kappa conj(gamma)
+    - f and h = -(kappa/2)|gamma|^2."""
+    n = np.arange(nmax + 1, dtype=float)
+    gamma = p.gamma_shift
+    f = p.gamma_drive
+    g = p.kappa * np.conj(gamma) - f
+    diag = (1j * p.chi - 0.5 * p.kappa) * n - 0.5 * p.kappa * abs(gamma) ** 2
+    sq = np.sqrt(n)
+
+    def rhs(c):
+        out = diag * c
+        out[1:] += f * sq[1:] * c[:-1]
+        out[:-1] += g * sq[1:] * c[1:]
+        return out
+
+    return rhs
+
+
+@pytest.mark.parametrize("chi,gamma", [(0.0, 0.0), (3.0, 0.0),
+                                       (0.0, 0.7 + 0.2j), (-2.0, 1.0)])
+def test_fock_generator_matches_banded_rhs(chi, gamma):
+    p = CavityParams(kappa=1.3, chi=chi, nbar=2.5, gamma_shift=gamma)
+    nmax = 12
+    m = fock_generator(p, nmax)
+    assert m.shape == (nmax + 1, nmax + 1)
+    rhs = _fock_rhs_reference(p, nmax)
+    # column k is the rhs of the k-th number state
+    want = np.column_stack([rhs(e) for e in np.eye(nmax + 1, dtype=complex)])
+    np.testing.assert_array_equal(m, want)
+    assert np.all(np.triu(m, 2) == 0) and np.all(np.tril(m, -2) == 0)
+
+
+def test_effective_model_honours_chi_and_gamma_shift():
+    nmax = 16
+    psi0 = np.zeros(nmax + 1, dtype=complex)
+    psi0[0] = 1.0
+    psi0[2] = 1.0
+    resonant = effective_model(CavityParams(kappa=1.0, nbar=2.0), nmax)
+    p = CavityParams(kappa=1.0, chi=3.0, nbar=2.0, gamma_shift=0.5 - 0.3j)
+    m = effective_model(p, nmax, initial_state=psi0)
+    assert not np.array_equal(m.generator, resonant.generator)
+    np.testing.assert_array_equal(m.generator, fock_generator(p, nmax))
+    assert m.rate_identity_gap(m.initial_state) < 1e-12
+    rep = lindblad_consistency(m, 2000, 2.0, seedbase=15)
+    assert rep["passed"], rep["max_deviation"]

@@ -107,8 +107,6 @@ def test_figure1_dataset():
     assert abs(ds.Y[-1] - 0.9214) < 1e-4
     assert abs(ds.eps_nextjump[-1] - 0.2614) < 1e-4
     assert np.all(np.diff(ds.eps_dispersive) <= 1e-15)
-    assert ds.params["chi_nextjump"] == 20.0
-    assert ds.params["chi_dispersive"] == 0.5
     assert np.all(ds.snr[1:] > 0.0)
 
 

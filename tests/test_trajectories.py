@@ -408,12 +408,7 @@ def test_telegraph_run_channels_from_second_stream():
     # two channels: dark periods end through the slow one as well
     p = Atom3Params(omega1=5.0, omega2=0.05, delta2=5.0, beta1=1.0, beta2=0.3)
     model = effective_model(p)
-    plain = telegraph_run(model, 500.0, RngStream(2, 0))
-    rec = telegraph_run(model, 500.0, RngStream(2, 0),
-                        rng_channels=RngStream(2, 1))
-    # the gap sequence does not depend on the channel stream
-    assert np.array_equal(rec.times, plain.times)
-    assert np.all(plain.channels == 0)
+    rec = telegraph_run(model, 500.0, RngStream(2, 0))
     # one batch of gaps from the reset state, cut after the crossing gap
     flow = NullFlow(model.generator, model.reset_state)
     n = rec.njumps
@@ -421,10 +416,14 @@ def test_telegraph_run_channels_from_second_stream():
     gaps = sample_gaps(flow.survival, _TELEGRAPH_BATCH, RngStream(2, 0),
                        900.0 / model.beta_fast)[:n]
     assert np.array_equal(np.cumsum(gaps), rec.times)
+    # channels come from the stream paired with the gaps' one
     want = model.choose_channels(flow.state(gaps),
                                  RngStream(2, 1).generator().random(n))
     assert np.array_equal(rec.channels, want)
     assert set(rec.channels.tolist()) == {0, 1}
+    # so some dark periods end through the slow channel
+    st = telegraph_stats(rec, dark_threshold=10.0)
+    assert 0.0 < st.branch_fractions["slow"] < 1.0
 
 
 def test_telegraph_stats_consistency():
@@ -551,16 +550,19 @@ def test_caller_generator_ends_advanced_by_its_draws(name):
     assert np.array_equal(rec.channels, channels[0])
 
 
-def test_telegraph_generator_ends_advanced_by_whole_batches():
-    """telegraph_run draws a caller's Generator in whole gap batches."""
+def test_telegraph_gaps_are_consecutive_batches_of_one_generator():
+    """telegraph_run draws its gap batches in turn from one generator of its
+    stream."""
     model = _pilot_model()
-    gen = RngStream(2, 0).generator()
-    rec = telegraph_run(model, 3e4, gen)
+    rec = telegraph_run(model, 3e4, RngStream(2, 0))
     batches = -(-rec.njumps // _TELEGRAPH_BATCH)
     assert batches >= 2
-    want = RngStream(2, 0).generator()
-    want.random(batches * _TELEGRAPH_BATCH)
-    np.testing.assert_equal(gen.bit_generator.state, want.bit_generator.state)
+    flow = NullFlow(model.generator, model.reset_state)
+    gen = RngStream(2, 0).generator()
+    gaps = np.concatenate([sample_gaps(flow.survival, _TELEGRAPH_BATCH, gen,
+                                       900.0 / model.beta_fast)
+                           for _ in range(batches)])
+    assert np.array_equal(rec.times, np.cumsum(gaps[:rec.njumps]))
 
 
 def test_engine_streams_build_no_generator(monkeypatch):
