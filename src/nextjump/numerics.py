@@ -126,8 +126,12 @@ def integrate_ode(rhs, y0, t0: float, t1: float, tol: float = 1e-10,
 
     Returns the final state, or (final state, dense interpolant) when
     ``dense`` is set.  tol is applied as rtol, with atol = tol * 1e-2.
-    Raises IntegrationError if the solver stops early.
+    Raises ValueError when t0 or t1 is not finite, and IntegrationError if
+    the solver stops early.
     """
+    if not (math.isfinite(t0) and math.isfinite(t1)):
+        raise ValueError(f"integration limits must be finite, got "
+                         f"[{t0}, {t1}]")
     from scipy.integrate import solve_ivp
     y0 = np.asarray(y0, dtype=complex)
     if t1 == t0:

@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -42,6 +43,15 @@ def test_resonant_trajectory_closed_form():
     assert abs(b - want_b) < 1e-14
     w = flow.survival(2.0)
     assert abs(w - 0.26061008241677147) < 1e-14
+
+
+@pytest.mark.parametrize("t", [float("nan"), float("inf")])
+def test_fock_oracle_rejects_non_finite_time_promptly(t):
+    start = time.perf_counter()
+    with pytest.raises(ValueError):
+        evolve_fock_oracle(CavityParams(kappa=1.0, nbar=4.0),
+                           FockVector.vacuum(12), t)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_fock_oracle_matches_closed_form():

@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -81,6 +82,15 @@ def test_integrate_ode_dense_grid():
     ts = np.linspace(0.0, 3.0, 7)
     vals = interp(ts)
     assert np.max(np.abs(vals[0] - np.exp(1j * ts))) < 1e-8
+
+
+@pytest.mark.parametrize("t0, t1", [(0.0, float("nan")), (0.0, float("inf")),
+                                    (float("nan"), 1.0), (-float("inf"), 1.0)])
+def test_integrate_ode_rejects_non_finite_limits_promptly(t0, t1):
+    start = time.perf_counter()
+    with pytest.raises(ValueError):
+        integrate_ode(lambda t, y: -y, np.array([1.0 + 0j]), t0, t1)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_rng_stream_is_philox_keyed():

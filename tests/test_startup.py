@@ -1,7 +1,8 @@
 """Start-up structure, checked in fresh interpreters: importing the package
-or its CLI loads no scipy module, nor does sampling gaps on a ``NullFlow``,
-and ``validate`` loads every scipy module the criteria reach before any
-criterion's clock starts."""
+or its CLI loads no scipy module, nor does sampling gaps on a ``NullFlow``
+or checking an unraveling against its master equation, and ``validate``
+loads every scipy module the criteria reach before any criterion's clock
+starts."""
 
 import json
 import os
@@ -50,10 +51,34 @@ def test_sample_gaps_loads_no_scipy():
     assert loaded == [[], True, True]
 
 
+def test_lindblad_consistency_loads_no_scipy():
+    """The density-matrix reference of criterion 14 is numpy alone, for the
+    atom (constant reset) and the cavity (operator reset): scipy.integrate
+    would cost start-up time and memory."""
+    loaded = _fresh(
+        "import json, sys\n"
+        "import numpy as np\n"
+        "from nextjump import atom3, cavity, trajectories\n"
+        "pa = atom3.Atom3Params(omega1=1.0, omega2=0.7, delta2=0.5,\n"
+        "                       beta1=1.0, beta2=0.8)\n"
+        "psi0 = np.zeros(17, dtype=complex)\n"
+        "psi0[[0, 2]] = 1.0\n"
+        "mc = cavity.effective_model(cavity.CavityParams(kappa=1.0, nbar=2.0),\n"
+        "                            16, initial_state=psi0)\n"
+        "reps = [trajectories.lindblad_consistency(m, 20, t, seedbase=14)\n"
+        "        for m, t in ((atom3.effective_model(pa), 3.0), (mc, 2.0))]\n"
+        "print(json.dumps([sorted(k for k in sys.modules\n"
+        "                         if k.split('.')[0] == 'scipy'),\n"
+        "                  [r['ntraj'] for r in reps]]))\n")
+    assert loaded == [[], [20, 20]]
+
+
 def test_validate_times_no_import():
     """A criterion that needs no scipy still leaves the criteria's scipy set
     loaded, so criteria 1 and 3 (the first users of scipy.integrate and
-    scipy.stats) then load nothing new inside their clocks."""
+    scipy.special) then load nothing new inside their clocks, and neither
+    loads scipy.stats (criterion 3's Kolmogorov-Smirnov test is numpy plus
+    scipy.special.kolmogorov)."""
     before, preloaded, new, passed = _fresh(
         "import json, sys\n"
         "from nextjump import validation\n"
@@ -67,6 +92,7 @@ def test_validate_times_no_import():
         "                  sorted(scipy_modules() - preloaded),\n"
         "                  ok and all(r.passed for r in results)]))\n")
     assert before == []
-    assert {"scipy.integrate", "scipy.special", "scipy.stats"} <= set(preloaded)
+    assert {"scipy.integrate", "scipy.special"} <= set(preloaded)
     assert new == []
+    assert "scipy.stats" not in preloaded
     assert passed

@@ -1,4 +1,5 @@
 import dataclasses
+import time
 import tracemalloc
 
 import numpy as np
@@ -469,6 +470,32 @@ def test_lindblad_consistency_small_ensemble():
     rho = rep["rho_direct"]
     assert abs(np.trace(rho).real - 1.0) < 1e-8
     assert np.max(np.abs(rho - rho.conj().T)) < 1e-10
+
+
+def _liouvillian(model):
+    """The Lindblad generator acting on row-major vec(rho), in kron form:
+    vec(A rho B) = kron(A, B.T) vec(rho)."""
+    G, eye = model.generator, np.eye(model.dim)
+    return (np.kron(G, eye) + np.kron(eye, G.conj())
+            + sum(np.kron(L, L.conj()) for L in model.jump_ops))
+
+
+@pytest.mark.parametrize("name", ["atom", "cavity", "defective"])
+def test_lindblad_reference_matches_expm(name):
+    model, t = {**MODELS, "defective": (_defective_model(), 3.0)}[name]
+    rho = lindblad_consistency(model, 20, t, seedbase=14)["rho_direct"]
+    psi0 = model.initial_state / np.linalg.norm(model.initial_state)
+    want = expm(_liouvillian(model) * t) @ np.outer(psi0, psi0.conj()).ravel()
+    assert np.max(np.abs(rho.ravel() - want)) < 1e-12
+
+
+@pytest.mark.parametrize("ntraj, t", [(10, float("nan")), (10, float("inf")),
+                                      (10, -1.0), (0, 3.0), (-5, 3.0)])
+def test_lindblad_consistency_rejects_bad_input_promptly(ntraj, t):
+    start = time.perf_counter()
+    with pytest.raises(ValueError):
+        lindblad_consistency(MODELS["atom"][0], ntraj, t, seedbase=1)
+    assert time.perf_counter() - start < 1.0
 
 
 @pytest.mark.parametrize("name", sorted(MODELS))
