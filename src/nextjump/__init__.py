@@ -5,7 +5,8 @@ standing in for it) evolves deterministically between detector clicks, the
 click times carry the qubit information, and the distribution of the next
 click is everything the experimenter can use.  Modules:
 
-- numerics: truncated Fock vectors, stiff ODE helpers, named RNG streams.
+- numerics: truncated Fock vectors, the exp-action exp(A t) y, named RNG
+  streams.
 - trajectories: generic no-click flow, inverse-transform jump sampling,
   telegraph records, trajectory-vs-density-matrix consistency.
 - cavity: closed-form coherent flows of the damped driven cavity and their

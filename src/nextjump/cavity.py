@@ -28,7 +28,7 @@ import numpy as np
 from .trajectories import EffectiveModel
 from .numerics import (TAIL_TOL, FockVector, ParameterError, TruncationError,
                        coherent_amplitudes, decay_rate, default_nmax,
-                       fock_ops, integrate_ode)
+                       expm_action, fock_ops)
 
 __all__ = [
     "CavityParams",
@@ -195,18 +195,28 @@ def fock_generator(p: CavityParams, nmax: int) -> np.ndarray:
 
 def evolve_fock_oracle(p: CavityParams, state0: FockVector,
                        t: float) -> FockVector:
-    """Integrate the truncated Fock amplitude ODEs dC/dt = M C directly, M
-    = fock_generator(p, state0.nmax).
+    """C(t) = exp(M t) C(0) on the truncated Fock ladder, M =
+    fock_generator(p, state0.nmax), by ``expm_action`` with bound ||M||_1.
 
     Uses p.chi as the manifold rotation, so pass chi=0 for the resonant
     variant.  Serves as the numerical oracle for every closed form in this
-    module.  Raises TruncationError if amplitude reaches the cutoff bin.
+    module.  Raises ValueError for t negative or not finite, and
+    TruncationError if the top Fock bin holds more than TAIL_TOL of the
+    norm, however small the norm.
+
+    Its floor is rounding.  An error of relative size u = 2^-53 re-enters
+    near the vacuum as a fresh no-click start, whose survival, about
+    exp(-nbar kappa^3 s^3 / 12), outlives the aged state's exp(-kappa
+    |alpha|^2 s); an error made at time tau ends as about u^2 W(tau)
+    W(t - tau) / W(t) of W(t).  From vacuum at default_nmax, W(t = 6) is
+    off by 2.2e-12 (nbar 9), 8.1e-10 (nbar 16) and 6.5e-6 (nbar 25), and
+    W(t = 4) at nbar 100 (7e-67) by a factor 2.4e15.
     """
     m = fock_generator(p, state0.nmax)
-    out = FockVector(integrate_ode(lambda _, c: m @ c, state0.amps, 0.0,
-                                   float(t)))
+    out = FockVector(expm_action(lambda c: m @ c, np.linalg.norm(m, 1),
+                                 state0.amps, t))
     norm = math.sqrt(out.norm_sq())
-    if norm > 0 and out.tail_mass() > TAIL_TOL * max(norm, 1e-30):
+    if out.tail_mass() > TAIL_TOL * norm:
         raise TruncationError(
             f"top Fock bin holds relative amplitude "
             f"{out.tail_mass() / norm:.3e} at nmax={state0.nmax}")

@@ -1,5 +1,6 @@
 """Shared numerical infrastructure: truncated Fock-space states, ladder
-operators, deterministic ODE integration, and reproducible random streams.
+operators, the one exp-action exp(A t) y (``expm_action``, a truncated
+Taylor series in numpy), and reproducible random streams.
 
 Everything downstream works with unnormalized state vectors whose squared
 norm carries physical meaning (a no-click survival probability), so none of
@@ -31,8 +32,8 @@ __all__ = [
     "coherent_amplitudes",
     "decay_rate",
     "default_nmax",
+    "expm_action",
     "fock_ops",
-    "integrate_ode",
 ]
 
 #: Top-bin amplitude, relative to the norm, above which a Fock state counts
@@ -45,7 +46,7 @@ class TruncationError(RuntimeError):
 
 
 class IntegrationError(RuntimeError):
-    """Raised when the adaptive integrator fails to reach the end time."""
+    """Raised when an adaptive quadrature misses its error target."""
 
 
 class ParameterError(ValueError):
@@ -117,32 +118,49 @@ def fock_ops(nmax: int):
 
 
 # ---------------------------------------------------------------------------
-# deterministic integration and fits
+# exp-action and fits
 
-def integrate_ode(rhs, y0, t0: float, t1: float, tol: float = 1e-10,
-                  dense: bool = False):
-    """Integrate dy/dt = rhs(t, y) for complex vector y with the adaptive
-    embedded Runge-Kutta pair DOP853.
+#: largest bound * h of one Taylor substep of ``expm_action``
+_TAYLOR_THETA = 4.0
+#: Taylor terms one substep sums at most: the least k with
+#: _TAYLOR_THETA^k / k! < 2^-53 (32)
+_TAYLOR_TERMS = next(k for k in range(1, 100)
+                     if _TAYLOR_THETA ** k / math.factorial(k) < 2.0 ** -53)
 
-    Returns the final state, or (final state, dense interpolant) when
-    ``dense`` is set.  tol is applied as rtol, with atol = tol * 1e-2.
-    Raises ValueError when t0 or t1 is not finite, and IntegrationError if
-    the solver stops early.
+
+def expm_action(apply, bound: float, y, t):
+    """exp(A t) y for the linear map apply(x) = A x, as truncated Taylor
+    series on s equal substeps (Al-Mohy & Higham, SIAM J. Sci. Comput. 33,
+    488 (2011)).
+
+    bound is an upper bound on the norm A induces on the entrywise 1-norm of
+    y, and s = max(1, ceil(bound max(t) / _TAYLOR_THETA)), so the k-th term
+    of a substep is at most _TAYLOR_THETA^k / k! of its state.  t is a
+    scalar, or one time per column of y (t (n,), y (d, n), apply acting
+    column by column), each column taking s substeps of its own.  A substep
+    stops once two successive terms fall below 2^-53 max|y| of the running
+    state, so the accuracy follows y as its norm shrinks, after
+    _TAYLOR_TERMS terms at most.  A negative or non-finite t raises
+    ValueError.
     """
-    if not (math.isfinite(t0) and math.isfinite(t1)):
-        raise ValueError(f"integration limits must be finite, got "
-                         f"[{t0}, {t1}]")
-    from scipy.integrate import solve_ivp
-    y0 = np.asarray(y0, dtype=complex)
-    if t1 == t0:
-        return (y0.copy(), None) if dense else y0.copy()
-    sol = solve_ivp(rhs, (t0, t1), y0, method="DOP853", rtol=tol,
-                    atol=tol * 1e-2, dense_output=dense)
-    if not sol.success:
-        raise IntegrationError(f"integration failed at t={sol.t[-1]:.6g}: "
-                               f"{sol.message}")
-    yf = sol.y[:, -1]
-    return (yf, sol.sol) if dense else yf
+    t = np.asarray(t, dtype=float)
+    if not np.all(np.isfinite(t) & (t >= 0.0)):
+        raise ValueError(f"times must be finite and non-negative, got {t}")
+    y = np.array(y, dtype=complex)
+    if y.size == 0:
+        return y
+    steps = max(1, math.ceil(bound * float(t.max()) / _TAYLOR_THETA))
+    h = t / steps
+    for _ in range(steps):
+        tol = 2.0 ** -53 * np.max(np.abs(y))
+        term, small = y, False
+        for k in range(1, _TAYLOR_TERMS + 1):
+            term = apply(term) * (h / k)
+            y = y + term
+            was_small, small = small, np.max(np.abs(term)) <= tol
+            if small and was_small:
+                break
+    return y
 
 
 def decay_rate(ts: np.ndarray, y: np.ndarray) -> float:

@@ -4,13 +4,14 @@ A model supplies the no-click generator M (so the unnormalized conditioned
 state obeys dpsi/dt = M psi between clicks), one jump operator per detection
 channel, and a reset rule.  Jump times are sampled by inverse transform on
 the decaying norm: draw u ~ U(0,1), then locate ln ||psi(t)||^2 = ln u on
-the closed eigenmode propagator with a bracketed root-finder (Illinois
-regula falsi, bisection-safeguarded).  With that sampling the trajectory
-ensemble carries the physical measure, so averages of normalized projectors
-reproduce the Lindblad density matrix.  Independent gaps (``sample_gaps``)
-share one survival curve, so each root starts next to its answer: ln W is
-tabulated once on a grid graded toward t = 0, a monotone cubic interpolant
-of the inverse t(ln W) guesses the root, one straddle pass around the guess
+the propagator ``NullFlow`` (M's eigenmodes, or ``numerics.expm_action``
+where they fail) with a bracketed root-finder (Illinois regula falsi,
+bisection-safeguarded).  With that sampling the trajectory ensemble carries
+the physical measure, so averages of normalized projectors reproduce the
+Lindblad density matrix.  Independent gaps (``sample_gaps``) share one
+survival curve, so each root starts next to its answer: ln W is tabulated
+once on a grid graded toward t = 0, a monotone cubic interpolant of the
+inverse t(ln W) guesses the root, one straddle pass around the guess
 tightens its bracket, and the regula falsi finishes there (after Olver &
 Townsend, "Fast inverse transform sampling in one and two dimensions",
 arXiv:1307.1223).
@@ -33,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import RngStream, StreamDraws, integrate_ode
+from .numerics import RngStream, StreamDraws, expm_action
 
 __all__ = [
     "EffectiveModel",
@@ -53,13 +54,6 @@ EIG_COND_LIMIT = 1e8
 #: bracket halvings of plain bisection for jump-time location (t_hi / 2^64);
 #: the root-finder takes at most twice this many survival passes
 BISECT_ITERS = 64
-#: largest b h of one Taylor substep of ``_lindblad_evolve``, b the bound on
-#: the norm of the Lindblad generator and h the substep
-_TAYLOR_THETA = 4.0
-#: Taylor terms one substep sums at most: the least k with
-#: _TAYLOR_THETA^k / k! < 2^-53 (32)
-_TAYLOR_TERMS = next(k for k in range(1, 100)
-                     if _TAYLOR_THETA ** k / math.factorial(k) < 2.0 ** -53)
 #: relative bracket width at which a jump time counts as located
 _ROOT_RTOL = 1e-13
 #: cells of the ln W table that seeds ``sample_gaps``
@@ -193,10 +187,10 @@ class NullFlow:
     V (c e^{lam t}) is of order u a(psi), with u the unit roundoff and
     a(psi) = ||V^-1 psi||_1 / ||psi||_2 the expansion amplification.  The
     flow uses the eigenmodes when a(state0) <= EIG_COND_LIMIT.  Otherwise
-    (M defective or nearly so, met by a state that expands badly) it
-    integrates the d x d propagator Phi(t) = exp(M t) as one dense ODE
-    solution, extended lazily to the largest time asked for, and a state is
-    its own coefficient vector.  In eigenmode mode every later state that
+    (M defective or nearly so, met by a state that expands badly) a state
+    is its own coefficient vector, and each evaluation applies exp(M t) to
+    it by ``numerics.expm_action`` with the bound ||M||_1, every column at
+    its own time.  In eigenmode mode every later state that
     ``_coefficients`` expands (the post-jump states of ``_unravel``) gets
     the same test, and one that fails raises FloatingPointError naming its
     a(psi); it is never propagated silently.  Survival is ||psi(t)||^2
@@ -210,7 +204,6 @@ class NullFlow:
         if self._norm0 == 0.0:
             raise ValueError("cannot start a flow from the zero state")
         self._M = M
-        self._dense, self._dense_tmax = None, 0.0
         self._lam, self._V = np.linalg.eig(M)
         try:
             self._coef = self._coefficients(s0)
@@ -221,16 +214,6 @@ class NullFlow:
     @property
     def uses_eig(self) -> bool:
         return self._lam is not None
-
-    def _ensure_dense(self, tmax: float) -> None:
-        if self._dense is not None and tmax <= self._dense_tmax:
-            return
-        d = self._M.shape[0]
-        rhs = lambda t, y: (self._M @ y.reshape(d, d)).reshape(-1)
-        _, interp = integrate_ode(rhs, np.eye(d).reshape(-1), 0.0, tmax,
-                                  tol=1e-12, dense=True)
-        self._dense = interp
-        self._dense_tmax = tmax
 
     def _coefficients(self, states: np.ndarray) -> np.ndarray:
         """Coordinates, (d,) or (d, n), that ``_evolve`` propagates.  In
@@ -254,15 +237,9 @@ class NullFlow:
         coef (d, t.size), or (d, 1) shared by every time."""
         if self._lam is not None:
             return self._V @ (coef * np.exp(np.multiply.outer(self._lam, t)))
-        d = self._M.shape[0]
-        phi = np.empty((d, d, t.size), dtype=complex)
-        at0 = t == 0.0
-        phi[:, :, at0] = np.eye(d)[:, :, np.newaxis]
-        if not at0.all():
-            self._ensure_dense(float(t.max()))
-            phi[:, :, ~at0] = self._dense(t[~at0]).reshape(d, d, -1)
-        return np.einsum("ijn,jn->in", phi,
-                         np.broadcast_to(coef, (d, t.size)))
+        coef = np.broadcast_to(coef, (coef.shape[0], t.size))
+        return expm_action(lambda c: self._M @ c, np.linalg.norm(self._M, 1),
+                           coef, t)
 
     def state(self, t):
         """psi(t); t scalar -> (d,), t array -> (d, len(t))."""
@@ -619,34 +596,22 @@ def telegraph_stats(record: JumpRecord, dark_threshold: float) -> TelegraphStats
 def _lindblad_evolve(model: EffectiveModel, rho0: np.ndarray,
                      t: float) -> np.ndarray:
     """exp(Lt) rho0 for the Lindblad generator
-    L rho = G rho + rho G^dag + sum_k L_k rho L_k^dag of model, as truncated
-    Taylor series on s equal substeps (Al-Mohy & Higham, SIAM J. Sci.
-    Comput. 33, 488 (2011)).  b = 2 ||G||_1 + sum_k ||L_k||_1^2 bounds the
-    norm L induces on the entrywise 1-norm of rho, and s = max(1, ceil(b t
-    / _TAYLOR_THETA)), so the k-th term of a substep is at most
-    _TAYLOR_THETA^k / k! of its state.  A substep stops once two successive
-    terms fall below 2^-53 max|rho|, after _TAYLOR_TERMS terms at most."""
+    L rho = G rho + rho G^dag + sum_k L_k rho L_k^dag of model, by
+    ``expm_action`` with the bound b = 2 ||G||_1 + sum_k ||L_k||_1^2 on the
+    norm L induces on the entrywise 1-norm of rho."""
     G = model.generator
     Gh = G.conj().T
     ops = [(L, L.conj().T) for L in model.jump_ops]
     b = 2.0 * np.linalg.norm(G, 1) + sum(np.linalg.norm(L, 1) ** 2
                                          for L in model.jump_ops)
-    steps = max(1, math.ceil(b * t / _TAYLOR_THETA))
-    h = t / steps
-    rho = np.array(rho0, dtype=complex)
-    for _ in range(steps):
-        tol = 2.0 ** -53 * np.max(np.abs(rho))
-        term, small = rho, False
-        for k in range(1, _TAYLOR_TERMS + 1):
-            drho = G @ term + term @ Gh
-            for L, Lh in ops:
-                drho += L @ term @ Lh
-            term = drho * (h / k)
-            rho = rho + term
-            was_small, small = small, np.max(np.abs(term)) <= tol
-            if small and was_small:
-                break
-    return rho
+
+    def apply(rho):
+        drho = G @ rho + rho @ Gh
+        for L, Lh in ops:
+            drho += L @ rho @ Lh
+        return drho
+
+    return expm_action(apply, b, rho0, t)
 
 
 def lindblad_consistency(model: EffectiveModel, ntraj: int, t: float,

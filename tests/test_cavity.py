@@ -9,7 +9,8 @@ from nextjump.cavity import (CavityParams, CoherentTrajectory, detuned_flow,
                              fock_generator, mean_jump_time, resonant_flow,
                              shifted_basis_check, short_time_W,
                              wrong_state_flow)
-from nextjump.numerics import FockVector, coherent_amplitudes, default_nmax
+from nextjump.numerics import (FockVector, TruncationError,
+                               coherent_amplitudes, default_nmax)
 from nextjump.trajectories import lindblad_consistency
 
 
@@ -52,6 +53,32 @@ def test_fock_oracle_rejects_non_finite_time_promptly(t):
         evolve_fock_oracle(CavityParams(kappa=1.0, nbar=4.0),
                            FockVector.vacuum(12), t)
     assert time.perf_counter() - start < 1.0
+
+
+def test_fock_oracle_rejects_negative_time():
+    with pytest.raises(ValueError):
+        evolve_fock_oracle(CavityParams(kappa=1.0, nbar=4.0),
+                           FockVector.vacuum(40), -1.0)
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e-35])
+def test_fock_oracle_judges_top_bin_relative_to_norm(scale):
+    # a coherent alpha = 2.5 at nmax 30 holds 2.3e-6 of its norm in the top
+    # bin; that is truncation at every norm, however small W has become
+    amps = scale * coherent_amplitudes(2.5, -3.125, 30)
+    with pytest.raises(TruncationError):
+        evolve_fock_oracle(CavityParams(kappa=1.0, nbar=4.0),
+                           FockVector(amps), 0.0)
+
+
+@pytest.mark.parametrize("nbar, rtol", [(9.0, 1e-8), (16.0, 1e-8),
+                                        (25.0, 1e-4)])
+def test_fock_oracle_follows_small_survival(nbar, rtol):
+    # W(6) is 3.2e-13, 6.1e-23 and 2.0e-35; no false TruncationError, and
+    # nbar 25 sits near the oracle's rounding floor (see its docstring)
+    p = CavityParams(kappa=1.0, nbar=nbar)
+    psi = evolve_fock_oracle(p, FockVector.vacuum(default_nmax(nbar)), 6.0)
+    assert abs(psi.norm_sq() / resonant_flow(p).survival(6.0) - 1.0) < rtol
 
 
 def test_fock_oracle_matches_closed_form():

@@ -10,7 +10,7 @@ from numpy.random import Generator, Philox
 from nextjump.numerics import (DRAW_BUFFER, TAIL_TOL, FockVector,
                                IntegrationError, RngStream, StreamDraws,
                                TruncationError, coherent_amplitudes,
-                               default_nmax, fock_ops, integrate_ode)
+                               default_nmax, expm_action, fock_ops)
 
 
 def _coherent(alpha, nmax):
@@ -70,26 +70,45 @@ def test_coherent_overlap_formula():
     assert abs(got - math.exp(-abs(a - b) ** 2)) < 1e-12
 
 
-def test_integrate_ode_exponential():
-    y = integrate_ode(lambda t, y: -y, np.array([1.0 + 0j]), 0.0, 2.0)
-    assert abs(y[0] - math.exp(-2.0)) < 1e-9
+def test_expm_action_exponential_decay():
+    y = expm_action(lambda y: -y, 1.0, np.array([1.0 + 0j]), 2.0)
+    assert abs(y[0] - math.exp(-2.0)) < 1e-15
+    # deep decay keeps its relative accuracy: the stopping test follows y
+    y = expm_action(lambda y: -y, 1.0, np.array([1.0 + 0j]), 60.0)
+    assert abs(y[0] / math.exp(-60.0) - 1.0) < 1e-12
 
 
-def test_integrate_ode_dense_grid():
-    yf, interp = integrate_ode(lambda t, y: 1j * y, np.array([1.0 + 0j]),
-                               0.0, 3.0, dense=True)
-    assert abs(yf[0] - np.exp(3j)) < 1e-8
-    ts = np.linspace(0.0, 3.0, 7)
-    vals = interp(ts)
-    assert np.max(np.abs(vals[0] - np.exp(1j * ts))) < 1e-8
+def test_expm_action_per_column_times_match_expm():
+    from scipy.linalg import expm
+    rng = np.random.default_rng(17)
+    A = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
+    y = rng.standard_normal((5, 4)) + 1j * rng.standard_normal((5, 4))
+    t = np.array([0.0, 0.3, 2.5, 1.0])
+    got = expm_action(lambda c: A @ c, np.linalg.norm(A, 1), y, t)
+    assert np.array_equal(got[:, 0], y[:, 0])      # t = 0 leaves y as it is
+    for j, tj in enumerate(t):
+        want = expm(A * tj) @ y[:, j]
+        assert np.linalg.norm(got[:, j] - want) < 1e-12 * np.linalg.norm(want)
 
 
 @pytest.mark.parametrize("t0, t1", [(0.0, float("nan")), (0.0, float("inf")),
                                     (float("nan"), 1.0), (-float("inf"), 1.0)])
 def test_integrate_ode_rejects_non_finite_limits_promptly(t0, t1):
+    # expm_action replaced integrate_ode; the span t1 - t0 of non-finite
+    # limits is itself non-finite and must raise before any substep runs
     start = time.perf_counter()
     with pytest.raises(ValueError):
-        integrate_ode(lambda t, y: -y, np.array([1.0 + 0j]), t0, t1)
+        expm_action(lambda y: -y, 1.0, np.array([1.0 + 0j]), t1 - t0)
+    assert time.perf_counter() - start < 1.0
+
+
+@pytest.mark.parametrize("t", [-1.0, np.array([0.5, -1e-3])],
+                         ids=["negative", "negative_column"])
+def test_expm_action_rejects_bad_times_promptly(t):
+    start = time.perf_counter()
+    with pytest.raises(ValueError):
+        expm_action(lambda y: -y, 1.0, np.ones((1, np.size(t)), dtype=complex),
+                    t)
     assert time.perf_counter() - start < 1.0
 
 

@@ -1,8 +1,8 @@
 """Start-up structure, checked in fresh interpreters: importing the package
-or its CLI loads no scipy module, nor does sampling gaps on a ``NullFlow``
-or checking an unraveling against its master equation, and ``validate``
-loads every scipy module the criteria reach before any criterion's clock
-starts."""
+or its CLI loads no scipy module, nor does sampling gaps on a ``NullFlow``,
+checking an unraveling against its master equation, running the Fock oracle
+or a ``NullFlow`` off its eigenmodes, and ``validate`` loads every scipy
+module the criteria reach before any criterion's clock starts."""
 
 import json
 import os
@@ -73,10 +73,30 @@ def test_lindblad_consistency_loads_no_scipy():
     assert loaded == [[], [20, 20]]
 
 
+def test_exp_action_loads_no_scipy():
+    """The Fock oracle and a NullFlow off its eigenmodes (a 3 x 3 Jordan
+    block, whose eigenbasis is singular) propagate by the numpy exp-action:
+    scipy.integrate would cost start-up time and memory."""
+    loaded = _fresh(
+        "import json, sys\n"
+        "import numpy as np\n"
+        "from nextjump import cavity, trajectories\n"
+        "from nextjump.numerics import FockVector\n"
+        "psi = cavity.evolve_fock_oracle(cavity.CavityParams(kappa=1.0, nbar=4.0),\n"
+        "                                FockVector.vacuum(44), 2.0)\n"
+        "flow = trajectories.NullFlow(np.eye(3, k=1), np.array([0.2, -0.5j, 1.0]))\n"
+        "w = flow.survival(np.array([0.5, 3.0]))\n"
+        "print(json.dumps([sorted(k for k in sys.modules\n"
+        "                         if k.split('.')[0] == 'scipy'),\n"
+        "                  bool(flow.uses_eig), psi.norm_sq() > 0.0,\n"
+        "                  bool((w > 1.0).all())]))\n")
+    assert loaded == [[], False, True, True]
+
+
 def test_validate_times_no_import():
     """A criterion that needs no scipy still leaves the criteria's scipy set
-    loaded, so criteria 1 and 3 (the first users of scipy.integrate and
-    scipy.special) then load nothing new inside their clocks, and neither
+    loaded, so criteria 3 and 6 (the first users of scipy.special and
+    scipy.integrate) then load nothing new inside their clocks, and neither
     loads scipy.stats (criterion 3's Kolmogorov-Smirnov test is numpy plus
     scipy.special.kolmogorov)."""
     before, preloaded, new, passed = _fresh(
@@ -87,7 +107,7 @@ def test_validate_times_no_import():
         "before = sorted(scipy_modules())\n"
         "ok = validation.run_criterion(5, 'fast').passed\n"
         "preloaded = scipy_modules()\n"
-        "results = validation.run_all('fast', [1, 3])\n"
+        "results = validation.run_all('fast', [1, 3, 6])\n"
         "print(json.dumps([before, sorted(preloaded),\n"
         "                  sorted(scipy_modules() - preloaded),\n"
         "                  ok and all(r.passed for r in results)]))\n")

@@ -661,7 +661,7 @@ def test_null_flow_mode_follows_the_state():
 
 def test_null_flow_singular_eigenbasis_falls_back():
     # a nilpotent 3 x 3 Jordan block: eig returns an exactly singular V, so
-    # the expansion itself fails and the flow takes the ODE
+    # the expansion itself fails and the flow takes the exp-action
     M = np.eye(3, k=1)
     psi = np.array([0.2, -0.5j, 1.0])
     flow = NullFlow(M, psi)
