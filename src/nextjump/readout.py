@@ -9,7 +9,8 @@ the cumulative-click ratio eps = P_G/(P_G + P_B) with P = 1 - W for the
 detuned and resonant survival curves.  The dispersive strategy integrates a
 heterodyne record instead; its signal-to-noise ratio grows as
 (Gamma/kappa)*(kappa t)^{5/2}/sqrt(18) and the error is the Gaussian tail
-eps_DR = erfc(SNR/2)/2.
+eps_DR = erfc(SNR/2)/2, from ``math.erfc``.  So the curves load no scipy;
+only ``y_consistency_check`` imports it, inside the function.
 
 The log-decrement Y rescales the jump density of the detuned flow,
 Y = (1 + (2 chi/kappa)^2) |alpha|^2 / nbar, which rings at the detuning
@@ -20,6 +21,7 @@ chi/kappa = 1/2 for dispersive readout).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -61,18 +63,22 @@ def error_next_jump(p: CavityParams, t):
 def snr_heterodyne(p: CavityParams, t):
     """Dispersive-readout signal-to-noise ratio (Gamma/kappa)(kappa t)^{5/2}/sqrt(18)."""
     t = np.asarray(t, dtype=float)
+    if not np.all(t >= 0):
+        raise ValueError("t must be nonnegative and not NaN")
     gk = p.gamma_drive / p.kappa
     out = (1.0 / np.sqrt(18.0)) * gk * (p.kappa * t) ** 2.5
     return out if out.ndim else float(out)
 
 
 def error_dispersive(snr):
-    """Gaussian two-outcome discrimination error erfc(SNR/2)/2."""
-    from scipy.special import erfc
+    """Gaussian two-outcome discrimination error erfc(SNR/2)/2, by the C
+    library's ``math.erfc`` one value at a time."""
     snr = np.asarray(snr, dtype=float)
-    if np.any(snr < 0):
-        raise ValueError("snr must be nonnegative")
-    out = 0.5 * erfc(snr / 2.0)
+    if not np.all(snr >= 0):
+        raise ValueError("snr must be nonnegative and not NaN")
+    erfc = np.fromiter(map(math.erfc, (snr / 2.0).ravel().tolist()), float,
+                       snr.size)
+    out = 0.5 * erfc.reshape(snr.shape)
     return out if out.ndim else float(out)
 
 
@@ -103,7 +109,7 @@ class ReadoutCurves:
     def __post_init__(self):
         for name in ("eps_nextjump", "eps_dispersive"):
             vals = getattr(self, name)
-            if np.any(vals < 0) or np.any(vals > 1):
+            if not np.all((vals >= 0) & (vals <= 1)):
                 raise ValueError(f"{name} must lie in [0, 1]")
         order = np.argsort(self.snr)
         if np.any(np.diff(self.eps_dispersive[order]) > 1e-15):
@@ -144,10 +150,9 @@ def y_oscillation_frequency(p: CavityParams) -> float:
     with parabolic refinement of the peak bin.  For a pull chi the ringing
     sits at chi/(2 pi kappa) cycles per tau.
     """
-    tau = np.linspace(0.0, 30.0, 300001)
+    tau = np.linspace(0.0, 12.0, 120001)
     Y = log_decrement_Y(p, tau)
-    m = tau <= 12.0
-    yw = Y[m] - Y[m].mean()
+    yw = Y - Y.mean()
     w = np.hanning(yw.size)
     F = np.fft.rfft(yw * w)
     freqs = np.fft.rfftfreq(yw.size, d=tau[1] - tau[0])

@@ -62,8 +62,10 @@ _GAP_GRID_CELLS = 2048
 #: (below it they are even) up to t_hi, each about ln(ratio) / cells = 0.45%
 #: wider than the last
 _GAP_GRID_RATIO = 1e4
-#: samples solved together in ``sample_gaps``
-_GAP_BLOCK = 16384
+#: samples ``sample_gaps`` solves together, and times ``NullFlow.survival``
+#: evaluates together; a multiple of 4, so OpenBLAS takes the same column
+#: kernels in a block as in one product over every time
+_BLOCK = 16384
 #: gaps ``telegraph_run`` draws per call of ``sample_gaps``
 _TELEGRAPH_BATCH = 4096
 
@@ -194,7 +196,10 @@ class NullFlow:
     ``_coefficients`` expands (the post-jump states of ``_unravel``) gets
     the same test, and one that fails raises FloatingPointError naming its
     a(psi); it is never propagated silently.  Survival is ||psi(t)||^2
-    normalized to 1 at t=0.
+    normalized to 1 at t=0, evaluated _BLOCK times at a time.  Off the
+    eigenmodes the exp-action picks its substep count from the largest time
+    it is given, so a survival call on more than _BLOCK times rounds as
+    separate calls on each block would, not as one ``state`` call.
     """
 
     def __init__(self, generator: np.ndarray, state0: np.ndarray):
@@ -250,13 +255,22 @@ class NullFlow:
         return psi
 
     def survival(self, t):
-        """W(t) = ||psi(t)||^2 / ||psi(0)||^2, shaped like t."""
-        t_arr = np.atleast_1d(np.asarray(t, dtype=float))
-        psi = self.state(t_arr)
-        w = np.sum(np.abs(psi) ** 2, axis=0) / self._norm0
-        if np.isscalar(t) or np.asarray(t).ndim == 0:
+        """W(t) = ||psi(t)||^2 / ||psi(0)||^2, shaped like t; only W and
+        one block of states are held at a time."""
+        t_arr = np.asarray(t, dtype=float)
+        times = t_arr.ravel()
+        n = times.size
+        w = np.empty(n)
+        # numpy hands a one-column product to gemv, which rounds otherwise,
+        # so a lone last time joins the block before it
+        for a in range(0, max(n - 1, 1), _BLOCK):
+            b = a + _BLOCK if n - a > _BLOCK + 1 else n
+            psi = self._evolve(self._coef[:, np.newaxis], times[a:b])
+            w[a:b] = np.sum(np.abs(psi) ** 2, axis=0)
+        w /= self._norm0
+        if t_arr.ndim == 0:
             return float(w[0])
-        return w
+        return w.reshape(t_arr.shape)
 
 
 def _find_level(log_w, log_u: np.ndarray, a: np.ndarray, b: np.ndarray,
@@ -374,7 +388,7 @@ def sample_gaps(survival, n: int, rng, t_hi: float) -> np.ndarray:
     ln W is tabulated once on a grid graded toward t = 0 (even cells below
     t_hi / _GAP_GRID_RATIO, geometric ones above it, ending exactly at 0
     and t_hi), as its running minimum so the table stays monotone under
-    rounding.  Then, in blocks of _GAP_BLOCK samples, each level's table
+    rounding.  Then, in blocks of _BLOCK samples, each level's table
     cell gives a bracket and a guess from a monotone cubic interpolant of
     the inverse t(ln W) (``_inverse_cells``); one straddle pass evaluates
     ln W at guess -/+ half-width, each point tightening the bracket on the
@@ -396,8 +410,8 @@ def sample_gaps(survival, n: int, rng, t_hi: float) -> np.ndarray:
                        _inverse_cells(grid, table)))
     log_w = lambda t, idx: _log(survival(t))
     gaps = np.empty(n)
-    for s in range(0, n, _GAP_BLOCK):
-        lu = log_u[s:s + _GAP_BLOCK]
+    for s in range(0, n, _BLOCK):
+        lu = log_u[s:s + _BLOCK]
         # first grid point below each level; past the end means censored
         k = np.searchsorted(-table, -lu, side="right")
         k = np.clip(k, 1, _GAP_GRID_CELLS)
@@ -417,7 +431,7 @@ def sample_gaps(survival, n: int, rng, t_hi: float) -> np.ndarray:
             up, down = inside & (fs >= 0.0), inside & (fs < 0.0)
             a[live[up]], fa[live[up]] = xs[up], fs[up]
             b[live[down]], fb[live[down]] = xs[down], fs[down]
-        gaps[s:s + _GAP_BLOCK] = _find_level(log_w, lu, a, b, fa, fb)
+        gaps[s:s + _BLOCK] = _find_level(log_w, lu, a, b, fa, fb)
     return gaps
 
 

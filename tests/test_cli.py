@@ -5,12 +5,15 @@ import os
 import subprocess
 import sys
 
+import mpmath
 import numpy as np
 import pytest
 
 from nextjump import cli
 from nextjump.atom3 import Atom3Params, effective_model
+from nextjump.cavity import CavityParams
 from nextjump.numerics import RngStream
+from nextjump.readout import snr_heterodyne
 from nextjump.trajectories import NullFlow
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
@@ -73,7 +76,8 @@ def _run_pinned(tmp_path, argv):
 #: the sha256 of its CSV and of its sorted sidecar summary.  The two
 #: transmon hashes were computed while each command still ran its own copy
 #: of the fit; the others before the CSV writer took columns in place of
-#: rows.
+#: rows.  A column named in HELD is left out of the CSV hash and checked
+#: against a reference instead.
 PINNED = {
     "cavity-w": (
         ["cavity-w", "--npts", "41", "--tmax", "3"],
@@ -120,22 +124,34 @@ PINNED = {
         "5b89dd124264ffcbf576cf60c177b0368655eb192f8d68c0e2bda3f2f34fe6c1"),
     "readout-figure1": (
         ["readout-figure1", "--npts", "121", "--tmax", "3"],
-        "6b2d71e7705f59252692096af5a475e32969213e08d0d6e9d5ba4954ac4aedb3",
+        "9e7549d811d567011567cedda4a6ad04c6c5110dc4d465464b00f1ac9a9b4e69",
         "ae116495fa1b1f97e955fd368b41c4af828489359d66a662831c9b3035e1ce02"),
 }
+
+#: name -> columns left out of its CSV hash, which ``test_outputs_are_pinned``
+#: checks against a reference instead
+HELD = {"readout-figure1": ("eps_dr",)}
 
 _PIN_SCRIPT = """
 import hashlib, json, sys
 from nextjump import cli
 out = {}
-for name, argv in json.loads(sys.argv[1]).items():
+for name, (argv, held) in json.loads(sys.argv[1]).items():
     if cli.main(argv + ["--out", name + ".csv"]) != 0:
         raise SystemExit(name + " failed")
     with open(name + ".csv", "rb") as fh:
-        csv_sha = hashlib.sha256(fh.read()).hexdigest()
+        data = fh.read()
+    columns = {}
+    if held:
+        rows = [line.split(",") for line in data.decode().split("\\r\\n")[:-1]]
+        columns = {h: [r[i] for r in rows[1:]] for i, h in enumerate(rows[0])}
+        keep = [i for i, h in enumerate(rows[0]) if h not in held]
+        data = "".join(",".join(r[i] for i in keep) + "\\r\\n"
+                       for r in rows).encode()
     with open(name + ".json") as fh:
         text = json.dumps(json.load(fh)["summary"], sort_keys=True)
-    out[name] = [csv_sha, hashlib.sha256(text.encode()).hexdigest()]
+    out[name] = [hashlib.sha256(data).hexdigest(),
+                 hashlib.sha256(text.encode()).hexdigest(), columns]
 print(json.dumps(out))
 """
 
@@ -143,10 +159,12 @@ print(json.dumps(out))
 @pytest.fixture(scope="module")
 def pinned_hashes(tmp_path_factory):
     """All of PINNED in one fresh interpreter on one BLAS thread (numpy 2.4
-    with its bundled OpenBLAS 0.3, x86-64): name -> [csv, summary] sha256.
+    with its bundled OpenBLAS 0.3, x86-64): name -> [csv, summary] sha256
+    and the CSV columns, header -> cells, of a command with HELD columns.
     The dense eig of transmon-dark rounds differently with the number of
     BLAS threads, hence one thread."""
-    runs = json.dumps({name: argv for name, (argv, _, _) in PINNED.items()})
+    runs = json.dumps({name: [argv, HELD.get(name, ())]
+                       for name, (argv, _, _) in PINNED.items()})
     proc = subprocess.run([sys.executable, "-c", _PIN_SCRIPT, runs],
                           cwd=tmp_path_factory.mktemp("pinned"),
                           env=ONE_THREAD, check=True, capture_output=True,
@@ -158,9 +176,29 @@ def pinned_hashes(tmp_path_factory):
 def test_outputs_are_pinned(pinned_hashes, name):
     """The CSV bytes and the sidecar summary (the fitted rates live there)
     of every data command.  A change to shared code, or to the CSV writer,
-    that moves any written digit fails here."""
+    that moves any written digit fails here, but for a HELD column, which
+    its own check holds instead."""
     _, csv_sha256, summary_sha256 = PINNED[name]
-    assert pinned_hashes[name] == [csv_sha256, summary_sha256]
+    csv_got, summary_got, columns = pinned_hashes[name]
+    assert [csv_got, summary_got] == [csv_sha256, summary_sha256]
+    if name == "readout-figure1":
+        _assert_eps_dr_matches_mpmath(columns)
+
+
+def _assert_eps_dr_matches_mpmath(columns):
+    """readout-figure1's eps_dr is erfc(SNR/2)/2 of the SNR at its tau
+    column (dispersive pull chi/kappa = 1/2, nbar = 100, kappa = 1), held to
+    mpmath at 40 digits: within 1e-15 relative wherever the value exceeds
+    1e-300, and within 1e-315 below that (scipy.special.erfc misses by
+    4.9e-15 here)."""
+    tau = np.array(columns["tau"], dtype=float)
+    eps = np.array(columns["eps_dr"], dtype=float)
+    snr = snr_heterodyne(CavityParams(kappa=1.0, chi=0.5, nbar=100.0), tau)
+    with mpmath.workdps(40):
+        ref = np.array([float(mpmath.erfc(mpmath.mpf(x) / 2) / 2)
+                        for x in snr])
+    assert eps.size == 121
+    assert np.all(np.abs(eps - ref) <= 1e-15 * np.maximum(ref, 1e-300))
 
 
 def test_telegraph_output_is_pinned(tmp_path):

@@ -1,8 +1,9 @@
 """Start-up structure, checked in fresh interpreters: importing the package
 or its CLI loads no scipy module, nor does sampling gaps on a ``NullFlow``,
 checking an unraveling against its master equation, running the Fock oracle
-or a ``NullFlow`` off its eigenmodes, and ``validate`` loads every scipy
-module the criteria reach before any criterion's clock starts."""
+or a ``NullFlow`` off its eigenmodes, or running any CLI data command, and
+``validate`` loads every scipy module the criteria reach before any
+criterion's clock starts."""
 
 import json
 import os
@@ -10,14 +11,16 @@ import subprocess
 import sys
 
 import nextjump
+from nextjump import cli
+from test_cli import PINNED
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(nextjump.__file__)))
 
 
-def _fresh(code: str):
+def _fresh(code: str, cwd=None):
     env = dict(os.environ, PYTHONPATH=SRC)
     proc = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, cwd=cwd)
     return json.loads(proc.stdout.strip().splitlines()[-1])
 
 
@@ -91,6 +94,24 @@ def test_exp_action_loads_no_scipy():
         "                  bool(flow.uses_eig), psi.norm_sq() > 0.0,\n"
         "                  bool((w > 1.0).all())]))\n")
     assert loaded == [[], False, True, True]
+
+
+def test_cli_commands_load_no_scipy(tmp_path):
+    """Every data command at its pinned flags, one after another in one
+    interpreter, loads no scipy module."""
+    assert ({argv[0] for argv, _, _ in PINNED.values()}
+            == {c.name for c in cli.COMMANDS})
+    runs = json.dumps({name: argv for name, (argv, _, _) in PINNED.items()})
+    loaded = _fresh(
+        "import json, sys\n"
+        "from nextjump import cli\n"
+        "loaded = {}\n"
+        f"for name, argv in json.loads({runs!r}).items():\n"
+        "    assert cli.main(argv + ['--out', name + '.csv']) == 0, name\n"
+        "    loaded[name] = sorted(k for k in sys.modules\n"
+        "                          if k.split('.')[0] == 'scipy')\n"
+        "print(json.dumps(loaded))\n", cwd=tmp_path)
+    assert loaded == {name: [] for name in PINNED}
 
 
 def test_validate_times_no_import():

@@ -14,7 +14,7 @@ from nextjump.atom3 import Atom3Params, effective_model
 from nextjump.numerics import DRAW_BUFFER, RngStream, StreamDraws
 from nextjump.trajectories import (BISECT_ITERS, EIG_COND_LIMIT,
                                    EffectiveModel, JumpRecord, NullFlow,
-                                   _GAP_BLOCK, _TELEGRAPH_BATCH, _find_level,
+                                   _BLOCK, _TELEGRAPH_BATCH, _find_level,
                                    _unravel, lindblad_consistency,
                                    run_trajectory, sample_gaps, telegraph_run,
                                    telegraph_stats)
@@ -175,6 +175,53 @@ def test_null_flow_state_shapes():
     assert flow.state(np.array([0.5, 1.0, 2.0])).shape == (2, 3)
     w = flow.survival(np.array([1.0, 2.0]))
     assert np.allclose(w, np.exp([-1.0, -2.0]))
+    assert flow.survival(np.full((2, 3), 1.0)).shape == (2, 3)
+
+
+@pytest.mark.parametrize("n", [1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 150001])
+@pytest.mark.parametrize("name", ["atom", "cavity"])
+def test_survival_blocks_match_one_product(name, n):
+    """survival works _BLOCK times at a time; in eigenmode mode that is bit
+    for bit the norm of the whole state array (a lone last time joins the
+    block before it, since numpy rounds a one-column product otherwise)."""
+    model, tmax = MODELS[name]
+    flow = NullFlow(model.generator, model.initial_state)
+    assert flow.uses_eig
+    t = np.linspace(0.0, tmax, n)
+    whole = np.sum(np.abs(flow.state(t)) ** 2, axis=0) / flow._norm0
+    assert np.array_equal(flow.survival(t), whole)
+
+
+def test_survival_blocks_off_the_eigenmodes():
+    """Off the eigenmodes each block picks its own exp-action substeps, so
+    a long grid moves by rounding only."""
+    model = _defective_model()
+    flow = NullFlow(model.generator, model.initial_state)
+    assert not flow.uses_eig
+    t = np.linspace(0.0, 20.0, _BLOCK + 100)
+    whole = np.sum(np.abs(flow.state(t)) ** 2, axis=0) / flow._norm0
+    assert np.allclose(flow.survival(t), whole, rtol=1e-13, atol=0.0)
+
+
+@pytest.mark.parametrize("name", ["atom", "cavity"])
+def test_survival_memory_per_point(name):
+    """Only W (8 bytes a time) grows with the grid; the states are per
+    block (building every state at once costs 96 bytes a time on the atom
+    and 544 on the cavity)."""
+    model, tmax = MODELS[name]
+    flow = NullFlow(model.generator, model.initial_state)
+
+    def peak(n):
+        t = np.linspace(0.0, tmax, n)
+        tracemalloc.start()
+        try:
+            flow.survival(t)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    growth = (peak(16 * _BLOCK) - peak(2 * _BLOCK)) / (14 * _BLOCK)
+    assert growth <= 12.0
 
 
 def test_sample_gaps_inverts_pure_decay():
@@ -305,12 +352,12 @@ def test_sample_gaps_censors_exactly_at_t_hi():
 
 def test_sample_gaps_independent_of_blocks():
     flow = cavity.resonant_flow(cavity.CavityParams(kappa=1.0, nbar=4.0))
-    n = 2 * _GAP_BLOCK + 1000
+    n = 2 * _BLOCK + 1000
     u = RngStream(9, 0).generator().random(n)
     gaps = sample_gaps(flow.survival, n, _Levels(u), t_hi=40.0)
     assert np.array_equal(gaps, sample_gaps(flow.survival, n, RngStream(9, 0),
                                             t_hi=40.0))
-    edges = [0, _GAP_BLOCK, 2 * _GAP_BLOCK, n]
+    edges = [0, _BLOCK, 2 * _BLOCK, n]
     picks = {i for e in edges for i in range(e - 3, e + 3) if 0 <= i < n}
     picks |= set(RngStream(9, 1).generator().integers(0, n, 40).tolist())
     for i in sorted(picks):
@@ -332,7 +379,7 @@ def test_sample_gaps_memory_per_sample():
         finally:
             tracemalloc.stop()
 
-    growth = (peak(8 * _GAP_BLOCK) - peak(_GAP_BLOCK)) / (7 * _GAP_BLOCK)
+    growth = (peak(8 * _BLOCK) - peak(_BLOCK)) / (7 * _BLOCK)
     assert growth <= 32.0
 
 
