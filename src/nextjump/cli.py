@@ -22,8 +22,10 @@ Exit codes: 0 success, 2 invalid configuration or arguments (a NaN or
 infinite number, or a model parameter outside its domain, among them), 3
 numerical failure (a non-finite summary value among them, caught before
 anything is written), 4 I/O failure.
-``validate`` reports criterion failures as report lines and still exits 0;
-only being unable to run is an error.
+``validate`` runs the one acceptance protocol of ``validation``, every
+criterion or those --criteria names, at its pinned sizes.  It reports
+criterion failures as report lines and still exits 0; only being unable to
+run is an error.
 """
 
 from __future__ import annotations
@@ -467,8 +469,6 @@ def _build_parser() -> _Parser:
                 kwargs["type"] = f.type
             sp.add_argument(opt, **kwargs)
     vp = sub.add_parser("validate", help="run the numbered acceptance checks")
-    vp.add_argument("--level", choices=["fast", "full"], default="fast",
-                    help="fast trims Monte Carlo sizes; full runs pinned sizes")
     vp.add_argument("--criteria", type=str, default=None,
                     help="comma-separated criterion numbers (default: all)")
     vp.add_argument("--out", type=str, default=None,
@@ -492,15 +492,13 @@ def _cmd_validate(args) -> int:
             return 2
     results = []
     for idx in (indices or sorted(validation.CRITERION_TITLES)):
-        r = validation.run_criterion(idx, args.level)
+        r = validation.run_criterion(idx)
         results.append(r)
         print(validation.format_line(r), flush=True)
     n_fail = sum(1 for r in results if not r.passed)
-    print(f"validate: {len(results) - n_fail}/{len(results)} passed "
-          f"(level={args.level})")
+    print(f"validate: {len(results) - n_fail}/{len(results)} passed")
     if args.out is not None:
-        report = {"level": args.level,
-                  "results": [dataclasses.asdict(r) for r in results]}
+        report = {"results": [dataclasses.asdict(r) for r in results]}
         try:
             with open(args.out, "w", encoding="utf-8") as fh:
                 json.dump(_jsonable(report), fh, indent=2)

@@ -43,7 +43,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cavity import CavityParams, fock_generator
+from .cavity import CavityParams, CoherentTrajectory, fock_generator
 from .numerics import (FockVector, ParameterError, RngStream,
                        coherent_amplitudes, default_nmax, fock_ops)
 
@@ -511,10 +511,11 @@ def null_correspondence(params: HeterodyneParams, t: float,
     Substituting the maximum-likelihood demodulated signal (constant value
     2*Gamma) for the record derivative makes the conditional equation
     deterministic.  After removing the constant rescaling exp(-t II*/2 kappa)
-    its solution must coincide, amplitude by amplitude, with the
-    shifted-detection effective flow whose detection offset is gamma =
-    sqrt(nbar).  Both routes are integrated in closed form on a shared grid
-    of 501 times and compared elementwise.
+    its solution must coincide, amplitude by amplitude, with the next-photon
+    no-click flow whose detection offset is gamma = sqrt(nbar), read from
+    ``cavity.CoherentTrajectory``.  The locked record is integrated here in
+    closed form; both routes are evaluated on a shared grid of 501 times and
+    compared elementwise.
     """
     kappa, nbar = params.kappa, params.nbar
     Gam = params.gamma_drive
@@ -525,21 +526,22 @@ def null_correspondence(params: HeterodyneParams, t: float,
     decay = np.exp(-kappa * ts / 2)
     al_t = abar + delta0 * decay
     int_al = abar * ts + delta0 * (2 / kappa) * (1 - decay)
-    # record locked to 2*Gamma: d beta/dt = (2*Gamma - Gamma) alpha
-    be_sse = Gam * int_al
-    # shifted-detection flow, gamma = sqrt(nbar): d beta/dt = Gamma alpha - kappa nbar/2
-    be_eff = Gam * int_al - (kappa / 2) * nbar * ts
-    resc = be_sse - (2 * Gam**2 / kappa) * ts
+    # record locked to 2*Gamma: d beta/dt = (2*Gamma - Gamma) alpha, then
+    # the rescaling removed
+    resc = Gam * int_al - (2 * Gam**2 / kappa) * ts
+    flow = CoherentTrajectory(kappa, drive=Gam, gamma_det=math.sqrt(nbar),
+                              alpha0=complex(alpha0))
+    al_eff, be_eff = flow.alpha(ts), flow.beta(ts)
     beta_dev = float(np.max(np.abs(resc - be_eff)))
 
     nmax = default_nmax(nbar)
     fock_dev = 0.0
     for idx in (nsamples // 2, nsamples - 1):
         pa = coherent_amplitudes(al_t[idx], resc[idx], nmax)
-        pb = coherent_amplitudes(al_t[idx], be_eff[idx], nmax)
+        pb = coherent_amplitudes(al_eff[idx], be_eff[idx], nmax)
         fock_dev = max(fock_dev, float(np.max(np.abs(pa - pb))))
-    aa = abs(al_t[-1]) ** 2
-    norm_dev = float(abs(np.exp(2 * resc[-1].real + aa) - np.exp(2 * be_eff[-1].real + aa)))
+    norm_dev = float(abs(np.exp(2 * resc[-1].real + abs(al_t[-1]) ** 2)
+                         - np.exp(2 * be_eff[-1].real + abs(al_eff[-1]) ** 2)))
     return {
         "max_log_prefactor_dev": beta_dev,
         "max_amplitude_dev": fock_dev,

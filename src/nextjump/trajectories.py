@@ -70,6 +70,18 @@ _BLOCK = 16384
 _TELEGRAPH_BATCH = 4096
 
 
+def _check_times(name: str, t, positive: bool = False) -> np.ndarray:
+    """t as a float array; ValueError naming the first time that is not
+    finite and non-negative (positive when asked)."""
+    t = np.asarray(t, dtype=float)
+    ok = (t > 0.0 if positive else t >= 0.0) & (t < math.inf)
+    if not ok.all():
+        sign = "positive" if positive else "non-negative"
+        raise ValueError(f"{name} must be finite and {sign}, "
+                         f"got {float(t[~ok].flat[0])}")
+    return t
+
+
 @dataclass(frozen=True)
 class EffectiveModel:
     """No-click generator plus detection channels.
@@ -195,11 +207,14 @@ class NullFlow:
     its own time.  In eigenmode mode every later state that
     ``_coefficients`` expands (the post-jump states of ``_unravel``) gets
     the same test, and one that fails raises FloatingPointError naming its
-    a(psi); it is never propagated silently.  Survival is ||psi(t)||^2
-    normalized to 1 at t=0, evaluated _BLOCK times at a time.  Off the
-    eigenmodes the exp-action picks its substep count from the largest time
-    it is given, so a survival call on more than _BLOCK times rounds as
-    separate calls on each block would, not as one ``state`` call.
+    a(psi); it is never propagated silently.  The flow runs forward only:
+    ``state`` and ``survival`` take times of any shape and raise ValueError
+    for a negative or non-finite one, in either mode.  Survival is
+    ||psi(t)||^2 normalized to 1 at t=0, evaluated _BLOCK times at a time.
+    Off the eigenmodes the exp-action picks its substep count from the
+    largest time it is given, so a survival call on more than _BLOCK times
+    rounds as separate calls on each block would, not as one ``state``
+    call.
     """
 
     def __init__(self, generator: np.ndarray, state0: np.ndarray):
@@ -247,17 +262,16 @@ class NullFlow:
                            coef, t)
 
     def state(self, t):
-        """psi(t); t scalar -> (d,), t array -> (d, len(t))."""
-        t_arr = np.atleast_1d(np.asarray(t, dtype=float))
-        psi = self._evolve(self._coef[:, np.newaxis], t_arr)
-        if np.isscalar(t) or np.asarray(t).ndim == 0:
-            return psi[:, 0]
-        return psi
+        """psi(t), shaped (d,) + t.shape: (d,) for a scalar t, (d, n) for
+        n times."""
+        t_arr = _check_times("t", t)
+        psi = self._evolve(self._coef[:, np.newaxis], t_arr.ravel())
+        return psi.reshape(psi.shape[:1] + t_arr.shape)
 
     def survival(self, t):
         """W(t) = ||psi(t)||^2 / ||psi(0)||^2, shaped like t; only W and
         one block of states are held at a time."""
-        t_arr = np.asarray(t, dtype=float)
+        t_arr = _check_times("t", t)
         times = t_arr.ravel()
         n = times.size
         w = np.empty(n)
@@ -395,14 +409,16 @@ def sample_gaps(survival, n: int, rng, t_hi: float) -> np.ndarray:
     side its sign allows, and the regula falsi of ``_find_level`` finishes
     on the tightened bracket.  A sample with u <= W(t_hi) is censored and
     comes back as exactly t_hi, so ``gaps == t_hi`` is the censored mask;
-    choose t_hi so W(t_hi) is negligible for the statistic at hand.
+    choose t_hi so W(t_hi) is negligible for the statistic at hand.  A
+    t_hi that is not finite and positive raises ValueError.
     """
+    t_hi = float(_check_times("t_hi", t_hi, positive=True))
     if isinstance(rng, RngStream):
         rng = rng.generator()
     log_u = _log(rng.random(n))
     grid = np.expm1(np.log1p(_GAP_GRID_RATIO)
                     * np.linspace(0.0, 1.0, _GAP_GRID_CELLS + 1))
-    grid *= float(t_hi) / _GAP_GRID_RATIO
+    grid *= t_hi / _GAP_GRID_RATIO
     grid[-1] = t_hi
     table = np.minimum.accumulate(_log(survival(grid)))
     # one column per cell: its ends, ln W there, and its seed
@@ -526,11 +542,13 @@ def run_trajectory(model: EffectiveModel, tmax: float,
                    rng: RngStream) -> JumpRecord:
     """Jump unraveling of one trajectory on [0, tmax] (a lockstep batch of
     one), drawing from the stream rng by counter in the order member
-    rng.stream_index of a batch on rng.seed would."""
+    rng.stream_index of a batch on rng.seed would.  A tmax that is not
+    finite and non-negative raises ValueError."""
+    tmax = float(_check_times("tmax", tmax))
     times, channels, final = _unravel(
         model, tmax, StreamDraws(rng.seed, [rng.stream_index]))
     return JumpRecord(np.array(times[0]), np.array(channels[0], dtype=int),
-                      model.labels, final[:, 0], float(tmax))
+                      model.labels, final[:, 0], tmax)
 
 
 def telegraph_run(model: EffectiveModel, total_time: float,
@@ -543,9 +561,11 @@ def telegraph_run(model: EffectiveModel, total_time: float,
     kept).  Channel labels are attributed afterwards, one uniform per gap
     from the paired stream RngStream(rng.seed, rng.stream_index + 1), which
     keeps the gap sequence invariant under changes in channel handling.
+    A total_time that is not finite and non-negative raises ValueError.
     """
     if model.reset_state is None:
         raise ValueError("telegraph_run needs a constant reset state")
+    total_time = float(_check_times("total_time", total_time))
     gen = rng.generator()
     t_hi = 900.0 / model.beta_fast
     flow = NullFlow(model.generator, model.reset_state)
@@ -644,8 +664,7 @@ def lindblad_consistency(model: EffectiveModel, ntraj: int, t: float,
     elementwise deviations against the 5/sqrt(ntraj) Monte Carlo band.
     Raises ValueError for t negative or not finite and for ntraj < 1.
     """
-    if not (math.isfinite(t) and t >= 0.0):
-        raise ValueError(f"t must be finite and non-negative, got {t}")
+    t = float(_check_times("t", t))
     if ntraj < 1:
         raise ValueError(f"ntraj must be at least 1, got {ntraj}")
     psi0 = model.initial_state / np.linalg.norm(model.initial_state)

@@ -1,12 +1,13 @@
 """Numbered acceptance checks over the whole package.
 
-Each criterion is one runner returning (passed, measured, detail); run_all
-wraps them with timing and exception capture and the CLI ``validate``
-subcommand prints one machine-readable line per criterion.  The "fast"
-level trims Monte Carlo sizes; "full" runs the pinned sizes, about 3 s for
-all fifteen on a 2-core machine.  Every criterion has a wall-clock budget
-(_TIME_BOUNDS) and fails when it overruns it.  Tolerances are fixed here,
-not configurable: they are the contract.
+Each criterion is one runner returning (passed, measured, detail), declared
+once in _CRITERIA with its title and its wall-clock budget.  run_criterion
+times a runner, turns an exception into a failed result and fails a
+criterion that overruns its budget; the CLI ``validate`` subcommand prints
+one machine-readable line per criterion.  There is one protocol, at the
+pinned Monte Carlo sizes, about 3 s for all fifteen on a 2-core machine.
+Tolerances, sizes and budgets are fixed here, not configurable: they are the
+contract.
 """
 
 from __future__ import annotations
@@ -39,16 +40,8 @@ __all__ = [
     "CriterionResult",
     "CRITERION_TITLES",
     "format_line",
-    "run_all",
     "run_criterion",
 ]
-
-# wall-clock budgets (seconds) that are part of the acceptance contract:
-# a few times each criterion's measured full-level time, at least 1 s
-_TIME_BOUNDS = {1: 1.0, 2: 1.0, 3: 10.0, 4: 5.0, 5: 1.0, 6: 1.0, 7: 6.0,
-                8: 1.0, 9: 1.0, 10: 1.0, 11: 1.0, 12: 1.0, 13: 1.0, 14: 3.0,
-                15: 1.0}
-
 
 @dataclass(frozen=True)
 class CriterionResult:
@@ -77,7 +70,7 @@ def format_line(r: CriterionResult) -> str:
 # ---------------------------------------------------------------------------
 # 1. closed-form survival against the direct Fock integration
 
-def _criterion_1(level: str):
+def _criterion_1():
     p = CavityParams(kappa=1.0, nbar=4.0)
     flow = resonant_flow(p)
     vac = FockVector.vacuum(default_nmax(p.nbar))
@@ -97,7 +90,7 @@ def _criterion_1(level: str):
 # ---------------------------------------------------------------------------
 # 2. cubic short-time law of log W
 
-def _criterion_2(level: str):
+def _criterion_2():
     meas = {}
     ok = True
     for nbar in (4.0, 100.0):
@@ -116,7 +109,7 @@ def _criterion_2(level: str):
 # ---------------------------------------------------------------------------
 # 3. inverse-transform jump-time sampling
 
-def _criterion_3(level: str):
+def _criterion_3():
     from scipy.special import kolmogorov
     p = CavityParams(kappa=1.0, nbar=4.0)
     flow = resonant_flow(p)
@@ -138,7 +131,7 @@ def _criterion_3(level: str):
 # ---------------------------------------------------------------------------
 # 4. telegraph dark-period statistics
 
-def _criterion_4(level: str):
+def _criterion_4():
     p = Atom3Params(omega1=5.0, omega2=0.05, delta2=5.0, beta1=1.0, beta2=0.0)
     model = _atom3.effective_model(p)
     total = 1e4
@@ -146,9 +139,8 @@ def _criterion_4(level: str):
     st = telegraph_stats(rec, dark_threshold=10.0 / p.beta1)
     z = (st.p_dark - 1.0 / 3.0) / st.p_dark_se
 
-    ntail_draw = 400_000 if level == "full" else 150_000
     nf = NullFlow(model.generator, model.initial_state)
-    gaps = sample_gaps(nf.survival, ntail_draw, RngStream(1, 1), t_hi=900.0)
+    gaps = sample_gaps(nf.survival, 400_000, RngStream(1, 1), t_hi=900.0)
     tail = gaps[gaps > 30.0]
     rate = 1.0 / float(np.mean(tail - 30.0))
     target = 2.0 * beta_ell(p)
@@ -165,7 +157,7 @@ def _criterion_4(level: str):
 # ---------------------------------------------------------------------------
 # 5. strong-drive log survival returned as a log
 
-def _criterion_5(level: str):
+def _criterion_5():
     p = Atom3Params(omega1=1e10, omega2=0.0, delta2=0.0, beta1=1e9, beta2=0.0)
     logw = scenario_a_log_survival(p, 1.0)
     ok = logw == -5e8
@@ -175,7 +167,7 @@ def _criterion_5(level: str):
 # ---------------------------------------------------------------------------
 # 6. three routes to the bright-level width
 
-def _criterion_6(level: str):
+def _criterion_6():
     meas = {}
     ok = True
     for chi in (5.0, 10.0, 20.0, 50.0):
@@ -196,7 +188,7 @@ def _criterion_6(level: str):
 # ---------------------------------------------------------------------------
 # 7. slow decay of the dark-block norm
 
-def _criterion_7(level: str):
+def _criterion_7():
     bb = beta_B(TransmonParams(kappa=1.0, chi=20.0, nbar=100.0), "closed_form")
     p = TransmonParams(kappa=1.0, chi=20.0, nbar=100.0,
                        omega_b=0.1 * bb, omega_d=0.001 * bb)
@@ -211,7 +203,7 @@ def _criterion_7(level: str):
 # ---------------------------------------------------------------------------
 # 8. memory-kernel ground decay vs perturbative rate
 
-def _criterion_8(level: str):
+def _criterion_8():
     p = TransmonParams(kappa=1.0, chi=20.0, nbar=100.0, omega_b=0.1)
     _, _, rate = _transmon.multiscale_fit(p, tmax=6.0, dt=0.002, fit_start=2.0)
     gam = _transmon.slow_rate(p)
@@ -232,7 +224,7 @@ def _criterion_8(level: str):
 # ---------------------------------------------------------------------------
 # 9. monitored norm decreases from the start
 
-def _criterion_9(level: str):
+def _criterion_9():
     meas = {}
     ok = True
     for i, (nbar, om) in enumerate(((4.0, 0.05), (100.0, 0.1), (100.0, 0.05))):
@@ -251,9 +243,9 @@ def _criterion_9(level: str):
 # ---------------------------------------------------------------------------
 # 10. heterodyne current peak and noise-independent amplitude
 
-def _criterion_10(level: str):
+def _criterion_10():
     params = HeterodyneParams(kappa=1.0, nbar=100.0)
-    npaths = 10_000 if level == "full" else 4_000
+    npaths = 10_000
     currents = sample_tilted_currents(params, 20.0, 1e-3, npaths, seed=11)
     st = current_statistics(currents, B=params.B)
     target = params.B * math.sqrt(params.kappa * params.nbar)
@@ -275,7 +267,7 @@ def _criterion_10(level: str):
 # ---------------------------------------------------------------------------
 # 11. silent record reproduces the deterministic no-click evolution
 
-def _criterion_11(level: str):
+def _criterion_11():
     rep = null_correspondence(HeterodyneParams(kappa=1.0, nbar=4.0), 5.0)
     ok = (rep["max_amplitude_dev"] < 1e-8
           and rep["max_log_prefactor_dev"] < 1e-8
@@ -288,7 +280,7 @@ def _criterion_11(level: str):
 # ---------------------------------------------------------------------------
 # 12. gauge-shifted drift leaves the physical state alone
 
-def _criterion_12(level: str):
+def _criterion_12():
     params = HeterodyneParams(kappa=1.0, nbar=4.0)
     path = NoisePath.draw(params, 3.0, 1e-3, seed=29)
     rep = gauge_equivalence(params, path)
@@ -305,7 +297,7 @@ def _criterion_12(level: str):
 # ---------------------------------------------------------------------------
 # 13. readout error-curve properties
 
-def _criterion_13(level: str):
+def _criterion_13():
     ds = figure1_dataset()
     p_next = CavityParams(kappa=1.0, chi=20.0, nbar=100.0)
 
@@ -334,8 +326,8 @@ def _criterion_13(level: str):
 # ---------------------------------------------------------------------------
 # 14. trajectory average against the density-matrix route
 
-def _criterion_14(level: str):
-    ntraj = 10_000 if level == "full" else 2_000
+def _criterion_14():
+    ntraj = 10_000
 
     pa = Atom3Params(omega1=1.0, omega2=0.7, delta2=0.5, beta1=1.0, beta2=0.8)
     ma = _atom3.effective_model(pa)
@@ -371,54 +363,45 @@ def _run_cli_csv(argv) -> bytes:
         return fh.read()
 
 
-def _criterion_15(level: str):
+def _criterion_15():
+    repeats = {
+        "telegraph_repeat": ["telegraph", "--epsilon", "0.05", "--ntraj",
+                             "200", "--seed", "7"],
+        "atom3_null_repeat": ["atom3-null", "--seed", "1"],
+        "cavity_w_repeat": ["cavity-w", "--nbar", "4", "--kappa", "1",
+                            "--tmax", "6"],
+    }
+    runs = {}
     with tempfile.TemporaryDirectory() as tmp:
-        runs = {}
-        f1 = os.path.join(tmp, "a.csv")
-        runs["telegraph_repeat"] = (
-            _run_cli_csv(["telegraph", "--epsilon", "0.05", "--ntraj", "200",
-                          "--seed", "7", "--out", f1])
-            == _run_cli_csv(["telegraph", "--epsilon", "0.05", "--ntraj", "200",
-                             "--seed", "7", "--out", f1]))
-        f2 = os.path.join(tmp, "b.csv")
-        runs["atom3_null_repeat"] = (
-            _run_cli_csv(["atom3-null", "--seed", "1", "--out", f2])
-            == _run_cli_csv(["atom3-null", "--seed", "1", "--out", f2]))
-        f3 = os.path.join(tmp, "c.csv")
-        runs["cavity_w_repeat"] = (
-            _run_cli_csv(["cavity-w", "--nbar", "4", "--kappa", "1",
-                          "--tmax", "6", "--out", f3])
-            == _run_cli_csv(["cavity-w", "--nbar", "4", "--kappa", "1",
-                             "--tmax", "6", "--out", f3]))
-    ok = all(runs.values())
-    return ok, {k: bool(v) for k, v in runs.items()}, \
+        for key, argv in repeats.items():
+            argv = argv + ["--out", os.path.join(tmp, key + ".csv")]
+            runs[key] = _run_cli_csv(argv) == _run_cli_csv(argv)
+    return all(runs.values()), runs, \
         "same config and seed give identical bytes on every run"
 
 
-CRITERION_TITLES = {
-    1: "survival-closed-form-vs-fock",
-    2: "short-time-cubic-log-survival",
-    3: "jump-time-sampling-ks",
-    4: "telegraph-dark-statistics",
-    5: "strong-drive-log-survival",
-    6: "bright-width-triple-estimate",
-    7: "dark-norm-slow-decay-fit",
-    8: "volterra-vs-perturbative-rate",
-    9: "monitored-norm-monotone",
-    10: "heterodyne-current-peak",
-    11: "silent-limit-correspondence",
-    12: "gauge-shift-equivalence",
-    13: "readout-error-properties",
-    14: "unraveling-vs-lindblad",
-    15: "csv-reproducibility",
+# index -> (title, runner, wall-clock budget in seconds); the budgets are
+# part of the contract: a few times each criterion's measured time, at
+# least 1 s
+_CRITERIA = {
+    1: ("survival-closed-form-vs-fock", _criterion_1, 1.0),
+    2: ("short-time-cubic-log-survival", _criterion_2, 1.0),
+    3: ("jump-time-sampling-ks", _criterion_3, 10.0),
+    4: ("telegraph-dark-statistics", _criterion_4, 5.0),
+    5: ("strong-drive-log-survival", _criterion_5, 1.0),
+    6: ("bright-width-triple-estimate", _criterion_6, 1.0),
+    7: ("dark-norm-slow-decay-fit", _criterion_7, 6.0),
+    8: ("volterra-vs-perturbative-rate", _criterion_8, 1.0),
+    9: ("monitored-norm-monotone", _criterion_9, 1.0),
+    10: ("heterodyne-current-peak", _criterion_10, 1.0),
+    11: ("silent-limit-correspondence", _criterion_11, 1.0),
+    12: ("gauge-shift-equivalence", _criterion_12, 1.0),
+    13: ("readout-error-properties", _criterion_13, 1.0),
+    14: ("unraveling-vs-lindblad", _criterion_14, 3.0),
+    15: ("csv-reproducibility", _criterion_15, 1.0),
 }
 
-_RUNNERS = {
-    1: _criterion_1, 2: _criterion_2, 3: _criterion_3, 4: _criterion_4,
-    5: _criterion_5, 6: _criterion_6, 7: _criterion_7, 8: _criterion_8,
-    9: _criterion_9, 10: _criterion_10, 11: _criterion_11, 12: _criterion_12,
-    13: _criterion_13, 14: _criterion_14, 15: _criterion_15,
-}
+CRITERION_TITLES = {i: title for i, (title, _, _) in _CRITERIA.items()}
 
 
 def _load_scipy() -> None:
@@ -429,30 +412,22 @@ def _load_scipy() -> None:
     import scipy.special  # noqa: F401
 
 
-def run_criterion(index: int, level: str = "fast") -> CriterionResult:
-    if index not in _RUNNERS:
+def run_criterion(index: int) -> CriterionResult:
+    if index not in _CRITERIA:
         raise ValueError(f"no criterion {index}")
-    if level not in ("fast", "full"):
-        raise ValueError(f"unknown level {level!r}")
+    title, runner, budget = _CRITERIA[index]
     _load_scipy()
     t0 = time.perf_counter()
     try:
-        passed, measured, detail = _RUNNERS[index](level)
+        passed, measured, detail = runner()
     except Exception as exc:  # a crash is a failed criterion, not a crash
         elapsed = time.perf_counter() - t0
-        return CriterionResult(index, CRITERION_TITLES[index], False,
+        return CriterionResult(index, title, False,
                                {"error": type(exc).__name__},
                                f"raised: {exc!r}", elapsed)
     elapsed = time.perf_counter() - t0
-    bound = _TIME_BOUNDS.get(index)
-    if bound is not None and elapsed > bound:
+    if elapsed > budget:
         passed = False
-        measured = dict(measured, time_bound=bound)
-        detail += f" [exceeded {bound:g}s budget]"
-    return CriterionResult(index, CRITERION_TITLES[index], passed,
-                           measured, detail, elapsed)
-
-
-def run_all(level: str = "fast", indices=None) -> list:
-    idx = sorted(indices) if indices is not None else sorted(_RUNNERS)
-    return [run_criterion(i, level) for i in idx]
+        measured = dict(measured, time_bound=budget)
+        detail += f" [exceeded {budget:g}s budget]"
+    return CriterionResult(index, title, passed, measured, detail, elapsed)

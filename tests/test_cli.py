@@ -439,9 +439,9 @@ def test_validate_subcommand(tmp_path, capsys):
     text = capsys.readouterr().out
     assert "criterion 05" in text
     assert "PASS" in text
-    assert "validate: 1/1 passed (level=fast)" in text
+    assert "validate: 1/1 passed" in text.splitlines()
     doc = json.loads(report.read_text())
-    assert doc["level"] == "fast"
+    assert "level" not in doc
     assert len(doc["results"]) == 1
     assert doc["results"][0]["passed"] is True
     assert doc["results"][0]["index"] == 5
@@ -450,3 +450,5 @@ def test_validate_subcommand(tmp_path, capsys):
 def test_validate_bad_criteria():
     assert _run(["validate", "--criteria", "0"]) == 2
     assert _run(["validate", "--criteria", "5,abc"]) == 2
+    # there is one protocol: a level is an unknown argument
+    assert _run(["validate", "--level", "full"]) == 2

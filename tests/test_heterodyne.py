@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from nextjump import cavity
 from nextjump import heterodyne as het
 from nextjump.heterodyne import (CurrentStatistics, HeterodyneParams,
                                  NoisePath, SSEState, current_statistics,
@@ -343,15 +344,26 @@ def test_fock_oracle_matches_coherent_kernel(p, substeps):
 
 def test_null_correspondence_locked_record():
     rep = null_correspondence(P4, 5.0)
-    assert rep["max_log_prefactor_dev"] == 0.0
-    assert rep["max_amplitude_dev"] == 0.0
-    assert rep["norm_factor_dev"] == 0.0
+    # two closed forms of one flow: equal up to rounding
+    assert rep["max_log_prefactor_dev"] < 1e-14
+    assert rep["max_amplitude_dev"] < 1e-14
+    assert rep["norm_factor_dev"] < 1e-14
     assert abs(rep["alpha_final"] - 1.8358300027522023) < 1e-12
     # vacuum start travels to the fixed point; that distance is diagnostic
     assert abs(rep["max_alpha_drift"] - abs(rep["alpha_final"])) < 1e-12
     rep_fp = null_correspondence(P4, 5.0, alpha0=2.0)
     assert rep_fp["max_alpha_drift"] == 0.0
     assert rep_fp["max_log_prefactor_dev"] == 0.0
+
+
+def test_null_correspondence_sees_a_shifted_flow(monkeypatch):
+    """The no-click side comes from cavity.CoherentTrajectory, so an error
+    there shows in the comparison."""
+    beta = cavity.CoherentTrajectory.beta
+    monkeypatch.setattr(cavity.CoherentTrajectory, "beta",
+                        lambda self, t: beta(self, t) + 1e-6)
+    rep = null_correspondence(P4, 5.0)
+    assert rep["max_log_prefactor_dev"] >= 1e-7
 
 
 def test_gauge_equivalence_one_path():

@@ -1,4 +1,7 @@
 import dataclasses
+import os
+import subprocess
+import sys
 import time
 import tracemalloc
 
@@ -9,6 +12,7 @@ from hypothesis import strategies as st
 from scipy import stats
 from scipy.linalg import expm
 
+import nextjump
 from nextjump import cavity, numerics
 from nextjump.atom3 import Atom3Params, effective_model
 from nextjump.numerics import DRAW_BUFFER, RngStream, StreamDraws
@@ -176,6 +180,76 @@ def test_null_flow_state_shapes():
     w = flow.survival(np.array([1.0, 2.0]))
     assert np.allclose(w, np.exp([-1.0, -2.0]))
     assert flow.survival(np.full((2, 3), 1.0)).shape == (2, 3)
+
+
+@pytest.mark.parametrize("gen, psi0", [
+    (np.array([[-1.0, 0.3], [0.2, -0.5]]), np.array([1.0, 0.5])),
+    (_pilot_model().generator, _pilot_model().initial_state),
+], ids=["2x2", "atom"])
+def test_null_flow_state_takes_any_time_shape(gen, psi0):
+    """state(t) is (d,) + t.shape, each time evolved as a scalar call
+    would, and bit for bit the states of the raveled times."""
+    flow = NullFlow(gen, psi0)
+    t = np.linspace(0.2, 1.7, 6).reshape(2, 3)
+    psi = flow.state(t)
+    assert psi.shape == (len(psi0), 2, 3)
+    assert np.array_equal(psi, flow.state(t.ravel()).reshape(psi.shape))
+    for i, j in np.ndindex(t.shape):
+        assert np.allclose(psi[:, i, j], flow.state(t[i, j]),
+                           rtol=1e-13, atol=1e-15)
+
+
+@pytest.mark.parametrize("t", [-1.0, np.nan, np.inf, [0.5, -1e-9],
+                               np.array([[0.5], [np.inf]])],
+                         ids=["negative", "nan", "inf", "one-negative",
+                              "2d-inf"])
+@pytest.mark.parametrize("model", [_pilot_model(), _defective_model()],
+                         ids=["eig", "exp-action"])
+def test_null_flow_refuses_backward_and_non_finite_times(model, t):
+    flow = NullFlow(model.generator, model.initial_state)
+    with pytest.raises(ValueError, match="t must be finite and non-negative"):
+        flow.state(t)
+    with pytest.raises(ValueError, match="t must be finite and non-negative"):
+        flow.survival(t)
+
+
+@pytest.mark.parametrize("name, value", [
+    ("t_hi", np.nan), ("t_hi", np.inf), ("t_hi", -1.0), ("t_hi", 0.0),
+    ("tmax", np.nan), ("tmax", np.inf), ("tmax", -5.0),
+    ("total_time", np.nan), ("total_time", -5.0),
+])
+def test_time_inputs_rejected_promptly(name, value):
+    model = _pilot_model()
+    call = {
+        "t_hi": lambda: sample_gaps(NullFlow(model.generator,
+                                             model.initial_state).survival,
+                                    10, RngStream(0, 0), t_hi=value),
+        "tmax": lambda: run_trajectory(model, value, RngStream(0, 0)),
+        "total_time": lambda: telegraph_run(model, value, RngStream(0, 0)),
+    }[name]
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match=name):
+        call()
+    assert time.perf_counter() - start < 1.0
+
+
+def test_telegraph_run_rejects_infinite_total_time():
+    """An infinite record would draw gaps forever, so this runs in its own
+    interpreter under a timeout."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(nextjump.__file__)))
+    code = ("import math\n"
+            "from nextjump import atom3, trajectories\n"
+            "from nextjump.numerics import RngStream\n"
+            "m = atom3.effective_model(atom3.Atom3Params(omega1=5.0, "
+            "omega2=0.05, delta2=5.0, beta1=1.0, beta2=0.0))\n"
+            "try:\n"
+            "    trajectories.telegraph_run(m, math.inf, RngStream(2, 0))\n"
+            "except ValueError as exc:\n"
+            "    print(exc)\n")
+    proc = subprocess.run([sys.executable, "-c", code], timeout=30,
+                          env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, check=True)
+    assert "total_time must be finite" in proc.stdout
 
 
 @pytest.mark.parametrize("n", [1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 150001])
