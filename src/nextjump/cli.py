@@ -14,9 +14,9 @@ does not, in the last bit.  Reruns with the same resolved config and seed
 produce byte-identical CSV at a fixed BLAS thread count; ``transmon-dark``'s
 dense eigendecomposition rounds differently on one OpenBLAS thread than on
 two, which moves its norms from about the eleventh significant digit.
-No data command loads scipy: the package imports it only inside the
-functions that call it, and none of those is on a command's path (a
-start-up test runs every command to check).  Only ``validate`` loads it.
+The package runs on numpy and the standard library alone: no module
+imports scipy, so no command, ``validate`` included, loads it (a start-up
+test runs every command in an interpreter where ``import scipy`` fails).
 
 Exit codes: 0 success, 2 invalid configuration or arguments (a NaN or
 infinite number, or a model parameter outside its domain, among them), 3

@@ -9,8 +9,7 @@ the cumulative-click ratio eps = P_G/(P_G + P_B) with P = 1 - W for the
 detuned and resonant survival curves.  The dispersive strategy integrates a
 heterodyne record instead; its signal-to-noise ratio grows as
 (Gamma/kappa)*(kappa t)^{5/2}/sqrt(18) and the error is the Gaussian tail
-eps_DR = erfc(SNR/2)/2, from ``math.erfc``.  So the curves load no scipy;
-only ``y_consistency_check`` imports it, inside the function.
+eps_DR = erfc(SNR/2)/2, from ``math.erfc``.
 
 The log-decrement Y rescales the jump density of the detuned flow,
 Y = (1 + (2 chi/kappa)^2) |alpha|^2 / nbar, which rings at the detuning
@@ -36,7 +35,6 @@ __all__ = [
     "log_decrement_Y",
     "min_error_next_jump",
     "snr_heterodyne",
-    "y_consistency_check",
     "y_oscillation_frequency",
 ]
 
@@ -164,22 +162,6 @@ def y_oscillation_frequency(p: CavityParams) -> float:
         if denom != 0.0:
             d = 0.5 * (y0 - y2) / denom
     return float(freqs[i] + d * (freqs[1] - freqs[0]))
-
-
-def y_consistency_check(p: CavityParams) -> float:
-    """Max deviation of exp(-int Y nbar/(1+(2chi/kappa)^2) dtau) from W(tau)
-    on 300001 points of 0 <= tau <= 30.
-
-    Y is defined as a logarithmic decrement, so integrating it back must
-    reproduce the survival curve; returns the worst absolute deviation.
-    """
-    from scipy.integrate import cumulative_simpson
-    tau = np.linspace(0.0, 30.0, 300001)
-    Y = log_decrement_Y(p, tau)
-    integ = cumulative_simpson(Y * p.nbar / (1.0 + (2.0 * p.chi / p.kappa) ** 2),
-                               x=tau, initial=0.0)
-    W = detuned_flow(p, 0j).survival(tau / p.kappa)
-    return float(np.max(np.abs(np.exp(-integ) - W)))
 
 
 def min_error_next_jump(p: CavityParams, tau_max: float = 6.0) -> dict:

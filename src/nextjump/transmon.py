@@ -21,8 +21,8 @@ from dataclasses import astuple, dataclass
 import numpy as np
 
 from .cavity import CavityParams, fock_generator
-from .numerics import (IntegrationError, ParameterError, RegimeWarning,
-                       decay_rate, fock_ops)
+from .numerics import (ParameterError, RegimeWarning, decay_rate, fock_ops,
+                       gauss_legendre)
 from .trajectories import NullFlow
 
 __all__ = [
@@ -30,7 +30,6 @@ __all__ = [
     "TransmonParams",
     "beta_B",
     "bright_kernel_log",
-    "bright_population_exact",
     "bright_population_gauss",
     "dark_eigenvalues",
     "dark_norm_fit",
@@ -107,7 +106,9 @@ def beta_B(p: TransmonParams, method: str = "quadrature") -> float:
     closed_form: 2 sqrt(2/pi) Gamma with Gamma = kappa sqrt(nbar)/2, the
         d -> sqrt(nbar) limit of steepest_descent.
 
-    All three agree within 5% for nbar >= 100 and 2 chi/kappa >= 10.
+    All three agree within 5% for nbar >= 100 and 2 chi/kappa >= 10.  At
+    d = 0 (chi = 0) the kernel never decays and both integral routes return
+    their limit 0.
     """
     if p.nbar <= 0:
         raise ValueError("beta_B requires nbar > 0")
@@ -118,19 +119,32 @@ def beta_B(p: TransmonParams, method: str = "quadrature") -> float:
         return 2.0 * p.kappa * math.sqrt(d2) / math.sqrt(2.0 * math.pi)
     if method != "quadrature":
         raise ValueError(f"unknown beta_B method {method!r}")
-    from scipy.integrate import quad
-    kappa = p.kappa
+    if d2 == 0.0:
+        return 0.0
+    return p.kappa / _overlap_integral(d2)
 
-    def integrand(t):
-        return math.exp(-(kappa / 2.0) * d2
-                        * (t + (2.0 / kappa) * (math.exp(-kappa * t / 2.0) - 1.0)))
 
-    upper = 50.0 / (kappa * math.sqrt(d2))
-    val, err = quad(integrand, 0.0, upper, limit=400)
-    if err > 1e-8 * val:
-        raise IntegrationError(f"beta_B quadrature error {err:.2e} "
-                               f"too large relative to {val:.6e}")
-    return 2.0 / val
+def _overlap_integral(s: float) -> float:
+    """J(s) = int_0^inf exp(-s g(u)) du with g(u) = u + e^{-u} - 1: the
+    time integral of the collapsing-overlap kernel in u = kappa t/2, for
+    s = d^2 > 0.
+
+    The kernel is a Gaussian core exp(-s u^2/2) and, past u ~ 1, the
+    exponential tail e^{s(1-u)} exp(-s e^{-u}), long for small s.
+    gauss_legendre covers [0, u0] and the tail beyond u0 is summed in
+    closed form: at u0 = max(ln s + 20, 0), s e^{-u} <= e^{-20}, so
+    exp(-s e^{-u}) = 1 - s e^{-u} within 2e-18.  For s above about 2.1 the
+    bound g(u) >= u^2/(2 + u) puts s g at 40 before u0: the span ends there
+    instead, and the kernel beyond it, below e^{-40}, is dropped.
+    """
+    u_tail = max(math.log(s) + 20.0, 0.0)
+    u_dead = (40.0 + math.sqrt(1600.0 + 320.0 * s)) / (2.0 * s)
+    core = gauss_legendre(lambda u: np.exp(-s * (u + np.expm1(-u))),
+                          min(u_tail, u_dead))
+    if u_dead <= u_tail:
+        return core
+    x0 = s * math.exp(-u_tail)
+    return core + math.exp(s * (1.0 - u_tail)) * (1.0 / s - x0 / (s + 1.0))
 
 
 # ---------------------------------------------------------------------------
@@ -352,7 +366,7 @@ def slow_rate(p: TransmonParams) -> float:
 
 
 def norm_evolution_multiscale(p: TransmonParams, t):
-    """(norm, dnorm_dt) of the monitored slow-lull state.
+    """(norm, dnorm_dt) of the monitored slow-lull state at the times t.
 
     norm(t) = e^{-2 gamma t} + bright_population_gauss(p, t), the bright
         excursion population
@@ -362,56 +376,37 @@ def norm_evolution_multiscale(p: TransmonParams, t):
     The source coefficient |omega_b|^2 (2/kappa) sqrt(2 pi/nbar) equals
     2 gamma identically, which is what makes dnorm_dt vanish at t = 0 and
     stay negative for t > 0: the cubic-law factor is < 1 while norm is
-    continuous from 1.
+    continuous from 1.  Floats for a scalar t, else arrays shaped like t.
     """
     gam = slow_rate(p)
     cube = p.kappa ** 3 * p.nbar / 12.0
-
-    def one(tv: float):
-        norm = math.exp(-2.0 * gam * tv) + bright_population_gauss(p, tv)
-        dn = -2.0 * gam * norm + 2.0 * gam * math.exp(-cube * tv ** 3)
-        return norm, dn
-
-    if np.ndim(t) == 0:
-        return one(float(t))
-    pairs = [one(float(tv)) for tv in np.asarray(t, dtype=float)]
-    norms = np.array([a for a, _ in pairs])
-    dns = np.array([b for _, b in pairs])
-    return norms, dns
+    t = np.asarray(t, dtype=float)
+    norm = np.exp(-2.0 * gam * t) + bright_population_gauss(p, t)
+    dn = -2.0 * gam * norm + 2.0 * gam * np.exp(-cube * t ** 3)
+    if t.ndim == 0:
+        return float(norm), float(dn)
+    return norm, dn
 
 
-def bright_population_exact(p: TransmonParams, t: float) -> float:
-    """Bright-excursion population by direct 2-D quadrature of the memory
-    double integral (the oracle for the Gaussian-kernel form inside
-    norm_evolution_multiscale).  Slow for large t; used in checks."""
-    from scipy.integrate import dblquad
-    gam = slow_rate(p)
-    kappa, nbar = p.kappa, p.nbar
-
-    def beta_f(w):
-        return -(kappa / 2.0) * nbar * (w + (2.0 / kappa)
-                                        * (math.exp(-kappa * w / 2.0) - 1.0))
-
-    def alpha_f(w):
-        return math.sqrt(nbar) * (1.0 - math.exp(-kappa * w / 2.0))
-
-    def f(wp, w):
-        return math.exp(gam * (w + wp) + beta_f(wp) + beta_f(w)
-                        + alpha_f(w) * alpha_f(wp))
-
-    val, _ = dblquad(f, 0.0, t, 0.0, t, epsabs=1e-14, epsrel=1e-11)
-    return math.exp(-2.0 * gam * t) * abs(p.omega_b) ** 2 * val
-
-
-def bright_population_gauss(p: TransmonParams, t: float) -> float:
+def bright_population_gauss(p: TransmonParams, t):
     """Gaussian-kernel form of the bright-excursion population, the term
-    norm_evolution_multiscale adds to e^{-2 gamma t}."""
-    from scipy.integrate import quad
+    norm_evolution_multiscale adds to e^{-2 gamma t}, at the times t (a
+    float for a scalar t).  Its integral over [0, t] is held to 1e-8
+    relative (IntegrationError otherwise).
+
+    The integrand e^{2 gamma x - cube x^3} is below e^{-40} past x_dead =
+    max((80/cube)^(1/3), 2 sqrt(gamma/cube)), where cube x^3 >= 4 gamma x
+    and cube x^3/2 >= 40, so the span ends at min(t, x_dead).
+    """
     gam = slow_rate(p)
     cube = p.kappa ** 3 * p.nbar / 12.0
-    val, _ = quad(lambda x: math.exp(2.0 * gam * x - cube * x ** 3), 0.0, t)
-    return (math.exp(-2.0 * gam * t) * abs(p.omega_b) ** 2
-            * (2.0 / p.kappa) * math.sqrt(2.0 * math.pi / p.nbar) * val)
+    x_dead = max((80.0 / cube) ** (1.0 / 3.0), 2.0 * math.sqrt(gam / cube))
+    t = np.asarray(t, dtype=float)
+    val = gauss_legendre(lambda x: np.exp(2.0 * gam * x - cube * x ** 3),
+                         np.minimum(t, x_dead))
+    out = (np.exp(-2.0 * gam * t) * abs(p.omega_b) ** 2
+           * (2.0 / p.kappa) * math.sqrt(2.0 * math.pi / p.nbar) * val)
+    return float(out) if out.ndim == 0 else out
 
 
 def unshifted_rate(p: TransmonParams) -> complex:

@@ -7,7 +7,9 @@ full record appears in the test log.
 
 import math
 
+import numpy as np
 import pytest
+from scipy.special import kolmogorov
 
 from nextjump import validation
 
@@ -28,3 +30,34 @@ def test_every_criterion_has_a_budget():
     assert sorted(validation._CRITERIA) == list(range(1, 16))
     for title, _, budget in validation._CRITERIA.values():
         assert math.isfinite(budget) and budget > 0.0, title
+
+
+def test_criterion_12_fails_on_a_shifted_beta(monkeypatch):
+    """A coherent kernel whose beta row is off by 1e-6 i leaves the norm
+    ratio and the ray fidelity alone (a global phase), so only the gated
+    decomposition beta_drift = beta_plain + scalar can catch it."""
+    from nextjump import heterodyne
+    kernel = heterodyne._coherent_kernel
+
+    def shifted(*args, **kwargs):
+        out = kernel(*args, **kwargs)
+        out[1] += 1e-6j
+        return out
+
+    monkeypatch.setattr(heterodyne, "_coherent_kernel", shifted)
+    result = validation.run_criterion(12)
+    assert not result.passed
+    assert abs(result.measured["decomposition_dev"] - 1e-6) < 1e-9
+    assert abs(result.measured["norm_ratio_minus_1"]) < 1e-8
+
+
+def test_kolmogorov_series_matches_scipy():
+    """Criterion 3's p-value series against scipy.special.kolmogorov, on
+    both sides of the switch at x = 1 and into both tails."""
+    xs = np.concatenate([np.linspace(0.05, 3.0, 591),
+                         [0.2, 0.999999, 1.0, 1.000001, 5.0]])
+    for x in xs:
+        want = kolmogorov(x)
+        assert abs(validation._kolmogorov_q(float(x)) - want) <= 2e-14 * want
+    assert validation._kolmogorov_q(0.0) == 1.0
+    assert validation._kolmogorov_q(0.01) == 1.0

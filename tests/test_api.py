@@ -34,8 +34,6 @@ CALLED_FROM_TESTS_ONLY = {
         "asymptotic slow-branch state after a click-free wait",
     "atom3.unitary_c1":
         "unitary fast-level amplitude, the no-measurement contrast",
-    "transmon.bright_population_exact":
-        "2-D quadrature oracle for the Gaussian-kernel bright population",
     "transmon.diffusion_overlap":
         "kappa -> 0 limit of the collapsing overlap, exp(-C^2 t^2/8)",
     "transmon.reduced_two_level":
@@ -52,8 +50,6 @@ CALLED_FROM_TESTS_ONLY = {
         "kernel",
     "heterodyne.sample_filtered_statistic":
         "exact law of the filtered record S, <|S|^2> = 1 - e^{-kappa t}",
-    "readout.y_consistency_check":
-        "integrating the log-decrement Y back reproduces W",
 }
 
 

@@ -6,11 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.random import Generator, Philox
+from scipy import special
+from scipy.integrate import quad
 
 from nextjump.numerics import (DRAW_BUFFER, TAIL_TOL, FockVector,
                                IntegrationError, RngStream, StreamDraws,
                                TruncationError, coherent_amplitudes,
-                               default_nmax, expm_action, fock_ops)
+                               default_nmax, expm_action, fock_ops,
+                               gauss_legendre)
 
 
 def _coherent(alpha, nmax):
@@ -168,6 +171,62 @@ def test_stream_draws_accept_integer_arrays():
     want = [RngStream(3, int(i)).generator().random() for i in idx]
     assert np.array_equal(a, want)
     assert np.array_equal(b, want)
+
+
+def test_coherent_amplitudes_match_gammaln():
+    """The log factorials come from math.lgamma; scipy's gammaln is the
+    oracle."""
+    n = np.arange(121)
+    for alpha in (0.0, 1e-3, 2.5 - 1.0j, 9.0j):
+        want = np.exp(n * np.log(abs(alpha) + 1e-300)
+                      - 0.5 * special.gammaln(n + 1.0) - 0.3
+                      + 1j * n * np.angle(alpha))
+        got = coherent_amplitudes(alpha, -0.3, 120)
+        assert np.allclose(got, want, rtol=1e-12, atol=1e-290)
+
+
+_SMOOTH = {
+    "exp": (np.exp, math.exp, 1.0),
+    "cubic-law": (lambda x: np.exp(0.06 * x - 8.3 * x ** 3),
+                  lambda x: math.exp(0.06 * x - 8.3 * x ** 3), 1.0),
+    "lorentzian": (lambda x: 1.0 / (1.0 + (x - 3.0) ** 2),
+                   lambda x: 1.0 / (1.0 + (x - 3.0) ** 2), 8.0),
+    "oscillating": (lambda x: np.cos(5.0 * x), lambda x: math.cos(5.0 * x),
+                    2.0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_SMOOTH))
+def test_gauss_legendre_matches_quad(name):
+    f, f_scalar, b = _SMOOTH[name]
+    want, err = quad(f_scalar, 0.0, b, epsabs=0.0, epsrel=1e-12)
+    got = gauss_legendre(f, b)
+    assert isinstance(got, float)
+    assert abs(got - want) <= 1e-12 * abs(want) + err
+
+
+def test_gauss_legendre_takes_an_array_of_ends():
+    """One interval [0, b] per entry of b, each equal to its own scalar
+    call; an empty interval integrates to 0."""
+    b = np.array([[0.0, 0.5], [2.0, -1.0]])
+    got = gauss_legendre(np.exp, b)
+    assert got.shape == (2, 2)
+    assert got[0, 0] == 0.0
+    for i, j in np.ndindex(got.shape):
+        want = quad(math.exp, 0.0, b[i, j], epsabs=0.0, epsrel=1e-13)[0]
+        assert abs(got[i, j] - want) <= 1e-14 * max(abs(want), 1.0)
+        assert got[i, j] == gauss_legendre(np.exp, b[i, j])
+
+
+def test_gauss_legendre_refuses_an_unresolved_integrand():
+    """1/(x + 1e-3) on [0, 1] has a pole 1e-3 from the interval: the two
+    rules differ by 1.2e-2 relative, far beyond the 1e-8 they must meet."""
+    def f(x):
+        return 1.0 / (x + 1e-3)
+    with pytest.raises(IntegrationError, match="rules differ"):
+        gauss_legendre(f, 1.0)
+    with pytest.raises(IntegrationError):
+        gauss_legendre(f, np.array([1e-3, 1.0]))
 
 
 def test_error_types_exist():

@@ -444,6 +444,7 @@ def test_sample_gaps_memory_per_sample():
     block, so the traced peak grows by at most 32 bytes per extra sample."""
     model = _pilot_model()
     flow = NullFlow(model.generator, model.initial_state)
+    assert flow.uses_eig   # criterion 4's atom runs on its eigenmodes
 
     def peak(n):
         tracemalloc.start()

@@ -3,16 +3,17 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import dblquad, quad
 from scipy.linalg import block_diag, expm
 
 from nextjump import transmon
 from nextjump.numerics import RegimeWarning
-from nextjump.transmon import (TransmonParams, beta_B, bright_population_exact,
-                               bright_population_gauss, dark_eigenvalues,
-                               dark_norm_oracle, diffusion_overlap,
-                               multiscale_volterra, norm_evolution_multiscale,
-                               reduced_two_level, slow_rate, two_level_fock,
-                               unshifted_rate, validity_ratio)
+from nextjump.transmon import (TransmonParams, beta_B, bright_population_gauss,
+                               dark_eigenvalues, dark_norm_oracle,
+                               diffusion_overlap, multiscale_volterra,
+                               norm_evolution_multiscale, reduced_two_level,
+                               slow_rate, two_level_fock, unshifted_rate,
+                               validity_ratio)
 
 P100 = TransmonParams(kappa=1.0, chi=20.0, nbar=100.0, omega_b=0.1)
 
@@ -56,6 +57,45 @@ def test_beta_B_three_methods():
         beta_B(P100, "guesswork")
     with pytest.raises(ValueError):
         beta_B(TransmonParams(kappa=1.0, chi=20.0, nbar=0.0), "closed_form")
+
+
+def _beta_B_quad(p):
+    """2 over scipy's quad of the collapsing-overlap kernel on [0, inf),
+    and quad's error estimate relative to the integral."""
+    d2 = abs(p.gamma_L() - math.sqrt(p.nbar)) ** 2
+
+    def kernel(t):
+        return math.exp(-(p.kappa / 2.0) * d2
+                        * (t + (2.0 / p.kappa) * math.expm1(-p.kappa * t / 2.0)))
+
+    val, err = quad(kernel, 0.0, math.inf, limit=400, epsabs=0.0,
+                    epsrel=1e-12)
+    return 2.0 / val, err / val
+
+
+@pytest.mark.parametrize("nbar, chi, kappa", [
+    (0.1, 0.2, 1.0), (0.1, 0.5, 1.0), (1.0, 1.0, 1.0), (2.5, 0.5, 1.0),
+    (4.0, 0.3, 2.0), (100.0, 5.0, 1.0), (100.0, 50.0, 1.0),
+    (1e4, 20.0, 1.0)])
+def test_beta_B_quadrature_covers_the_tail(nbar, chi, kappa):
+    """The kernel's exponential tail e^{-kappa d^2 t/2} outlasts its
+    Gaussian core (width about 2/(kappa d)) for small d; the quadrature
+    route must hold it all, as quad to infinity does (nbar 0.1, chi 0.2 is
+    5.6% off with the tail cut at 50/(kappa d))."""
+    p = TransmonParams(kappa=kappa, chi=chi, nbar=nbar)
+    want, rel_err = _beta_B_quad(p)
+    assert rel_err < 1e-10
+    assert abs(beta_B(p, "quadrature") - want) <= 1e-8 * want
+
+
+def test_beta_B_vanishes_without_pull():
+    """At chi = 0 the kernel never decays (d = 0), so both integral routes
+    return their chi -> 0 limit 0."""
+    p = TransmonParams(kappa=1.0, chi=0.0, nbar=4.0)
+    assert beta_B(p, "quadrature") == 0.0
+    assert beta_B(p, "steepest_descent") == 0.0
+    small = beta_B(dataclasses.replace(p, chi=1e-6), "quadrature")
+    assert 0.0 < small < 1e-10
 
 
 def test_slow_rate_and_validity():
@@ -192,6 +232,50 @@ def test_norm_evolution_multiscale():
         n, d = norm_evolution_multiscale(p, ts)
         assert np.all(n <= 1.0) and np.all(n > 0.0)
         assert np.all(d < 0.0)   # monitoring only removes norm
+        one = norm_evolution_multiscale(p, float(ts[7]))
+        assert isinstance(one[0], float) and one == (n[7], d[7])
+
+
+def test_bright_population_gauss_matches_quad():
+    """The vectorized Gauss-Legendre form against scipy's quad, one time at
+    a time; a 2-D t keeps its shape.  t = 50 and 200 run far past the
+    cubic law's cutoff, toward the slow lull's scale 1/(2 gamma)."""
+    ts = np.array([[0.0, 0.05, 0.3, 0.7], [1.0, 2.0, 50.0, 200.0]])
+    for nbar, om in ((4.0, 0.05), (100.0, 0.1), (1e4, 1e-4)):
+        p = TransmonParams(kappa=1.0, chi=20.0, nbar=nbar, omega_b=om)
+        gam = slow_rate(p)
+        cube = p.kappa ** 3 * p.nbar / 12.0
+        got = bright_population_gauss(p, ts)
+        assert got.shape == ts.shape and got[0, 0] == 0.0
+        for t, g in zip(ts.ravel(), got.ravel()):
+            val = quad(lambda x: math.exp(2.0 * gam * x - cube * x ** 3),
+                       0.0, t, epsabs=0.0, epsrel=1e-12)[0]
+            want = (math.exp(-2.0 * gam * t) * om ** 2 * 2.0
+                    * math.sqrt(2.0 * math.pi / nbar) * val)
+            assert abs(g - want) <= 1e-12 * want
+        assert bright_population_gauss(p, 0.3) == got[0, 2]
+
+
+def _bright_population_exact(p, t):
+    """Bright-excursion population by direct 2-D quadrature of the memory
+    double integral: the oracle for the Gaussian-kernel form inside
+    norm_evolution_multiscale.  Slow for large t."""
+    gam = slow_rate(p)
+    kappa, nbar = p.kappa, p.nbar
+
+    def beta_f(w):
+        return -(kappa / 2.0) * nbar * (w + (2.0 / kappa)
+                                        * (math.exp(-kappa * w / 2.0) - 1.0))
+
+    def alpha_f(w):
+        return math.sqrt(nbar) * (1.0 - math.exp(-kappa * w / 2.0))
+
+    def f(wp, w):
+        return math.exp(gam * (w + wp) + beta_f(wp) + beta_f(w)
+                        + alpha_f(w) * alpha_f(wp))
+
+    val, _ = dblquad(f, 0.0, t, 0.0, t, epsabs=1e-14, epsrel=1e-11)
+    return math.exp(-2.0 * gam * t) * abs(p.omega_b) ** 2 * val
 
 
 def test_bright_population_gauss_vs_exact():
@@ -202,7 +286,7 @@ def test_bright_population_gauss_vs_exact():
     for nbar, r_want in want.items():
         p = TransmonParams(kappa=1.0, chi=20.0, nbar=nbar, omega_b=1e-4)
         t = nbar ** (-1.0 / 3.0)
-        r = bright_population_gauss(p, t) / bright_population_exact(p, t)
+        r = bright_population_gauss(p, t) / _bright_population_exact(p, t)
         ratios.append(r)
         assert abs(r - r_want) < 1e-3
     assert ratios[0] > ratios[1] > 1.0
