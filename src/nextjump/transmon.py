@@ -331,22 +331,21 @@ def multiscale_volterra(p: TransmonParams, tmax: float, dt: float):
     c = np.zeros(nst + 1)
     c[0] = 1.0
     oo = abs(p.omega_b) ** 2
+    rkern = kern[::-1]
+
+    def memory(j):
+        """dt times the trapezoid sum of K(t_j - t_i) c_i over the last
+        mcut steps, i = max(0, j - mcut)..j."""
+        lo = max(0, j - mcut)
+        w = rkern[nst - j + lo:].copy()         # kern[j - lo], ..., kern[0]
+        w[-1] *= 0.5
+        w[0] = 0.5 * kern[j - lo]               # w[-1] itself when j = 0
+        return np.dot(w, c[lo:j + 1]) * dt
+
     for k in range(nst):
-        lo = max(0, k - mcut)
-        idx = np.arange(lo, k + 1)
-        wts = np.ones(k + 1 - lo)
-        wts[0] = 0.5
-        wts[-1] = 0.5
-        i_k = np.dot(wts * kern[k - idx], c[idx]) * dt
-        cp = c[k] - dt * oo * i_k
-        lo2 = max(0, k + 1 - mcut)
-        idx2 = np.arange(lo2, k + 2)
-        wts2 = np.ones(k + 2 - lo2)
-        wts2[0] = 0.5
-        wts2[-1] = 0.5
-        cv = np.concatenate([c[lo2:k + 1], [cp]])
-        i_k1 = np.dot(wts2 * kern[k + 1 - idx2], cv) * dt
-        c[k + 1] = c[k] - 0.5 * dt * oo * (i_k + i_k1)
+        i_k = memory(k)
+        c[k + 1] = c[k] - dt * oo * i_k         # predictor
+        c[k + 1] = c[k] - 0.5 * dt * oo * (i_k + memory(k + 1))
     return ts, c
 
 

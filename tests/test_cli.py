@@ -89,16 +89,16 @@ PINNED = {
         "93f3abe43fa8ac122d10d9d2e046e2f3b2bae9d02e7983ae7190ad47e85d2e9f"),
     "atom3-null": (
         ["atom3-null", "--npts", "200", "--tmax", "60", "--fit-start", "20"],
-        "5030507c7c4d53984ade038df4f9778d94225dd8737a9066f5e493419a1f9094",
-        "6b3ba675c3771b25f81d8655b5690782bbfc8de235caf9971e24aea970dbf85d"),
+        "2b69db791261b70f42b205e51942fe676732725e8eafe76bdb49183be42787ff",
+        "9193b4c9aaece0e7aee38b973b9af1b5c1b01987c32f36747376c6f2cc0161f3"),
     "atom3-telegraph": (
         ["atom3-telegraph", "--ntraj", "60", "--seed", "3"],
-        "f41bab5815bdfa9a6502a70dc6fe0539293f54709fe80f724724e89ce866bc97",
-        "1787ab0af4a98d84187e1a314fd83c3cb6a7670a0f7ef0aa1dc4e316c7d14d39"),
+        "a5ee85fc831ef5ba00038c045d28d1d9e14b7bfba5ff24848db0e84557be89c7",
+        "53beccafcaa177e14639e4776064e6117d8ff2ecb308098a473f49f142669e7d"),
     "transmon-dark": (
         ["transmon-dark", "--nmax", "60", "--npts", "12"],
-        "6fd3d02b1f937567c97ae11cd78045cf937467c2844b6c27fa1a3ceda262007f",
-        "d01f83caba12a30fa73a466a58bbcfa213420b6437f166c7e22f8e75308b5c87"),
+        "67b5d338002998b7b7a953d7d7b454c0d89b867b71799a19e2b52ab47f42d58f",
+        "0e9acaf8a98d7008a21790b07cdeb689d3caeac9748bb5f0955558d7b3fe8d0a"),
     "transmon-multiscale": (
         ["transmon-multiscale", "--tmax", "3"],
         "2e87b21d14f705dd2f77405cd303a5090c47a119eabb0f2ea8c1d15e1a25147e",
