@@ -15,12 +15,16 @@ The coherent kernel advances ``(alpha, beta)`` exactly over each noise step
 (piecewise-constant record derivative, within-step phase integrated in closed
 form) and carries two demodulated record integrals: the plain average
 ``record_T`` whose time average ``I = record_T/t`` is the measured current,
-and the exponentially filtered ``record_S`` with memory ``2/kappa``.  It takes
-a whole record at once: alpha in closed form, beta and ``record_T`` as
-cumulative sums, ``record_S`` as a blocked decaying sum.  ``fock_sse_oracle``,
-explicit Euler on a truncated number basis, is its brute-force oracle.  A
-``NoisePath`` is the record alone (its step and increments); ``B`` and
-``omega`` are read from the ``HeterodyneParams`` it is integrated with.
+and the exponentially filtered ``record_S`` with memory ``2/kappa``.  One law
+serves every route: ``_coherent_terms`` alone derives the record's per-step
+law (alpha_k, the demodulation weights ehat_k and the beta increment
+``gain_k*dz_k + drift_k``) and ``_record_S_step`` the decay and gain of one
+record_S step.  The kernel, the ensemble samplers and ``null_correspondence``,
+which runs the kernel on a homodyne record locked to its most likely value,
+read them and derive no copy.  ``fock_sse_oracle``, explicit Euler on a
+truncated number basis, is the kernel's brute-force oracle.  A ``NoisePath``
+is the record alone (its step and increments); ``B`` and ``omega`` are read
+from the ``HeterodyneParams`` it is integrated with.
 
 Since alpha(t) does not depend on the record, every quantity the ensemble
 samplers return is a constant plus a fixed linear combination of the
@@ -39,12 +43,12 @@ estimate ``sqrt(kappa*nbar)`` and the measurement accuracy.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .cavity import CavityParams, CoherentTrajectory, fock_generator
-from .numerics import (FockVector, ParameterError, RngStream,
+from .numerics import (FockVector, ParameterError, RngStream, _vertex_offset,
                        coherent_amplitudes, default_nmax, fock_ops)
 
 __all__ = [
@@ -213,15 +217,12 @@ def _step_constants(kappa: float, omega: float, dt: float):
     I3 = dt, I4 = int_0^dt e^{-kappa s/2} ds.
     """
     k2 = kappa / 2
-    if omega != 0.0:
-        I1 = (1 - np.exp(-1j * omega * dt)) / (1j * omega)
-        I2 = (1 - np.exp(-(1j * omega + k2) * dt)) / (1j * omega + k2)
-    else:
-        I1 = dt + 0j
-        I2 = (1 - np.exp(-k2 * dt)) / k2 + 0j
-    I3 = dt
     I4 = (1 - np.exp(-k2 * dt)) / k2
-    return I1, I2, I3, I4
+    if omega == 0.0:
+        return dt + 0j, I4 + 0j, dt, I4
+    I1 = (1 - np.exp(-1j * omega * dt)) / (1j * omega)
+    I2 = (1 - np.exp(-(1j * omega + k2) * dt)) / (1j * omega + k2)
+    return I1, I2, dt, I4
 
 
 def _check_step(params: HeterodyneParams, dt: float):
@@ -232,32 +233,32 @@ def _check_step(params: HeterodyneParams, dt: float):
             "resolve both the demodulation phase and the cavity decay")
 
 
-def _demod(omega: float, dt: float, steps: np.ndarray):
-    """Phases e^{-i omega t_k} at the starts of the given steps, and their
-    in-step averages ehat_k, the demodulation weights of the record."""
-    ph = np.exp(-1j * (omega * (dt * steps)))
-    if omega == 0.0:
-        return ph, ph
-    return ph, ph * ((1 - np.exp(-1j * omega * dt)) / (1j * omega * dt))
-
-
 def _coherent_terms(params: HeterodyneParams, dt: float, steps: np.ndarray,
                     alpha0: complex = 0j):
-    """Coefficients of the coherent update at the given steps of a record
-    with step dt.
-
-    Returns alpha at the start of each step, the demodulation weights ehat_k,
-    and the beta increment of step k as ``gain_k*dz_k + drift_k``, where with
-    delta_k = alpha_k - abar, gain_k = (sqrt(kappa)/(B dt)) e^{-i phi_k}
-    (abar I1 + delta_k I2) and drift_k = -Gamma (abar I3 + delta_k I4)."""
-    kappa, Gam = params.kappa, params.gamma_drive
+    """The record's law at the given steps of a record with step dt, derived
+    here alone: alpha at the start of each step, the demodulation weights
+    ehat_k (in-step averages of e^{-i omega t}) and the beta increment of step
+    k as ``gain_k*dz_k + drift_k``, where with delta_k = alpha_k - abar,
+    gain_k = (sqrt(kappa)/(B dt)) e^{-i phi_k} (abar I1 + delta_k I2) and
+    drift_k = -Gamma (abar I3 + delta_k I4)."""
+    kappa, Gam, omega = params.kappa, params.gamma_drive, params.omega
     abar = 2 * Gam / kappa
-    I1, I2, I3, I4 = _step_constants(kappa, params.omega, dt)
+    I1, I2, I3, I4 = _step_constants(kappa, omega, dt)
     d = (alpha0 - abar) * np.exp(-kappa / 2 * dt * steps)
-    ph, ehat = _demod(params.omega, dt, steps)
+    ph = np.exp(-1j * (omega * (dt * steps)))
+    ehat = ph if omega == 0.0 else \
+        ph * ((1 - np.exp(-1j * omega * dt)) / (1j * omega * dt))
     gain = (np.sqrt(kappa) / (params.B * dt)) * ph * (abar * I1 + d * I2)
     drift = -Gam * (abar * I3 + d * I4)
     return np.where(steps == 0, alpha0, abar + d), ehat, gain, drift
+
+
+def _record_S_step(params: HeterodyneParams, dt: float):
+    """Decay r = e^{-kappa dt/2} and midpoint gain a_gain = (sqrt(kappa)/B)
+    e^{-kappa dt/4} of the record_S step S_{k+1} = r S_k + a_gain ehat_k dz_k."""
+    kappa = params.kappa
+    return (np.exp(-kappa * dt / 2),
+            np.sqrt(kappa) / params.B * np.exp(-kappa * dt / 4))
 
 
 def _coherent_kernel(params: HeterodyneParams, path: NoisePath, at: np.ndarray,
@@ -266,14 +267,12 @@ def _coherent_kernel(params: HeterodyneParams, path: NoisePath, at: np.ndarray,
 
     The coherent step over a whole record, ``_BLOCK`` steps at a time: alpha
     in closed form, beta and record_T as cumulative sums of their step
-    increments.  record_S obeys S_{k+1} = r S_k + a_k with r = e^{-kappa dt/2}
-    and a_k = (sqrt(kappa)/B) e^{-kappa dt/4} dz_k ehat_k (the step midpoint),
-    so within a block from step j, S_{j+m} = r^m (S_j + sum_{i<m} a_{j+i}
-    r^{-(i+1)}).
+    increments.  record_S obeys S_{k+1} = r S_k + a_k with a_k = a_gain dz_k
+    ehat_k (``_record_S_step``), so within a block from step j, S_{j+m} =
+    r^m (S_j + sum_{i<m} a_{j+i} r^{-(i+1)}).
     """
-    kappa, dt, n = params.kappa, path.dt, path.nsteps
-    r = np.exp(-kappa * dt / 2)
-    a_gain = np.sqrt(kappa) / params.B * np.exp(-kappa * dt / 4)
+    dt, n = path.dt, path.nsteps
+    r, a_gain = _record_S_step(params, dt)
     out = np.empty((4, at.size), dtype=complex)
     out[0] = _coherent_terms(params, dt, at, alpha0)[0]
     carry = np.array([beta0, 0j, 0j])
@@ -370,13 +369,17 @@ def _sample_gaussian(rows: np.ndarray, mean, scale: float, npaths: int,
     return mean + z[:, :factor.shape[0]] @ factor
 
 
-def _sampler_grid(params: HeterodyneParams, duration: float, dt: float):
-    """Step count and demodulation weights shared by the ensemble samplers."""
+def _sampler_grid(params: HeterodyneParams, duration: float, dt: float,
+                  alpha0: complex = 0j):
+    """The coherent terms of a record of the given duration that starts at
+    alpha0, shared by the ensemble samplers: alpha at each of its nsteps + 1
+    step boundaries, and ehat, gain and drift of each of its nsteps steps."""
     if params.omega <= 0:
         raise ValueError("heterodyne sampling needs omega > 0")
     _check_step(params, dt)
-    nsteps = _record_steps(duration, dt)
-    return nsteps, _demod(params.omega, dt, np.arange(nsteps))[1]
+    steps = np.arange(_record_steps(duration, dt) + 1)
+    alpha, ehat, gain, drift = _coherent_terms(params, dt, steps, alpha0)
+    return alpha, ehat[:-1], gain[:-1], drift[:-1]
 
 
 def sample_tilted_currents(params: HeterodyneParams, duration: float, dt: float,
@@ -394,14 +397,11 @@ def sample_tilted_currents(params: HeterodyneParams, duration: float, dt: float,
     """
     if start not in ("fixed", "vacuum"):
         raise ValueError("start must be 'fixed' or 'vacuum'")
-    nsteps, ehat = _sampler_grid(params, duration, dt)
-    kappa, B, nbar = params.kappa, params.B, params.nbar
-    alph = np.sqrt(nbar)       # real on both starts
-    if start == "vacuum":
-        alph = alph * (1 - np.exp(-kappa * np.arange(nsteps) * dt / 2))
-    mean_k = 2 * np.sqrt(kappa) * B * alph * ehat.real * dt
+    alpha0 = params.alpha_steady if start == "fixed" else 0.0
+    alpha, ehat, _, _ = _sampler_grid(params, duration, dt, alpha0)
+    mean_k = (2 * np.sqrt(params.kappa) * params.B * alpha[:-1] * ehat).real * dt
     rows = np.stack([ehat.real, ehat.imag])
-    x = _sample_gaussian(rows, rows @ mean_k, B * np.sqrt(dt), npaths,
+    x = _sample_gaussian(rows, rows @ mean_k, params.B * np.sqrt(dt), npaths,
                          RngStream(seed, _STREAM_TILTED).generator())
     return (x[:, 0] + 1j * x[:, 1]) / duration
 
@@ -412,18 +412,17 @@ def sample_ostensible_currents(params: HeterodyneParams, duration: float, dt: fl
 
     The record is drawn mean-zero; physical averages are recovered by
     weighting each path with its conditioned norm^2.  The state starts at the
-    fixed point alpha = sqrt(nbar), so the log weight is
-    sum_k 2 Re[(sqrt(kappa)/B) dz_k ehat_k alpha] - 2 Gamma alpha dt, an exact
-    multiple of Re record_T plus a constant.  (Re T, Im T, log weight) is
-    drawn from its joint rank-2 Gaussian law, 3 standard normals per path.
-    Returns (currents, log_weights).
+    fixed point alpha = sqrt(nbar), so the log weight 2 Re beta is
+    sum_k 2 Re[gain_k dz_k + drift_k], an exact multiple of Re record_T plus
+    a constant.  (Re T, Im T, log weight) is drawn from its joint rank-2
+    Gaussian law, 3 standard normals per path.  Returns (currents,
+    log_weights).
     """
-    nsteps, ehat = _sampler_grid(params, duration, dt)
-    B, alpha = params.B, np.sqrt(params.nbar)
-    rows = np.stack([ehat.real, ehat.imag,
-                     2 * np.sqrt(params.kappa) / B * alpha * ehat.real])
-    mean = [0.0, 0.0, -2 * params.gamma_drive * alpha * dt * nsteps]
-    x = _sample_gaussian(rows, mean, B * np.sqrt(dt), npaths,
+    _, ehat, gain, drift = _sampler_grid(params, duration, dt,
+                                         params.alpha_steady)
+    rows = np.stack([ehat.real, ehat.imag, 2 * gain.real])
+    x = _sample_gaussian(rows, [0.0, 0.0, 2 * drift.real.sum()],
+                         params.B * np.sqrt(dt), npaths,
                          RngStream(seed, _STREAM_OSTENSIBLE).generator())
     return (x[:, 0] + 1j * x[:, 1]) / duration, x[:, 2]
 
@@ -442,7 +441,7 @@ def sample_raw_currents(params: HeterodyneParams, duration: float, dt: float,
     average of pure noise, drawn from their exact law, 2 standard normals per
     path.
     """
-    _, ehat = _sampler_grid(params, duration, dt)
+    ehat = _sampler_grid(params, duration, dt)[1]
     x = _sample_gaussian(np.stack([ehat.real, ehat.imag]), [0.0, 0.0],
                          params.B * np.sqrt(dt), npaths,
                          RngStream(seed, _STREAM_RAW).generator())
@@ -451,19 +450,18 @@ def sample_raw_currents(params: HeterodyneParams, duration: float, dt: float,
 
 def sample_filtered_statistic(params: HeterodyneParams, duration: float, dt: float,
                               npaths: int, seed: int) -> np.ndarray:
-    """Filtered record S(t) for mean-zero noise, evaluated at t = duration.
-
-    S integrates the demodulated record against the memory kernel
-    e^{-kappa (t-s)/2} (midpoint-weighted per step), so <|S|^2> relaxes to
-    1 - e^{-kappa t} independently of B.  (Re S, Im S) is drawn from its
-    exact Gaussian law, 2 standard normals per path.
+    """Filtered record S(t) for mean-zero noise at the record's end: the
+    kernel's record_S, in which step k enters with weight a_gain ehat_k
+    r^(n-1-k) (``_record_S_step``), the memory kernel e^{-kappa (t-s)/2} at
+    the step midpoint.  <|S|^2> relaxes to 1 - e^{-kappa t} independently of
+    B.  (Re S, Im S) is drawn from its exact Gaussian law, 2 standard normals
+    per path.
     """
-    nsteps, ehat = _sampler_grid(params, duration, dt)
-    kappa, B = params.kappa, params.B
-    tmid = np.arange(nsteps) * dt + dt / 2
-    w = (np.sqrt(kappa) / B) * ehat * np.exp(-kappa * (duration - tmid) / 2)
+    ehat = _sampler_grid(params, duration, dt)[1]
+    r, a_gain = _record_S_step(params, dt)
+    w = a_gain * ehat * r ** np.arange(ehat.size - 1, -1, -1)
     x = _sample_gaussian(np.stack([w.real, w.imag]), [0.0, 0.0],
-                         B * np.sqrt(dt), npaths,
+                         params.B * np.sqrt(dt), npaths,
                          RngStream(seed, _STREAM_FILTERED).generator())
     return x[:, 0] + 1j * x[:, 1]
 
@@ -491,13 +489,9 @@ def current_statistics(currents, B: float = 1.0) -> CurrentStatistics:
     x = np.abs(np.asarray(currents, dtype=complex)) / B
     hist, edges = np.histogram(x, bins=np.arange(x.min() - 0.2, x.max() + 0.2, bin_width))
     i = int(np.argmax(hist))
-    d = 0.0
-    if 0 < i < len(hist) - 1 and hist[i - 1] > 0 and hist[i + 1] > 0:
-        y0, y1, y2 = np.log(hist[i - 1]), np.log(hist[i]), np.log(hist[i + 1])
-        denom = y0 - 2 * y1 + y2
-        if denom != 0.0:
-            d = 0.5 * (y0 - y2) / denom
-    peak = 0.5 * (edges[i] + edges[i + 1]) + d * bin_width
+    with np.errstate(divide="ignore"):       # an empty bin's log is -inf
+        logh = np.log(hist)
+    peak = 0.5 * (edges[i] + edges[i + 1]) + _vertex_offset(logh, i) * bin_width
     mean = float(x.mean())
     std = float(x.std())
     rel = std / mean if mean > 0 else float("nan")
@@ -508,35 +502,34 @@ def null_correspondence(params: HeterodyneParams, t: float,
                         alpha0: complex = 0j) -> dict:
     """Lock the record to its most likely value and compare flows.
 
-    Substituting the maximum-likelihood demodulated signal (constant value
-    2*Gamma) for the record derivative makes the conditional equation
-    deterministic.  After removing the constant rescaling exp(-t II*/2 kappa)
-    its solution must coincide, amplitude by amplitude, with the next-photon
-    no-click flow whose detection offset is gamma = sqrt(nbar), read from
-    ``cavity.CoherentTrajectory``.  The locked record is integrated here in
-    closed form; both routes are evaluated on a shared grid of 501 times and
-    compared elementwise.
+    The maximum-likelihood record makes the conditional equation
+    deterministic: a homodyne (omega = 0) record with increments
+    2*Gamma*B*dt/sqrt(kappa), run through ``_coherent_kernel`` itself over
+    max(500, ceil(t/dt_max)) steps.  After removing the constant rescaling
+    exp(-t II*/2 kappa) its solution must coincide, amplitude by amplitude and
+    at every step boundary, with the closed-form next-photon no-click flow of
+    detection offset gamma = sqrt(nbar), ``cavity.CoherentTrajectory``.
+    Raises ValueError unless t is finite and > 0.
     """
-    kappa, nbar = params.kappa, params.nbar
-    Gam = params.gamma_drive
-    abar = 2 * Gam / kappa
-    nsamples = 501
-    ts = np.linspace(0.0, t, nsamples)
-    delta0 = complex(alpha0) - abar
-    decay = np.exp(-kappa * ts / 2)
-    al_t = abar + delta0 * decay
-    int_al = abar * ts + delta0 * (2 / kappa) * (1 - decay)
-    # record locked to 2*Gamma: d beta/dt = (2*Gamma - Gamma) alpha, then
-    # the rescaling removed
-    resc = Gam * int_al - (2 * Gam**2 / kappa) * ts
-    flow = CoherentTrajectory(kappa, drive=Gam, gamma_det=math.sqrt(nbar),
+    if not (math.isfinite(t) and t > 0):
+        raise ValueError(f"t must be finite and > 0, got t={t!r}")
+    locked = replace(params, omega=0.0)
+    kappa, Gam = params.kappa, params.gamma_drive
+    n = max(500, math.ceil(t / _max_step(locked)))
+    dt = t / n
+    path = NoisePath(dt, np.full(n, 2 * Gam * params.B * dt / math.sqrt(kappa)))
+    steps = np.arange(n + 1)
+    al_t, beta = _coherent_kernel(locked, path, steps, complex(alpha0))[:2]
+    ts = dt * steps
+    resc = beta - (2 * Gam**2 / kappa) * ts
+    flow = CoherentTrajectory(kappa, drive=Gam, gamma_det=math.sqrt(params.nbar),
                               alpha0=complex(alpha0))
     al_eff, be_eff = flow.alpha(ts), flow.beta(ts)
     beta_dev = float(np.max(np.abs(resc - be_eff)))
 
-    nmax = default_nmax(nbar)
+    nmax = default_nmax(params.nbar)
     fock_dev = 0.0
-    for idx in (nsamples // 2, nsamples - 1):
+    for idx in (n // 2, n):
         pa = coherent_amplitudes(al_t[idx], resc[idx], nmax)
         pb = coherent_amplitudes(al_eff[idx], be_eff[idx], nmax)
         fock_dev = max(fock_dev, float(np.max(np.abs(pa - pb))))
@@ -610,9 +603,8 @@ def ensemble_unraveling_check(params: HeterodyneParams, duration: float, dt: flo
     Returns the sampled mean norm^2 with its standard error and the amplitude
     deviation from the closed form.
     """
-    nsteps = _sampler_grid(params, duration, dt)[0]
-    alpha, _, gain, drift = _coherent_terms(params, dt, np.arange(nsteps + 1))
-    re_beta = _sample_gaussian(gain[None, :-1].real, [drift[:-1].real.sum()],
+    alpha, _, gain, drift = _sampler_grid(params, duration, dt)
+    re_beta = _sample_gaussian(gain[None].real, [drift.real.sum()],
                                params.B * np.sqrt(dt), npaths,
                                RngStream(seed, _STREAM_UNRAVELING).generator())
     al = alpha[-1]

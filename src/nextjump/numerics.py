@@ -217,6 +217,16 @@ def decay_rate(ts: np.ndarray, y: np.ndarray) -> float:
     return -float(np.linalg.lstsq(a, np.log(y), rcond=None)[0][0])
 
 
+def _vertex_offset(y, i: int) -> float:
+    """Vertex of the parabola through y[i-1], y[i], y[i+1] as an offset from
+    i in grid steps, the sub-grid refinement of a peak at i: 0 at either end
+    of y and where the three values fix no finite bend."""
+    denom = y[i - 1] - 2 * y[i] + y[i + 1] if 0 < i < len(y) - 1 else 0.0
+    if not (math.isfinite(denom) and denom != 0.0):
+        return 0.0
+    return 0.5 * (y[i - 1] - y[i + 1]) / denom
+
+
 # ---------------------------------------------------------------------------
 # reproducible randomness
 

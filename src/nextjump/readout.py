@@ -26,6 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cavity import CavityParams, detuned_flow, resonant_flow
+from .numerics import _vertex_offset
 
 __all__ = [
     "ReadoutCurves",
@@ -154,14 +155,9 @@ def y_oscillation_frequency(p: CavityParams) -> float:
     w = np.hanning(yw.size)
     F = np.fft.rfft(yw * w)
     freqs = np.fft.rfftfreq(yw.size, d=tau[1] - tau[0])
-    i = int(np.argmax(np.abs(F[1:])) + 1)
-    d = 0.0
-    if 0 < i < F.size - 1:
-        y0, y1, y2 = np.abs(F[i - 1]), np.abs(F[i]), np.abs(F[i + 1])
-        denom = y0 - 2 * y1 + y2
-        if denom != 0.0:
-            d = 0.5 * (y0 - y2) / denom
-    return float(freqs[i] + d * (freqs[1] - freqs[0]))
+    mag = np.abs(F)
+    i = int(np.argmax(mag[1:]) + 1)
+    return float(freqs[i] + _vertex_offset(mag, i) * (freqs[1] - freqs[0]))
 
 
 def min_error_next_jump(p: CavityParams, tau_max: float = 6.0) -> dict:

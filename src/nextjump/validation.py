@@ -281,7 +281,7 @@ def _criterion_10():
 
 
 # ---------------------------------------------------------------------------
-# 11. silent record reproduces the deterministic no-click evolution
+# 11. the kernel on a locked record reproduces the no-click evolution
 
 def _criterion_11():
     rep = null_correspondence(HeterodyneParams(kappa=1.0, nbar=4.0), 5.0)
@@ -290,7 +290,8 @@ def _criterion_11():
           and rep["norm_factor_dev"] < 1e-10)
     meas = {k: float(rep[k]) for k in
             ("max_amplitude_dev", "max_log_prefactor_dev", "norm_factor_dev")}
-    return ok, meas, "zero-noise record against the no-click flow"
+    return ok, meas, ("coherent kernel on a locked homodyne record against "
+                      "the no-click flow")
 
 
 # ---------------------------------------------------------------------------

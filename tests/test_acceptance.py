@@ -51,6 +51,23 @@ def test_criterion_12_fails_on_a_shifted_beta(monkeypatch):
     assert abs(result.measured["norm_ratio_minus_1"]) < 1e-8
 
 
+def test_criterion_11_fails_on_a_tilted_alpha(monkeypatch):
+    """Criterion 11 runs the coherent kernel on its locked record, so an
+    amplitude law off by a factor 1 + 1e-3 i no longer matches the no-click
+    flow."""
+    from nextjump import heterodyne
+    terms = heterodyne._coherent_terms
+
+    def tilted(*args, **kwargs):
+        alpha, ehat, gain, drift = terms(*args, **kwargs)
+        return alpha * (1 + 1e-3j), ehat, gain, drift
+
+    monkeypatch.setattr(heterodyne, "_coherent_terms", tilted)
+    result = validation.run_criterion(11)
+    assert not result.passed
+    assert result.measured["max_amplitude_dev"] > 1e-8
+
+
 def test_kolmogorov_series_matches_scipy():
     """Criterion 3's p-value series against scipy.special.kolmogorov, on
     both sides of the switch at x = 1 and into both tails."""

@@ -120,7 +120,7 @@ PINNED = {
     "heterodyne-current-ostensible": (
         ["heterodyne-current", "--mode", "ostensible", "--npaths", "200",
          "--duration", "2", "--seed", "5"],
-        "59952e8abd51016752e1e90a6335e1d0cc5076e87e3deaa81e1392c102a06e7d",
+        "6468158bd9ae703e0c6983dc742e611accbd00893e18ba59631773602320a121",
         "5b89dd124264ffcbf576cf60c177b0368655eb192f8d68c0e2bda3f2f34fe6c1"),
     "readout-figure1": (
         ["readout-figure1", "--npts", "121", "--tmax", "3"],

@@ -344,16 +344,28 @@ def test_fock_oracle_matches_coherent_kernel(p, substeps):
 
 def test_null_correspondence_locked_record():
     rep = null_correspondence(P4, 5.0)
-    # two closed forms of one flow: equal up to rounding
+    # the coherent kernel on the locked record against the closed-form
+    # no-click flow: equal up to rounding
     assert rep["max_log_prefactor_dev"] < 1e-14
     assert rep["max_amplitude_dev"] < 1e-14
     assert rep["norm_factor_dev"] < 1e-14
     assert abs(rep["alpha_final"] - 1.8358300027522023) < 1e-12
     # vacuum start travels to the fixed point; that distance is diagnostic
     assert abs(rep["max_alpha_drift"] - abs(rep["alpha_final"])) < 1e-12
+    # at the fixed point the kernel's beta climbs to 2*t = 10 by cumulative
+    # sum, against a rescaled closed form that stays at 0: 1.2e-13 off, and
+    # the norm factor e^4 times twice that, 1.4e-11
     rep_fp = null_correspondence(P4, 5.0, alpha0=2.0)
     assert rep_fp["max_alpha_drift"] == 0.0
-    assert rep_fp["max_log_prefactor_dev"] == 0.0
+    assert rep_fp["max_log_prefactor_dev"] < 1e-12
+    assert rep_fp["max_amplitude_dev"] < 1e-11
+    assert rep_fp["norm_factor_dev"] < 1e-10
+
+
+@pytest.mark.parametrize("t", [-1.0, 0.0, math.nan, math.inf])
+def test_null_correspondence_rejects_bad_t(t):
+    with pytest.raises(ValueError, match="t must be finite and > 0"):
+        null_correspondence(P4, t)
 
 
 def test_null_correspondence_sees_a_shifted_flow(monkeypatch):

@@ -15,7 +15,7 @@ import subprocess
 import sys
 
 import nextjump
-from nextjump import cli
+from nextjump import cli, validation
 from test_cli import PINNED
 
 PACKAGE = pathlib.Path(nextjump.__file__).resolve().parent
@@ -51,11 +51,12 @@ def test_import_loads_no_scipy():
 def test_cli_commands_load_no_scipy(tmp_path):
     """Every data command at its pinned flags, then ``validate`` over all
     fifteen criteria, one after another in one interpreter that cannot
-    import scipy."""
+    import scipy.  A criterion that does not pass prints its FAIL line, with
+    its measured values and elapsed time, so a missed budget shows which."""
     assert ({argv[0] for argv, _, _ in PINNED.values()}
             == {c.name for c in cli.COMMANDS})
     runs = json.dumps({name: argv for name, (argv, _, _) in PINNED.items()})
-    eager, rules, codes, passed = _fresh(
+    eager, rules, codes, report = _fresh(
         "import json, sys\n"
         "sys.modules['scipy'] = None\n"
         "from nextjump import cli, numerics\n"
@@ -67,9 +68,12 @@ def test_cli_commands_load_no_scipy(tmp_path):
         "codes['validate'] = cli.main(['validate', '--out', 'v.json'])\n"
         "with open('v.json') as fh:\n"
         "    report = json.load(fh)['results']\n"
-        "print(json.dumps([eager, rules, codes,\n"
-        "                  [r['index'] for r in report if r['passed']]]))\n",
+        "print(json.dumps([eager, rules, codes, report]))\n",
         cwd=tmp_path)
+    for r in report:
+        if not r["passed"]:
+            print(validation.format_line(validation.CriterionResult(**r)))
+    passed = [r["index"] for r in report if r["passed"]]
     assert eager and rules == 0
     assert codes == dict.fromkeys([*PINNED, "validate"], 0)
     assert passed == list(range(1, 16))
