@@ -4,33 +4,28 @@ Level |0> is the ground state; a strong drive (rabi omega1, decay beta1)
 cycles |0> <-> |1| and a weak drive (omega2, decay beta2) couples |0> <-> |2>
 with detuning delta2.  Conditioned on seeing no photon, the amplitude vector
 (c0, c1, c2) evolves under a non-Hermitian generator whose norm loss is the
-click probability.  The module carries both the exact flow and the
-closed-form asymptotics for the slow (dark) branch, plus the unitary
-evolution of the same atom for contrast with the no-measurement story.
+click probability.  The module carries the exact flow, its jump model and
+the closed-form rates of the slow (dark) branch.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-import warnings
 from dataclasses import astuple, dataclass
 
 import numpy as np
 
-from .numerics import ParameterError, RegimeWarning
+from .numerics import ParameterError
 from .trajectories import EffectiveModel
 
 __all__ = [
     "Atom3Params",
-    "amplitude_c1_closed",
     "beta_ell",
     "dark_fraction",
     "effective_model",
     "generator",
-    "project_slow",
     "scenario_a_log_survival",
-    "unitary_c1",
 ]
 
 
@@ -79,38 +74,6 @@ def beta_ell(p: Atom3Params) -> float:
     return 0.5 * p.beta2 + 2.0 * abs(p.omega2) ** 2 / p.beta1
 
 
-def _warn_regime(cond: bool, msg: str) -> None:
-    if cond:
-        warnings.warn(msg, RegimeWarning, stacklevel=3)
-
-
-def amplitude_c1_closed(p: Atom3Params, t) -> complex:
-    """Closed-form fast-level amplitude after a reset (asymptotic form).
-
-    Valid for weak second drive (|omega2|/beta1 << 1), the weak drive tuned
-    to the dressed resonance (delta2 = |omega1|), and strong first drive.
-    The first term is the decaying Rabi cycle of the fast transition; the
-    second is the slow branch fed by the weak drive.  Outside the regime a
-    RegimeWarning is emitted and the value is still returned.
-    """
-    _warn_regime(p.epsilon > 0.1,
-                 "closed-form c1 assumes |omega2|/beta1 << 1")
-    _warn_regime(abs(p.delta2 - abs(p.omega1)) > 1e-9 * max(abs(p.omega1), 1.0),
-                 "closed-form c1 assumes delta2 = |omega1|")
-    _warn_regime(abs(p.omega1) < 2.0 * p.beta1,
-                 "closed-form c1 assumes strong first drive")
-    t = np.asarray(t, dtype=float)
-    om1 = abs(p.omega1)
-    bl = beta_ell(p)
-    slow_w = 4.0 * abs(p.omega2) ** 2 / p.beta1 ** 2
-    val = (1j * np.sin(om1 * t) * np.exp(-p.beta1 * t / 4.0)
-           + slow_w * np.exp(1j * om1 * t)
-           * (np.exp(-p.beta1 * t / 4.0) - np.exp(-bl * t)))
-    if val.ndim == 0:
-        return complex(val)
-    return val
-
-
 def dark_fraction(p: Atom3Params) -> tuple:
     """(p_D, branch_Gamma): asymptotic dark-time share of the telegraph and
     the share of dark periods that end through the strong channel.
@@ -122,46 +85,6 @@ def dark_fraction(p: Atom3Params) -> tuple:
         return 0.0, 0.0
     g = 1.0 / (1.0 + p.beta1 * p.beta2 / (4.0 * abs(p.omega2) ** 2))
     return g / (2.0 + g), g
-
-
-def project_slow(p: Atom3Params, T: float, t: float) -> np.ndarray:
-    """Normalized slow-branch state after a click-free wait of length T.
-
-    Once the fast modes have died out (beta1*T >> 1) the conditioned state
-    collapses onto the slowly decaying eigenvector; its asymptotic form is
-    (2i*eps, 2i*eps, 1)/sqrt(1+8 eps^2) rotating at the strong Rabi
-    frequency.  T only gates the regime check; the returned (3,) amplitudes
-    (c0, c1, c2) are the normalized eigenvector evaluated at time t.
-    """
-    _warn_regime(p.beta1 * T < 10.0,
-                 "slow projection assumes beta1*T >> 1")
-    if t < T:
-        raise ValueError("projection time t must be >= the wait T")
-    eps = p.epsilon
-    f = 1.0 / math.sqrt(1.0 + 8.0 * eps ** 2)
-    phase = np.exp(1j * abs(p.omega1) * t)
-    return np.array([2j * eps * f * phase, 2j * eps * f * phase, f * phase],
-                    dtype=complex)
-
-
-def unitary_c1(p: Atom3Params, t) -> complex:
-    """Fast-level amplitude under unitary (no-measurement) evolution.
-
-    Closed form for |omega2/omega1| << 1 and delta2 = |omega1|; the weak
-    drive shows up only as a slow cosine envelope.
-    """
-    _warn_regime(abs(p.omega1) > 0 and abs(p.omega2 / p.omega1) > 0.1,
-                 "unitary closed form assumes |omega2/omega1| << 1")
-    _warn_regime(abs(p.delta2 - abs(p.omega1)) > 1e-9 * max(abs(p.omega1), 1.0),
-                 "unitary closed form assumes delta2 = |omega1|")
-    t = np.asarray(t, dtype=float)
-    om1 = abs(p.omega1)
-    om2 = abs(p.omega2)
-    val = 0.5 * (np.exp(1j * om1 * t) * np.cos(om2 * t / math.sqrt(2.0))
-                 - np.exp(-1j * om1 * t))
-    if val.ndim == 0:
-        return complex(val)
-    return val
 
 
 def scenario_a_log_survival(p: Atom3Params, T: float) -> float:

@@ -20,6 +20,7 @@ gamma_det = sqrt(nbar) watches for departures from the bright steady state.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -27,7 +28,6 @@ import numpy as np
 
 from .trajectories import EffectiveModel
 from .numerics import (TAIL_TOL, FockVector, ParameterError, TruncationError,
-                       coherent_amplitudes, decay_rate, default_nmax,
                        expm_action, fock_ops)
 
 __all__ = [
@@ -39,9 +39,7 @@ __all__ = [
     "fock_generator",
     "mean_jump_time",
     "resonant_flow",
-    "shifted_basis_check",
     "short_time_W",
-    "wrong_state_flow",
 ]
 
 @dataclass(frozen=True)
@@ -49,9 +47,10 @@ class CavityParams:
     """Cavity and measurement parameters.
 
     kappa: cavity decay rate, finite and > 0.
-    chi: dispersive shift per photon (signed).
+    chi: dispersive shift per photon (signed), finite.
     nbar: steady bright-state occupation, finite and >= 0.
-    gamma_shift: coherent detection reference (0 = bare photon counting).
+    gamma_shift: coherent detection reference (0 = bare photon counting),
+        finite.
 
     The drive amplitude is derived, ``gamma_drive = kappa*sqrt(nbar)/2``, so
     the resonant steady state holds nbar photons.  Each flow below states
@@ -68,6 +67,8 @@ class CavityParams:
             raise ParameterError("kappa must be positive and finite")
         if not (math.isfinite(self.nbar) and self.nbar >= 0):
             raise ParameterError("nbar must be non-negative and finite")
+        if not (math.isfinite(self.chi) and cmath.isfinite(self.gamma_shift)):
+            raise ParameterError("chi and gamma_shift must be finite")
 
     @property
     def gamma_drive(self) -> float:
@@ -151,16 +152,6 @@ def detuned_flow(p: CavityParams, alpha0: complex) -> CoherentTrajectory:
                               alpha0=alpha0)
 
 
-def wrong_state_flow(p: CavityParams) -> CoherentTrajectory:
-    """Dark-period flow: cavity prepared in the bright fixed point
-    sqrt(nbar), detection still referenced to it, but the manifold now
-    evolves detuned by chi.  Norm loss starts at zero and approaches
-    kappa*nbar/(1+(kappa/2chi)^2) as alpha migrates to gamma_L."""
-    root = math.sqrt(p.nbar)
-    return CoherentTrajectory(kappa=p.kappa, drive=p.gamma_drive,
-                              chi_eff=p.chi, gamma_det=root, alpha0=root)
-
-
 def short_time_W(p: CavityParams, t):
     """Cubic-law survival exp(-nbar kappa^3 t^3 / 12), valid for kappa*t << 1
     (resonant vacuum start)."""
@@ -221,43 +212,6 @@ def evolve_fock_oracle(p: CavityParams, state0: FockVector,
             f"top Fock bin holds relative amplitude "
             f"{out.tail_mass() / norm:.3e} at nmax={state0.nmax}")
     return out
-
-
-def shifted_basis_check(p: CavityParams) -> dict:
-    """Probe the displaced-detection fixed point on the Fock oracle.
-
-    The cavity starts in the coherent state at sqrt(nbar) with the drive
-    resonant (chi = 0), and the oracle runs to t = 1 on 9 uniform points.
-    The squared norm must then decay at the constant rate
-    kappa|sqrt(nbar) - gamma_shift|^2, which is zero exactly at the shifted
-    fixed point gamma_shift = sqrt(nbar): there the effective
-    generator annihilates the displaced vacuum and the state sits still.
-    The report carries the fitted rate, the prediction, and the worst
-    infidelity against the initial state.
-    """
-    if p.chi != 0.0:
-        raise ValueError("fixed-point check is defined for the resonant case")
-    root = math.sqrt(p.nbar)
-    nmax = default_nmax(p.nbar)
-    psi0 = FockVector(coherent_amplitudes(root, -0.5 * root ** 2, nmax))
-    times = np.linspace(0.0, 1.0, 9)
-    norms = np.empty(times.size)
-    infid = 0.0
-    for i, t in enumerate(times):
-        psi = psi0 if t == 0.0 else evolve_fock_oracle(p, psi0, t)
-        norms[i] = psi.norm_sq()
-        ov = abs(psi.inner(psi0)) ** 2 / (psi.norm_sq() * psi0.norm_sq())
-        infid = max(infid, 1.0 - ov)
-    fitted = decay_rate(times, norms)
-    predicted = p.kappa * abs(root - p.gamma_shift) ** 2
-    tol = max(1e-7, 1e-3 * predicted)
-    return {
-        "fitted_rate": fitted,
-        "predicted_rate": predicted,
-        "max_infidelity": infid,
-        "gamma": p.gamma_shift,
-        "passed": abs(fitted - predicted) < tol and infid < 1e-8,
-    }
 
 
 def effective_model(p: CavityParams, nmax: int,

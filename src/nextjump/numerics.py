@@ -99,9 +99,6 @@ class FockVector:
         """Amplitude magnitude sitting in the topmost Fock bin."""
         return float(np.abs(self.amps[-1]))
 
-    def inner(self, other: "FockVector") -> complex:
-        return complex(np.sum(np.conj(self.amps) * other.amps))
-
 
 def coherent_amplitudes(alpha: complex, beta: complex, nmax: int) -> np.ndarray:
     """Fock amplitudes 0..nmax of exp(alpha c^dag + beta)|0>, stable in log
@@ -247,10 +244,9 @@ class RngStream:
     function of (seed, stream_index, k), and two routes give the same bits.
     ``generator()``, a numpy ``Generator``, serves one stream's bulk draws,
     where numpy's C Philox is fastest: ``sample_gaps`` (the gaps),
-    ``NoisePath.draw`` (a record's increments), the four heterodyne samplers
-    and ``ensemble_unraveling_check`` (one block of normals each), and the
-    channel draws of ``telegraph_run`` and the CLI's telegraph, both from
-    the stream after the gaps' one.  ``StreamDraws`` serves the few draws
+    ``NoisePath.draw`` (a record's increments), the three heterodyne samplers
+    (one block of normals each), and the channel draws of ``telegraph_run``
+    and the CLI's telegraph, both from the stream after the gaps' one.  ``StreamDraws`` serves the few draws
     per step of many streams at once, without a ``Generator`` per stream:
     it is the jump engine's only route, behind ``lindblad_consistency`` and
     ``run_trajectory``.

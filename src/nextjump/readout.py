@@ -47,9 +47,11 @@ def error_next_jump(p: CavityParams, t):
     P_B = 1 - W(0, t) that of the resonant branch; the error is
     P_G/(P_G + P_B).  Both survival curves start from vacuum.  At t = 0 the
     ratio is taken at its short-time limit 1/2 (the leading cubic click mass
-    is chi-independent).
+    is chi-independent).  Raises ValueError for a negative or NaN t.
     """
     t = np.asarray(t, dtype=float)
+    if not np.all(t >= 0):
+        raise ValueError("t must be nonnegative and not NaN")
     traj_g = detuned_flow(p, 0j)
     traj_b = resonant_flow(p)
     pg = 1.0 - traj_g.survival(t)

@@ -5,8 +5,8 @@ once in _CRITERIA with its title and its wall-clock budget.  run_criterion
 times a runner, turns an exception into a failed result and fails a
 criterion that overruns its budget; the CLI ``validate`` subcommand prints
 one machine-readable line per criterion.  There is one protocol, at the
-pinned Monte Carlo sizes: ``nextjump validate`` runs all fifteen in 2.6 s
-wall time, at a peak RSS of 69 MB (median of 6 runs on a shared 2-core
+pinned Monte Carlo sizes: ``nextjump validate`` runs all fifteen in 2.7 s
+wall time, at a peak RSS of 73 MB (median of 4 runs on a shared 2-core
 Intel Xeon, one BLAS thread).  It needs numpy alone, so no criterion's
 clock includes a scipy import.  Tolerances, sizes and budgets are fixed
 here, not configurable: they are the contract.
@@ -14,7 +14,6 @@ here, not configurable: they are the contract.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 import os
 import tempfile
@@ -29,9 +28,9 @@ from . import transmon as _transmon
 from .atom3 import Atom3Params, beta_ell, scenario_a_log_survival
 from .cavity import CavityParams, resonant_flow, evolve_fock_oracle
 from .heterodyne import (HeterodyneParams, NoisePath, current_statistics,
-                         gauge_equivalence, integrate_sse,
+                         fock_sse_oracle, gauge_equivalence, integrate_sse,
                          null_correspondence, sample_tilted_currents)
-from .numerics import FockVector, RngStream, default_nmax
+from .numerics import FockVector, RngStream, decay_rate, default_nmax
 from .readout import (error_next_jump, figure1_dataset, min_error_next_jump,
                       y_oscillation_frequency)
 from .trajectories import (NullFlow, lindblad_consistency, sample_gaps,
@@ -99,10 +98,9 @@ def _criterion_2():
         p = CavityParams(kappa=1.0, nbar=nbar)
         flow = resonant_flow(p)
         ts = np.linspace(0.01, 0.05, 80) / p.kappa
-        lnw = np.log(flow.survival(ts))
-        slope = np.polyfit(ts ** 3, lnw, 1)[0]
-        target = -p.nbar * p.kappa ** 3 / 12.0
-        rel = abs(slope - target) / abs(target)
+        rate = decay_rate(ts ** 3, flow.survival(ts))
+        target = p.nbar * p.kappa ** 3 / 12.0
+        rel = abs(rate - target) / target
         meas[f"rel_dev_nbar{int(nbar)}"] = float(rel)
         ok = ok and rel < 0.02
     return ok, meas, "log W slope against t^3 matches -nbar kappa^3/12"
@@ -213,29 +211,41 @@ def _criterion_7():
     rel = abs(rate - target) / target
     ok = rel < 0.10
     meas = {"fitted_rate": rate, "target_rate": target, "rel_dev": float(rel),
-            "window_lo": float(ts[0]), "window_hi": float(ts[-1])}
+            "window_lo": float(ts[0]), "window_hi": float(ts[-1]),
+            "validity_ratio": _transmon.validity_ratio(p)}
     return ok, meas, "dark-norm decay fit against the slow eigenvalue"
 
 
 # ---------------------------------------------------------------------------
-# 8. memory-kernel ground decay vs perturbative rate
+# 8. memory-kernel ground decay vs perturbative rate and the Fock ground truth
 
 def _criterion_8():
     p = TransmonParams(kappa=1.0, chi=20.0, nbar=100.0, omega_b=0.1)
-    _, _, rate = _transmon.multiscale_fit(p, tmax=6.0, dt=0.002, fit_start=2.0)
+    ts, c, rate = _transmon.multiscale_fit(p, tmax=6.0, dt=0.002,
+                                           fit_start=2.0)
     gam = _transmon.slow_rate(p)
-    rel1 = abs(rate - gam) / gam
+    rel = abs(rate - gam) / gam
 
-    ur = _transmon.unshifted_rate(p)
-    ur0 = _transmon.unshifted_rate(dataclasses.replace(p, omega_b=0.0))
-    drive_decay = -(ur - ur0).real
-    rel2 = abs(rate - drive_decay) / drive_decay
+    # shifted frame: the Fock evolution on every 50th point of the fit
+    # window, t = 2, 2.1, ..., 6, follows the Volterra curve
+    window = ts >= 2.0
+    tg, cg = ts[window][::50], c[window][::50]
+    fock = _transmon.two_level_fock(p, tg, nmax=100, frame="shifted")
+    curve_dev = float(np.max(np.abs(fock - cg) / cg))
 
-    ok = rel1 < 0.05 and rel2 < 0.05
+    # unshifted frame: the long-time decay, to t = 3/gamma with the first
+    # five points dropped, matches -Re unshifted_rate
+    tu = np.linspace(0.0, 3.0 / gam, 40)
+    amps = _transmon.two_level_fock(p, tu, nmax=100, frame="unshifted")
+    want = -_transmon.unshifted_rate(p).real
+    unshifted_dev = abs(decay_rate(tu[5:], amps[5:]) - want) / want
+
+    ok = rel < 0.05 and curve_dev < 1e-6 and unshifted_dev < 1e-3
     meas = {"fitted_rate": rate, "perturbative_rate": float(gam),
-            "rel_dev": float(rel1), "drive_decay_part": float(drive_decay),
-            "rel_dev_unshifted": float(rel2)}
-    return ok, meas, "integro-differential decay against both rate routes"
+            "rel_dev": float(rel), "fock_curve_dev": curve_dev,
+            "unshifted_rate_rel_dev": float(unshifted_dev)}
+    return ok, meas, ("memory-kernel decay against the perturbative rate and "
+                      "the two-level Fock evolution in both frames")
 
 
 # ---------------------------------------------------------------------------
@@ -257,7 +267,7 @@ def _criterion_9():
 
 
 # ---------------------------------------------------------------------------
-# 10. heterodyne current peak and noise-independent amplitude
+# 10. heterodyne current peak, and the kernel's amplitude on the Fock oracle
 
 def _criterion_10():
     params = HeterodyneParams(kappa=1.0, nbar=100.0)
@@ -267,17 +277,26 @@ def _criterion_10():
     target = params.B * math.sqrt(params.kappa * params.nbar)
     rel = abs(st.peak - target) / target
 
-    pa = NoisePath.draw(params, 2.0, 1e-3, seed=101)
-    pb = NoisePath.draw(params, 2.0, 1e-3, seed=202)
-    sa = integrate_sse(params, pa)
-    sb = integrate_sse(params, pb)
-    alpha_dev = abs(sa.alpha - sb.alpha)
+    # the kernel's alpha against <c> of explicit Euler on the number basis,
+    # 5 substeps a step from the vacuum, on two records at nbar 4: the
+    # oracle's first-order error is about 2e-4, a 1e-3 error in alpha's law
+    # shows as 1.2e-3
+    p4 = HeterodyneParams(kappa=1.0, nbar=4.0)
+    vac = FockVector.vacuum(default_nmax(p4.nbar))
+    sqrt_n = np.sqrt(np.arange(1, vac.nmax + 1))
+    alpha_dev = 0.0
+    for seed in (101, 202):
+        path = NoisePath.draw(p4, 2.0, 1e-3, seed=seed)
+        a = fock_sse_oracle(p4, path, vac, 5).amps
+        mean_c = np.vdot(a[:-1], sqrt_n * a[1:]) / np.vdot(a, a).real
+        alpha_dev = max(alpha_dev, abs(integrate_sse(p4, path).alpha - mean_c))
 
-    ok = rel < 0.03 and alpha_dev == 0.0
+    ok = rel < 0.03 and alpha_dev < 5e-4
     meas = {"peak": float(st.peak), "target": float(target),
             "rel_dev": float(rel), "npaths": npaths,
-            "alpha_noise_dev": float(alpha_dev)}
-    return ok, meas, "current magnitude peak and exact amplitude invariance"
+            "alpha_oracle_dev": float(alpha_dev)}
+    return ok, meas, ("current magnitude peak, and the kernel's amplitude "
+                      "against the Fock SSE oracle")
 
 
 # ---------------------------------------------------------------------------

@@ -68,6 +68,37 @@ def test_criterion_11_fails_on_a_tilted_alpha(monkeypatch):
     assert result.measured["max_amplitude_dev"] > 1e-8
 
 
+def test_criterion_8_fails_on_a_kernel_off_by_two_percent(monkeypatch):
+    """A memory kernel 2% too large still fits the perturbative rate within
+    its 5% gate, but no longer follows the two-level Fock evolution."""
+    from nextjump import transmon
+    kernel_log = transmon.bright_kernel_log
+    monkeypatch.setattr(transmon, "bright_kernel_log",
+                        lambda p, s: kernel_log(p, s) + math.log(1.02))
+    result = validation.run_criterion(8)
+    assert not result.passed
+    assert result.measured["rel_dev"] < 0.05
+    assert result.measured["fock_curve_dev"] > 1e-6
+
+
+def test_criterion_10_fails_on_a_tilted_alpha(monkeypatch):
+    """An amplitude law off by a factor 1 + 1e-3 i leaves the current peak
+    within its gate, but the kernel's alpha then misses the Fock SSE
+    oracle's <c>."""
+    from nextjump import heterodyne
+    terms = heterodyne._coherent_terms
+
+    def tilted(*args, **kwargs):
+        alpha, ehat, gain, drift = terms(*args, **kwargs)
+        return alpha * (1 + 1e-3j), ehat, gain, drift
+
+    monkeypatch.setattr(heterodyne, "_coherent_terms", tilted)
+    result = validation.run_criterion(10)
+    assert not result.passed
+    assert result.measured["rel_dev"] < 0.03
+    assert result.measured["alpha_oracle_dev"] > 5e-4
+
+
 def test_kolmogorov_series_matches_scipy():
     """Criterion 3's p-value series against scipy.special.kolmogorov, on
     both sides of the switch at x = 1 and into both tails."""

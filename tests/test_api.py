@@ -23,33 +23,6 @@ CALLED_FROM_TESTS_ONLY = {
     "trajectories.run_trajectory":
         "one trajectory of the jump unraveling; the benchmark's tracer "
         "hooks it by its dotted name",
-    "cavity.shifted_basis_check":
-        "displaced detection at sqrt(nbar) freezes the norm, on the Fock "
-        "oracle",
-    "cavity.wrong_state_flow":
-        "dark-period flow of the bright state under the detuned manifold",
-    "atom3.amplitude_c1_closed":
-        "closed-form fast-level amplitude after a reset",
-    "atom3.project_slow":
-        "asymptotic slow-branch state after a click-free wait",
-    "atom3.unitary_c1":
-        "unitary fast-level amplitude, the no-measurement contrast",
-    "transmon.diffusion_overlap":
-        "kappa -> 0 limit of the collapsing overlap, exp(-C^2 t^2/8)",
-    "transmon.reduced_two_level":
-        "three-amplitude closure of the slow two-level sector",
-    "transmon.two_level_fock":
-        "full Fock ground truth for multiscale_volterra, in both frames",
-    "transmon.validity_ratio":
-        "perturbative-regime monitor of the dark-spectrum asymptotics",
-    "heterodyne.ensemble_unraveling_check":
-        "the conditioned norm is a martingale: the ensemble averages to the "
-        "master equation",
-    "heterodyne.fock_sse_oracle":
-        "explicit Euler on the number basis, the oracle of the coherent "
-        "kernel",
-    "heterodyne.sample_filtered_statistic":
-        "exact law of the filtered record S, <|S|^2> = 1 - e^{-kappa t}",
 }
 
 
@@ -214,10 +187,6 @@ SET_FROM_TESTS_ONLY = {
     "heterodyne.null_correspondence(alpha0=)":
         "the locked-record flow matches the shifted detection off the "
         "fixed point too",
-    "transmon.two_level_fock(nmax=)":
-        "Fock cutoff of the ground truth, raised until it converges",
-    "transmon.two_level_fock(frame=)":
-        "both frames of the ground truth agree",
     "heterodyne.HeterodyneParams(B=)":
         "detection-beam amplitude; the current peak scales with it",
     "heterodyne.HeterodyneParams(omega=)":

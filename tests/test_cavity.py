@@ -1,5 +1,6 @@
 import math
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,11 +8,48 @@ import pytest
 from nextjump.cavity import (CavityParams, CoherentTrajectory, detuned_flow,
                              effective_model, evolve_fock_oracle,
                              fock_generator, mean_jump_time, resonant_flow,
-                             shifted_basis_check, short_time_W,
-                             wrong_state_flow)
+                             short_time_W)
 from nextjump.numerics import (FockVector, TruncationError,
-                               coherent_amplitudes, default_nmax)
+                               coherent_amplitudes, decay_rate, default_nmax)
 from nextjump.trajectories import lindblad_consistency
+
+
+def shifted_basis_check(p: CavityParams) -> dict:
+    """Probe the displaced-detection fixed point on the Fock oracle.
+
+    The cavity starts in the coherent state at sqrt(nbar) with the drive
+    resonant (chi = 0), and the oracle runs to t = 1 on 9 uniform points.
+    The squared norm must then decay at the constant rate
+    kappa|sqrt(nbar) - gamma_shift|^2, which is zero exactly at the shifted
+    fixed point gamma_shift = sqrt(nbar): there the effective
+    generator annihilates the displaced vacuum and the state sits still.
+    The report carries the fitted rate, the prediction, and the worst
+    infidelity against the initial state.
+    """
+    if p.chi != 0.0:
+        raise ValueError("fixed-point check is defined for the resonant case")
+    root = math.sqrt(p.nbar)
+    nmax = default_nmax(p.nbar)
+    psi0 = FockVector(coherent_amplitudes(root, -0.5 * root ** 2, nmax))
+    times = np.linspace(0.0, 1.0, 9)
+    norms = np.empty(times.size)
+    infid = 0.0
+    for i, t in enumerate(times):
+        psi = psi0 if t == 0.0 else evolve_fock_oracle(p, psi0, t)
+        norms[i] = psi.norm_sq()
+        inner = complex(np.sum(np.conj(psi.amps) * psi0.amps))
+        ov = abs(inner) ** 2 / (psi.norm_sq() * psi0.norm_sq())
+        infid = max(infid, 1.0 - ov)
+    fitted = decay_rate(times, norms)
+    predicted = p.kappa * abs(root - p.gamma_shift) ** 2
+    tol = max(1e-7, 1e-3 * predicted)
+    return {
+        "fitted_rate": fitted,
+        "predicted_rate": predicted,
+        "max_infidelity": infid,
+        "gamma": p.gamma_shift,
+        "passed": abs(fitted - predicted) < tol and infid < 1e-8,
+    }
 
 
 def test_params_validation():
@@ -25,7 +63,12 @@ def test_params_validation():
 
 @pytest.mark.parametrize("bad", [{"kappa": math.nan}, {"kappa": math.inf},
                                  {"kappa": 1.0, "nbar": math.nan},
-                                 {"kappa": 1.0, "nbar": math.inf}])
+                                 {"kappa": 1.0, "nbar": math.inf},
+                                 {"kappa": 1.0, "chi": math.nan},
+                                 {"kappa": 1.0, "chi": -math.inf},
+                                 {"kappa": 1.0, "gamma_shift": math.nan},
+                                 {"kappa": 1.0,
+                                  "gamma_shift": complex(0.0, math.inf)}])
 def test_params_reject_non_finite(bad):
     with pytest.raises(ValueError):
         CavityParams(**bad)
@@ -135,11 +178,14 @@ def test_detuned_fixed_point():
 
 
 def test_wrong_state_flow_rate():
-    # dark-period norm loss approaches kappa*nbar once alpha has migrated
+    # dark-period flow: the cavity starts in the bright fixed point
+    # sqrt(nbar), detection is still referenced to it, and the manifold is
+    # detuned by chi; norm loss approaches kappa*nbar once alpha has migrated
     want = {5.0: 3.980232, 10.0: 4.018755, 20.0: 4.025604}
     for chi, rate_want in want.items():
         p = CavityParams(kappa=1.0, chi=chi, nbar=4.0)
-        fl = wrong_state_flow(p)
+        root = math.sqrt(p.nbar)
+        fl = detuned_flow(replace(p, gamma_shift=root), root)
         assert fl.log_survival(0.0) == 0.0
         assert fl.jump_density(0.0) < 1e-25   # detection starts silent
         ts = np.linspace(3.0, 8.0, 200)

@@ -8,11 +8,9 @@ from nextjump import cavity
 from nextjump import heterodyne as het
 from nextjump.heterodyne import (CurrentStatistics, HeterodyneParams,
                                  NoisePath, SSEState, current_statistics,
-                                 ensemble_unraveling_check, fock_sse_oracle,
-                                 gauge_equivalence, integrate_sse,
-                                 integrate_sse_series,
+                                 fock_sse_oracle, gauge_equivalence,
+                                 integrate_sse, integrate_sse_series,
                                  norm_weighted_mean_abs, null_correspondence,
-                                 sample_filtered_statistic,
                                  sample_ostensible_currents,
                                  sample_raw_currents, sample_tilted_currents)
 from nextjump.numerics import (FockVector, ParameterError, RngStream,
@@ -22,6 +20,61 @@ P4 = HeterodyneParams(kappa=1.0, nbar=4.0)
 PH = HeterodyneParams(kappa=1.0, nbar=4.0, omega=0.0)     # homodyne
 PQ = HeterodyneParams(kappa=1.0, nbar=0.25)
 P100 = HeterodyneParams(kappa=1.0, nbar=100.0)
+
+
+# ---------------------------------------------------------------------------
+# Two more samplers of the exact Gaussian law, held here as oracles: the
+# filtered record S and the norm martingale.  They read the package's law
+# (``_sampler_grid``, ``_record_S_step``, ``_sample_gaussian``) and draw from
+# its reserved streams, so their pinned samples are those of the package.
+
+def sample_filtered_statistic(params: HeterodyneParams, duration: float, dt: float,
+                              npaths: int, seed: int) -> np.ndarray:
+    """Filtered record S(t) for mean-zero noise at the record's end: the
+    kernel's record_S, in which step k enters with weight a_gain ehat_k
+    r^(n-1-k) (``_record_S_step``), the memory kernel e^{-kappa (t-s)/2} at
+    the step midpoint.  <|S|^2> relaxes to 1 - e^{-kappa t} independently of
+    B.  (Re S, Im S) is drawn from its exact Gaussian law, 2 standard normals
+    per path.
+    """
+    ehat = het._sampler_grid(params, duration, dt)[1]
+    r, a_gain = het._record_S_step(params, dt)
+    w = a_gain * ehat * r ** np.arange(ehat.size - 1, -1, -1)
+    x = het._sample_gaussian(np.stack([w.real, w.imag]), [0.0, 0.0],
+                             params.B * np.sqrt(dt), npaths,
+                             RngStream(seed, het._STREAM_FILTERED).generator())
+    return x[:, 0] + 1j * x[:, 1]
+
+
+def ensemble_unraveling_check(params: HeterodyneParams, duration: float, dt: float,
+                              npaths: int, seed: int) -> dict:
+    """Martingale check tying the ensemble back to the unconditioned flow.
+
+    Under the ostensible measure the unnormalized conditioned norm^2 is a
+    martingale, E||psi(t)||^2 = 1 for a vacuum start, while alpha(t) relaxes
+    deterministically on every path.  The ensemble of conditioned projectors
+    therefore averages to the coherent-state density matrix of the
+    unconditioned master equation.  Re beta, the only random part of the
+    norm, is drawn from its exact Gaussian law, 1 standard normal per path.
+    Returns the sampled mean norm^2 with its standard error and the amplitude
+    deviation from the closed form.
+    """
+    alpha, _, gain, drift = het._sampler_grid(params, duration, dt)
+    re_beta = het._sample_gaussian(
+        gain[None].real, [drift.real.sum()], params.B * np.sqrt(dt), npaths,
+        RngStream(seed, het._STREAM_UNRAVELING).generator())
+    al = alpha[-1]
+    w = np.exp(2 * re_beta[:, 0] + abs(al) ** 2)
+    mean_w = float(w.mean())
+    se = float(w.std() / np.sqrt(npaths))
+    alpha_pred = params.alpha_steady * (1 - np.exp(-params.kappa * duration / 2))
+    return {
+        "mean_norm_sq": mean_w,
+        "stderr": se,
+        "z": (mean_w - 1.0) / se if se > 0 else float("nan"),
+        "alpha_final": complex(al),
+        "alpha_dev": float(abs(al - alpha_pred)),
+    }
 
 
 def _demod_factors(omega, dt, nsteps):

@@ -89,11 +89,15 @@ def test_error_dispersive_matches_mpmath():
     lambda: snr_heterodyne(CavityParams(kappa=1.0, chi=0.5, nbar=100.0),
                            [0.0, math.nan]),
     lambda: figure1_dataset(tau=[-1.0, 0.0, 1.0]),
+    lambda: error_next_jump(P, -1.0),
+    lambda: error_next_jump(P, math.nan),
+    lambda: error_next_jump(CavityParams(1.0, chi=math.nan, nbar=4.0), 1.0),
 ], ids=["nan-snr", "nan-in-snr-array", "negative-t", "nan-t",
-        "negative-tau"])
+        "negative-tau", "next-jump-negative-t", "next-jump-nan-t",
+        "next-jump-nan-chi"])
 def test_readout_refuses_bad_input(call):
-    """A negative or NaN time or SNR raises, where the dispersive error
-    would be NaN."""
+    """A negative or NaN time, SNR or shift raises, where the dispersive
+    error would be NaN and the next-jump error would read 1/2."""
     with pytest.raises(ValueError):
         call()
 
