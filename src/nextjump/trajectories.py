@@ -10,11 +10,13 @@ bisection-safeguarded).  With that sampling the trajectory ensemble carries
 the physical measure, so averages of normalized projectors reproduce the
 Lindblad density matrix.  Independent gaps (``sample_gaps``) share one
 survival curve, so each root starts next to its answer: ln W is tabulated
-once on a grid graded toward t = 0, a monotone cubic interpolant of the
-inverse t(ln W) guesses the root, one straddle pass around the guess
-tightens its bracket, and the regula falsi finishes there (after Olver &
-Townsend, "Fast inverse transform sampling in one and two dimensions",
-arXiv:1307.1223).
+once on a grid graded toward t = 0 and a monotone cubic interpolant of the
+inverse t(ln W) seeds the root (after Olver & Townsend, "Fast inverse
+transform sampling in one and two dimensions", arXiv:1307.1223).  Where
+the seed's error estimate exceeds twice the closing pair's width, one
+point at the seed and a Newton step along the cubic's slope sharpen it;
+then a pair of points 0.9 _ROOT_RTOL apart around it closes most
+brackets, and the regula falsi finishes the few it misses.
 
 Ensembles run in lockstep: one propagator per model, the eigenmode
 coefficients of every live trajectory held as one (d, n) array, and all
@@ -56,11 +58,17 @@ EIG_COND_LIMIT = 1e8
 BISECT_ITERS = 64
 #: relative bracket width at which a jump time counts as located
 _ROOT_RTOL = 1e-13
-#: cells of the ln W table that seeds ``sample_gaps``
-_GAP_GRID_CELLS = 2048
+#: cells of the ln W table that seeds ``sample_gaps``, one _BLOCK of
+#: survival times (the 16,385 nodes take one survival call).  That many
+#: put the cubic seed, after its Newton step where it takes one, within
+#: the closing pair's 0.45 _ROOT_RTOL of the root for most samples: on
+#: criterion 4's atom the seed errs by 3.6e-12 relative in the median
+#: (1.6e-8 at 2,048 cells), and 97.6% of the Newton points by less than
+#: 4.5e-14 (40% at 2,048 cells)
+_GAP_GRID_CELLS = 16384
 #: grading of that table: its cells grow geometrically from t_hi / ratio
-#: (below it they are even) up to t_hi, each about ln(ratio) / cells = 0.45%
-#: wider than the last
+#: (below it they are even) up to t_hi, each about ln(ratio) / cells =
+#: 0.056% wider than the last
 _GAP_GRID_RATIO = 1e4
 #: samples ``sample_gaps`` solves together, and times ``NullFlow.survival``
 #: evaluates together; a multiple of 4, so OpenBLAS takes the same column
@@ -406,6 +414,30 @@ def _inverse_cells(grid: np.ndarray, table: np.ndarray) -> np.ndarray:
     return cells
 
 
+def _log_survival(survival, t: np.ndarray) -> np.ndarray:
+    """ln W(t) as ``sample_gaps`` reads it, with ln 0 = -inf.  A W that is
+    NaN, negative or +inf raises FloatingPointError naming its time, so a
+    broken survival curve cannot bend the gaps without a word."""
+    w = np.asarray(survival(t), dtype=float)
+    bad = ~((w >= 0.0) & (w < math.inf))
+    if bad.any():
+        i = np.flatnonzero(bad)[0]
+        raise FloatingPointError(f"survival W({float(t[i])!r}) = "
+                                 f"{float(w[i])!r}; sample_gaps needs "
+                                 f"0 <= W < inf")
+    return _log(w)
+
+
+def _tighten(xs, fs, a, b, fa, fb) -> tuple:
+    """(a, b, fa, fb) after each point xs (f = ln W - ln u there is fs)
+    that lies strictly inside its bracket [a, b] replaces the end whose
+    sign it shares, so fa >= 0 > fb holds; a NaN fs moves nothing."""
+    inside = (xs > a) & (xs < b)
+    up, down = inside & (fs >= 0.0), inside & (fs < 0.0)
+    return (np.where(up, xs, a), np.where(down, xs, b),
+            np.where(up, fs, fa), np.where(down, fs, fb))
+
+
 def sample_gaps(survival, n: int, rng, t_hi: float) -> np.ndarray:
     """n inverse-transform samples of the first-jump time for a survival
     curve W(t) (vectorized over t): draw u ~ U(0, 1) and solve W(t) = u.
@@ -413,15 +445,24 @@ def sample_gaps(survival, n: int, rng, t_hi: float) -> np.ndarray:
     ln W is tabulated once on a grid graded toward t = 0 (even cells below
     t_hi / _GAP_GRID_RATIO, geometric ones above it, ending exactly at 0
     and t_hi), as its running minimum so the table stays monotone under
-    rounding.  Then, in blocks of _BLOCK samples, each level's table
-    cell gives a bracket and a guess from a monotone cubic interpolant of
-    the inverse t(ln W) (``_inverse_cells``); one straddle pass evaluates
-    ln W at guess -/+ half-width, each point tightening the bracket on the
-    side its sign allows, and the regula falsi of ``_find_level`` finishes
-    on the tightened bracket.  A sample with u <= W(t_hi) is censored and
-    comes back as exactly t_hi, so ``gaps == t_hi`` is the censored mask;
-    choose t_hi so W(t_hi) is negligible for the statistic at hand.  A
-    t_hi that is not finite and positive raises ValueError.
+    rounding.  Then, in blocks of _BLOCK samples, each level's table cell
+    gives a bracket and a seed x from a monotone cubic interpolant of the
+    inverse t(ln W) (``_inverse_cells``), with half its error estimate.
+    Seed pass: a sample whose half is above 4 h, for the closing
+    half-width h = 0.45 _ROOT_RTOL x, evaluates ln W at x, tightens its
+    bracket there and moves x by one Newton step along the cubic's own
+    slope dt/dy.  Closing pair: every sample evaluates ln W at x - h and
+    then at x + h (x first kept h inside its bracket); when the root lies
+    between the two points its bracket is now 2 h < _ROOT_RTOL * b wide.  A sample whose bracket is that narrow, or
+    whose point hit the level exactly, is done; the regula falsi of
+    ``_find_level`` finishes the few left on their tightened brackets.
+    Each uncensored gap is thus the middle of a sign-changing bracket at
+    most _ROOT_RTOL * b wide, or an exact root.  A sample with
+    u <= W(t_hi) is censored and comes back as exactly t_hi, so
+    ``gaps == t_hi`` is the censored mask; choose t_hi so W(t_hi) is
+    negligible for the statistic at hand.  A t_hi that is not finite and
+    positive raises ValueError; a W that is NaN, negative or +inf at any
+    time asked for raises FloatingPointError.
     """
     t_hi = float(_check_times("t_hi", t_hi, positive=True))
     if isinstance(rng, RngStream):
@@ -431,34 +472,52 @@ def sample_gaps(survival, n: int, rng, t_hi: float) -> np.ndarray:
                     * np.linspace(0.0, 1.0, _GAP_GRID_CELLS + 1))
     grid *= t_hi / _GAP_GRID_RATIO
     grid[-1] = t_hi
-    table = np.minimum.accumulate(_log(survival(grid)))
-    # one column per cell: its ends, ln W there, and its seed
-    cells = np.vstack((grid[:-1], grid[1:], table[:-1], table[1:],
-                       _inverse_cells(grid, table)))
-    log_w = lambda t, idx: _log(survival(t))
+    table = np.minimum.accumulate(_log_survival(survival, grid))
+    cells = _inverse_cells(grid, table)
+    log_w = lambda t, idx: _log_survival(survival, t)
     gaps = np.empty(n)
     for s in range(0, n, _BLOCK):
         lu = log_u[s:s + _BLOCK]
-        # first grid point below each level; past the end means censored
+        # first grid point below each level; past the end (u <= W(t_hi))
+        # means censored
         k = np.searchsorted(-table, -lu, side="right")
-        k = np.clip(k, 1, _GAP_GRID_CELLS)
-        a, b, fa, fb, c3, c2, c1, half = cells.take(k - 1, axis=1)
-        fa -= lu
-        fb -= lu
+        gaps[s:s + _BLOCK] = t_hi
+        live = np.flatnonzero(k <= _GAP_GRID_CELLS)
+        if not live.size:
+            continue
+        lu = lu[live]
+        k = np.maximum(k[live], 1)
+        c3, c2, c1, half = cells.take(k - 1, axis=1)
+        a, b = grid.take(k - 1), grid.take(k)
+        fa, fb = table.take(k - 1) - lu, table.take(k) - lu
         r = -fa
-        guess = a + ((c3 * r + c2) * r + c1) * r
-        # straddle: guess - half then guess + half (kept in [a, b], so W is
-        # asked for no time outside [0, t_hi]), each strictly inside the
-        # bracket replaces the end whose sign it shares: fa >= 0 > fb holds
-        live = np.flatnonzero(~(fb >= 0.0))
-        g, h = guess[live], np.maximum(half[live], 0.5 * _ROOT_RTOL * b[live])
-        for xs in (np.maximum(g - h, a[live]), np.minimum(g + h, b[live])):
-            fs = _log(survival(xs)) - lu[live]
-            inside = (xs > a[live]) & (xs < b[live])
-            up, down = inside & (fs >= 0.0), inside & (fs < 0.0)
-            a[live[up]], fa[live[up]] = xs[up], fs[up]
-            b[live[down]], fb[live[down]] = xs[down], fs[down]
-        gaps[s:s + _BLOCK] = _find_level(log_w, lu, a, b, fa, fb)
+        x = a + ((c3 * r + c2) * r + c1) * r
+        # seed pass, x kept in [a, b] so W is asked for no time outside
+        # [0, t_hi].  half overstates the seed's error (|x - root| < 0.6
+        # half in 99% of the draws on criterion 4's atom and criterion 3's
+        # cavity), so only a half above 4 h pays for a point: above 1 h
+        # the cavity took 2.91 points a sample, above 4 h 2.04.  Arrays of
+        # one length per block, not subsets of the seeded samples, left
+        # the gap-sample process's peak RSS about 2 MB lower
+        x = np.minimum(np.maximum(x, a), b)
+        seed = half > 1.8 * _ROOT_RTOL * x
+        if seed.any():
+            f = np.full(x.size, np.nan)
+            f[seed] = log_w(x[seed], None) - lu[seed]
+            a, b, fa, fb = _tighten(x, f, a, b, fa, fb)
+            x = np.where(seed, x - f * ((3.0 * c3 * r + 2.0 * c2) * r + c1), x)
+        # closing pair, x - h tightening the bracket before x + h
+        x = np.minimum(np.maximum(x, a), b)
+        h = 0.45 * _ROOT_RTOL * x
+        x = np.minimum(np.maximum(x, a + h), b - h)
+        for xs in (x - h, x + h):
+            a, b, fa, fb = _tighten(xs, log_w(xs, None) - lu, a, b, fa, fb)
+        t = np.where(fa == 0.0, a, 0.5 * (a + b))
+        rest = np.flatnonzero(~(fa == 0.0) & (b - a > _ROOT_RTOL * b))
+        if rest.size:
+            t[rest] = _find_level(log_w, lu[rest], a[rest], b[rest], fa[rest],
+                                  fb[rest])
+        gaps[s + live] = t
     return gaps
 
 

@@ -75,9 +75,11 @@ def _run_pinned(tmp_path, argv):
 #: every data command (heterodyne-current in each mode) at small flags, with
 #: the sha256 of its CSV and of its sorted sidecar summary.  The two
 #: transmon hashes were computed while each command still ran its own copy
-#: of the fit; the others before the CSV writer took columns in place of
-#: rows.  A column named in HELD is left out of the CSV hash and checked
-#: against a reference instead.
+#: of the fit; atom3-telegraph's when its sampler took the closing pair,
+#: which moved the last digits of its gaps (see HELD); the others before
+#: the CSV writer took columns in place of rows.  A column or summary key
+#: named in HELD is left out of the hashes and checked against a reference
+#: instead.
 PINNED = {
     "cavity-w": (
         ["cavity-w", "--npts", "41", "--tmax", "3"],
@@ -93,8 +95,8 @@ PINNED = {
         "9193b4c9aaece0e7aee38b973b9af1b5c1b01987c32f36747376c6f2cc0161f3"),
     "atom3-telegraph": (
         ["atom3-telegraph", "--ntraj", "60", "--seed", "3"],
-        "a5ee85fc831ef5ba00038c045d28d1d9e14b7bfba5ff24848db0e84557be89c7",
-        "53beccafcaa177e14639e4776064e6117d8ff2ecb308098a473f49f142669e7d"),
+        "ea156a523da22389609d85f90708c67431b821e5e3b2c381151564f25c805e8f",
+        "4ed6dabd3223e45da9ac3ebfef3ad3ceb6d01d4c04cf5b43c1fefe25fed7b780"),
     "transmon-dark": (
         ["transmon-dark", "--nmax", "60", "--npts", "12"],
         "67b5d338002998b7b7a953d7d7b454c0d89b867b71799a19e2b52ab47f42d58f",
@@ -128,9 +130,10 @@ PINNED = {
         "ae116495fa1b1f97e955fd368b41c4af828489359d66a662831c9b3035e1ce02"),
 }
 
-#: name -> columns left out of its CSV hash, which ``test_outputs_are_pinned``
-#: checks against a reference instead
-HELD = {"readout-figure1": ("eps_dr",)}
+#: name -> CSV columns and summary keys left out of its hashes, which
+#: ``test_outputs_are_pinned`` checks against a reference instead
+HELD = {"readout-figure1": ("eps_dr",),
+        "atom3-telegraph": ("gap", "p_dark", "p_dark_se")}
 
 _PIN_SCRIPT = """
 import hashlib, json, sys
@@ -149,7 +152,9 @@ for name, (argv, held) in json.loads(sys.argv[1]).items():
         data = "".join(",".join(r[i] for i in keep) + "\\r\\n"
                        for r in rows).encode()
     with open(name + ".json") as fh:
-        text = json.dumps(json.load(fh)["summary"], sort_keys=True)
+        summary = json.load(fh)["summary"]
+    columns.update({k: summary.pop(k) for k in held if k in summary})
+    text = json.dumps(summary, sort_keys=True)
     out[name] = [hashlib.sha256(data).hexdigest(),
                  hashlib.sha256(text.encode()).hexdigest(), columns]
 print(json.dumps(out))
@@ -160,7 +165,8 @@ print(json.dumps(out))
 def pinned_hashes(tmp_path_factory):
     """All of PINNED in one fresh interpreter on one BLAS thread (numpy 2.4
     with its bundled OpenBLAS 0.3, x86-64): name -> [csv, summary] sha256
-    and the CSV columns, header -> cells, of a command with HELD columns.
+    and, for a command in HELD, its CSV columns, header -> cells, and its
+    HELD summary keys with their values.
     The dense eig of transmon-dark rounds differently with the number of
     BLAS threads, hence one thread."""
     runs = json.dumps({name: [argv, HELD.get(name, ())]
@@ -183,6 +189,8 @@ def test_outputs_are_pinned(pinned_hashes, name):
     assert [csv_got, summary_got] == [csv_sha256, summary_sha256]
     if name == "readout-figure1":
         _assert_eps_dr_matches_mpmath(columns)
+    if name == "atom3-telegraph":
+        _assert_telegraph_gaps_match_reference(columns)
 
 
 def _assert_eps_dr_matches_mpmath(columns):
@@ -199,6 +207,29 @@ def _assert_eps_dr_matches_mpmath(columns):
                         for x in snr])
     assert eps.size == 121
     assert np.all(np.abs(eps - ref) <= 1e-15 * np.maximum(ref, 1e-300))
+
+
+def _assert_telegraph_gaps_match_reference(columns):
+    """atom3-telegraph --ntraj 60 --seed 3: every gap, p_dark and p_dark_se
+    within 1e-12 relative of the values it wrote with the 2,048-cell ln W
+    table (tests/data/atom3_telegraph_seed3.json; the root-finder stops on
+    brackets 1e-13 wide, so a new seed may move the last digits), and each
+    gap solving ln W(gap) = ln u for its level u of RngStream(3, 0) on the
+    command's default atom."""
+    with open(os.path.join(os.path.dirname(__file__), "data",
+                           "atom3_telegraph_seed3.json")) as fh:
+        want = json.load(fh)
+    gaps = np.array(columns["gap"], dtype=float)
+    ref = np.array(want["gap"])
+    assert gaps.shape == ref.shape == (60,)
+    assert np.all(np.abs(gaps - ref) <= 1e-12 * ref)
+    for key in ("p_dark", "p_dark_se"):
+        assert abs(columns[key] - want[key]) <= 1e-12 * abs(want[key])
+    model = effective_model(Atom3Params(omega1=5.0, omega2=0.05, delta2=5.0,
+                                        beta1=1.0, beta2=0.0))
+    flow = NullFlow(model.generator, model.initial_state)
+    u = RngStream(3, 0).generator().random(60)
+    assert np.max(np.abs(np.log(flow.survival(gaps)) - np.log(u))) <= 1e-12
 
 
 def test_telegraph_output_is_pinned(tmp_path):
@@ -369,6 +400,17 @@ def test_telegraph_reports_censored(tmp_path):
     assert _run(["telegraph", "--ntraj", "50", "--out", str(out)]) == 0
     side = json.loads((tmp_path / "t.json").read_text())
     assert side["summary"]["n_censored"] == 0
+
+
+def test_non_finite_survival_exit_code(tmp_path, monkeypatch):
+    # sample_gaps refuses a NaN survival with FloatingPointError, a
+    # numerical failure; unchecked, NaN beyond t = 50 capped the gaps there
+    survival = NullFlow.survival
+    monkeypatch.setattr(NullFlow, "survival", lambda self, t: np.where(
+        np.asarray(t) > 50.0, np.nan, survival(self, t)))
+    out = tmp_path / "t.csv"
+    assert _run(["telegraph", "--ntraj", "10", "--out", str(out)]) == 3
+    assert not out.exists()
 
 
 def test_io_failure_exit_code(tmp_path):

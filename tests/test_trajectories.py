@@ -18,7 +18,8 @@ from nextjump.atom3 import Atom3Params, effective_model
 from nextjump.numerics import DRAW_BUFFER, RngStream, StreamDraws
 from nextjump.trajectories import (BISECT_ITERS, EIG_COND_LIMIT,
                                    EffectiveModel, JumpRecord, NullFlow,
-                                   _BLOCK, _TELEGRAPH_BATCH, _find_level,
+                                   _BLOCK, _GAP_GRID_CELLS, _TELEGRAPH_BATCH,
+                                   _find_level,
                                    _unravel, lindblad_consistency,
                                    run_trajectory, sample_gaps, telegraph_run,
                                    telegraph_stats)
@@ -370,10 +371,66 @@ def test_sample_gaps_matches_scalar_bisection(case):
     u = RngStream(21, 0).generator().random(n)
     want = np.array([_bisect_reference(survival, v, t_hi) for v in u])
     assert np.max(np.abs(got - want)) < 1e-9
-    # after the one table of ln W, two straddle points and about 1.8
-    # (cavity) to 2.5 (atom) regula falsi passes a sample: 3.8 and 4.5
-    # points at this seed, where bisection takes 64
+    # after the one table of ln W, a seed point for most atom samples and
+    # few cavity ones, the closing pair and a few regula falsi passes: 3.0
+    # (atom) and 2.0 (cavity) points a sample at this seed, where
+    # bisection takes 64
     assert sum(calls[1:]) < 5 * n
+
+
+@pytest.mark.parametrize("case", ["atom", "cavity"])
+def test_sample_gaps_points_per_sample(case):
+    """Beyond the table of ln W, the seed pass, the closing pair and the
+    few regula falsi passes left cost criterion 4's atom (150,000 draws,
+    t_hi 900) about 2.96 survival points a sample and the resonant cavity
+    at nbar 4 (100,000 draws, t_hi 40) about 2.04; the straddle pass and
+    the regula falsi before them took 4.43 and 3.79."""
+    if case == "atom":
+        model = _pilot_model()
+        survival = NullFlow(model.generator, model.initial_state).survival
+        n, t_hi, cap = 150_000, 900.0, 3.3
+    else:
+        survival = cavity.resonant_flow(
+            cavity.CavityParams(kappa=1.0, nbar=4.0)).survival
+        n, t_hi, cap = 100_000, 40.0, 2.5
+    counted, calls = _counting(survival)
+    sample_gaps(counted, n, RngStream(1, 1), t_hi)
+    assert calls[0] == _GAP_GRID_CELLS + 1
+    assert sum(calls[1:]) <= cap * n
+
+
+def _nan_after_the_table():
+    """exp(-t) for the first call (the table), NaN for every later one."""
+    calls = []
+
+    def survival(t):
+        calls.append(t.size)
+        w = np.exp(-t)
+        return w if len(calls) == 1 else np.full_like(w, np.nan)
+
+    return survival
+
+
+@pytest.mark.parametrize("make", [
+    lambda: lambda t: np.where(t == 0.0, np.nan, np.exp(-t)),
+    lambda: lambda t: np.where(t > 5.0, np.nan, np.exp(-t)),
+    lambda: lambda t: np.where(t > 5.0, np.inf, np.exp(-t)),
+    _nan_after_the_table,
+], ids=["nan-at-zero", "nan-beyond-5", "inf-beyond-5", "nan-after-the-table"])
+def test_sample_gaps_refuses_non_finite_survival(make):
+    # without the check the first gave 2.70e-5 for every sample, the second
+    # capped every gap at 5 and the third censored the tail at t_hi
+    with pytest.raises(FloatingPointError, match="sample_gaps needs"):
+        sample_gaps(make(), 2000, RngStream(4, 0), t_hi=60.0)
+
+
+def test_sample_gaps_takes_zero_survival():
+    # W = 1 - t/10 reaches 0 at t = 10, so ln W = -inf on most of the table
+    survival = lambda t: np.maximum(1.0 - t / 10.0, 0.0)
+    n = 2000
+    gaps = sample_gaps(survival, n, RngStream(4, 0), t_hi=60.0)
+    u = RngStream(4, 0).generator().random(n)
+    assert np.max(np.abs(gaps - 10.0 * (1.0 - u))) <= 1e-12
 
 
 @pytest.mark.parametrize("case", ["atom", "cavity"])
