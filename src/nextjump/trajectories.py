@@ -298,8 +298,8 @@ class NullFlow:
         # so a lone last time joins the block before it
         for a in range(0, max(n - 1, 1), _BLOCK):
             b = a + _BLOCK if n - a > _BLOCK + 1 else n
-            psi = self._evolve(self._coef[:, np.newaxis], times[a:b])
-            w[a:b] = np.sum(np.abs(psi) ** 2, axis=0)
+            w[a:b] = np.sum(np.abs(self._evolve(self._coef[:, np.newaxis],
+                                                times[a:b])) ** 2, axis=0)
         w /= self._norm0
         if t_arr.ndim == 0:
             return float(w[0])
@@ -730,9 +730,10 @@ def lindblad_consistency(model: EffectiveModel, ntraj: int, t: float,
     reference rho(t) = exp(Lt) rho0 for drho/dt = G rho + rho G^dag
     + sum L rho L^dag is a Taylor exp-action (``_lindblad_evolve``), exact
     but for rounding: within 2e-15 of scipy's expm of the vectorized
-    generator on both criterion-14 models.  Returns a report with
-    elementwise deviations against the 5/sqrt(ntraj) Monte Carlo band.
-    Raises ValueError for t negative or not finite and for ntraj < 1.
+    generator on both criterion-14 models.  Returns rho_direct, rho_ensemble
+    and their largest elementwise deviation, max_deviation; the caller sets
+    the Monte Carlo band.  Raises ValueError for t negative or not finite
+    and for ntraj < 1.
     """
     t = float(_check_times("t", t))
     if ntraj < 1:
@@ -744,15 +745,5 @@ def lindblad_consistency(model: EffectiveModel, ntraj: int, t: float,
     psi_t = final / np.linalg.norm(final, axis=0)
     rho_mc = (psi_t @ psi_t.conj().T) / ntraj
 
-    dev = np.abs(rho_mc - rho_direct)
-    tol = 5.0 / np.sqrt(ntraj)
-    return {
-        "rho_direct": rho_direct,
-        "rho_ensemble": rho_mc,
-        "deviation": dev,
-        "max_deviation": float(dev.max()),
-        "tolerance": tol,
-        "passed": bool(dev.max() < tol),
-        "ntraj": int(ntraj),
-        "t": float(t),
-    }
+    return {"rho_direct": rho_direct, "rho_ensemble": rho_mc,
+            "max_deviation": float(np.abs(rho_mc - rho_direct).max())}

@@ -1,15 +1,19 @@
 """Numbered acceptance checks over the whole package.
 
-Each criterion is one runner returning (passed, measured, detail), declared
-once in _CRITERIA with its title and its wall-clock budget.  run_criterion
-times a runner, turns an exception into a failed result and fails a
-criterion that overruns its budget; the CLI ``validate`` subcommand prints
-one machine-readable line per criterion.  There is one protocol, at the
-pinned Monte Carlo sizes: ``nextjump validate`` runs all fifteen in 2.7 s
-wall time, at a peak RSS of 73 MB (median of 4 runs on a shared 2-core
-Intel Xeon, one BLAS thread).  It needs numpy alone, so no criterion's
-clock includes a scipy import.  Tolerances, sizes and budgets are fixed
-here, not configurable: they are the contract.
+Each criterion is one runner, declared once in _CRITERIA with its title and
+wall-clock budget.  A runner returns its ``measured`` dict and its gates
+(key, relation, bound), and decides nothing.  A gate holds the measured
+value v to b by one relation of _RELATIONS: v < b, v <= b, v > b, v == b
+(exact), "abs<" abs(v) < b, or "near" abs(v - t) < tol for b = [t, tol].
+run_criterion adds the budget as the gate elapsed <= budget, and alone
+decides PASS: the runner returned and every gate holds.  The result lists
+each gate's value, bound and margin (how far inside its bound the value
+lies), so ``validate --out`` records every bound and a FAIL line names each
+missed gate.  ``nextjump validate`` runs all fifteen, at the pinned Monte
+Carlo sizes, in 1.9 s wall time at a peak RSS of 68 MB (median of 9 runs on
+a shared 2-core Intel Xeon, one BLAS thread).  It needs numpy alone, so no
+criterion's clock includes a scipy import.  Tolerances, sizes and budgets
+are fixed here, not configurable: they are the contract.
 """
 
 from __future__ import annotations
@@ -50,7 +54,7 @@ class CriterionResult:
     title: str
     passed: bool
     measured: dict
-    detail: str
+    gates: list
     elapsed: float
 
 
@@ -65,7 +69,27 @@ def _fmt(v) -> str:
 def format_line(r: CriterionResult) -> str:
     status = "PASS" if r.passed else "FAIL"
     kv = " ".join(f"{k}={_fmt(v)}" for k, v in r.measured.items())
-    return f"criterion {r.index:02d} {status} {r.title} | {kv} | {r.elapsed:.2f}s"
+    line = f"criterion {r.index:02d} {status} {r.title} | {kv} | {r.elapsed:.2f}s"
+    missed = [f"{g['name']}={_fmt(g['value'])} not {g['relation']} "
+              f"{_fmt(g['bound'])}" for g in r.gates if not g["passed"]]
+    return line + " | missed " + ", ".join(missed) if missed else line
+
+
+#: relation -> (test, margin) of value v against bound b
+_RELATIONS = {
+    "<": lambda v, b: (v < b, b - v),
+    "<=": lambda v, b: (v <= b, b - v),
+    ">": lambda v, b: (v > b, v - b),
+    "==": lambda v, b: (v == b, 0.0 - abs(v - b)),
+    "abs<": lambda v, b: (abs(v) < b, b - abs(v)),
+    "near": lambda v, b: (abs(v - b[0]) < b[1], b[1] - abs(v - b[0])),
+}
+
+
+def _gate(name: str, value, relation: str, bound) -> dict:
+    passed, margin = _RELATIONS[relation](value, bound)
+    return {"name": name, "value": value, "relation": relation,
+            "bound": bound, "margin": float(margin), "passed": bool(passed)}
 
 
 # ---------------------------------------------------------------------------
@@ -83,9 +107,9 @@ def _criterion_1():
         rels.append(abs(w_num - w_cf) / w_cf)
     maxrel = float(max(rels))
     w2 = float(flow.survival(2.0))
-    ok = maxrel < 1e-6 and abs(w2 - 0.26057) < 1e-4
     meas = {"max_rel_dev": maxrel, "W_at_2": w2}
-    return ok, meas, "no-click probability, closed form vs truncated integration"
+    return meas, [("max_rel_dev", "<", 1e-6),
+                  ("W_at_2", "near", [0.26057, 1e-4])]
 
 
 # ---------------------------------------------------------------------------
@@ -93,7 +117,6 @@ def _criterion_1():
 
 def _criterion_2():
     meas = {}
-    ok = True
     for nbar in (4.0, 100.0):
         p = CavityParams(kappa=1.0, nbar=nbar)
         flow = resonant_flow(p)
@@ -102,8 +125,7 @@ def _criterion_2():
         target = p.nbar * p.kappa ** 3 / 12.0
         rel = abs(rate - target) / target
         meas[f"rel_dev_nbar{int(nbar)}"] = float(rel)
-        ok = ok and rel < 0.02
-    return ok, meas, "log W slope against t^3 matches -nbar kappa^3/12"
+    return meas, [(key, "<", 0.02) for key in meas]
 
 
 # ---------------------------------------------------------------------------
@@ -137,14 +159,14 @@ def _criterion_3():
     d_stat = max(np.max(np.arange(1.0, n + 1) / n - cdf),
                  np.max(cdf - np.arange(0.0, n) / n))
     pval = _kolmogorov_q(math.sqrt(n) * d_stat)
-    ok = d_stat < 0.005
     meas = {"ks_stat": float(d_stat), "ks_pvalue": float(pval), "n": n,
             "n_censored": int(np.count_nonzero(samples == 40.0))}
-    return ok, meas, "sampled first-jump times against 1 - W"
+    return meas, [("ks_stat", "<", 0.005)]
 
 
 # ---------------------------------------------------------------------------
-# 4. telegraph dark-period statistics
+# 4. telegraph dark-period statistics: dark fraction 1/3 and an exponential
+# dark-duration tail
 
 def _criterion_4():
     p = Atom3Params(omega1=5.0, omega2=0.05, delta2=5.0, beta1=1.0, beta2=0.0)
@@ -161,12 +183,11 @@ def _criterion_4():
     target = 2.0 * beta_ell(p)
     rel = abs(rate - target) / target
 
-    ok = abs(z) < 3.0 and rel < 0.10
     meas = {"p_dark": float(st.p_dark), "z": float(z), "n_dark": st.n_dark,
             "tail_rate": rate, "tail_rate_target": target,
             "tail_rel_dev": float(rel), "n_tail": int(tail.size),
             "n_censored": int(np.count_nonzero(gaps == 900.0))}
-    return ok, meas, "dark fraction 1/3 and exponential dark-duration tail"
+    return meas, [("z", "abs<", 3.0), ("tail_rel_dev", "<", 0.10)]
 
 
 # ---------------------------------------------------------------------------
@@ -175,8 +196,7 @@ def _criterion_4():
 def _criterion_5():
     p = Atom3Params(omega1=1e10, omega2=0.0, delta2=0.0, beta1=1e9, beta2=0.0)
     logw = scenario_a_log_survival(p, 1.0)
-    ok = logw == -5e8
-    return ok, {"log_W": float(logw)}, "underflow-proof log of the no-click probability"
+    return {"log_W": float(logw)}, [("log_W", "==", -5e8)]
 
 
 # ---------------------------------------------------------------------------
@@ -184,7 +204,6 @@ def _criterion_5():
 
 def _criterion_6():
     meas = {}
-    ok = True
     for chi in (5.0, 10.0, 20.0, 50.0):
         p = TransmonParams(kappa=1.0, chi=chi, nbar=100.0)
         vals = {m: beta_B(p, m)
@@ -193,11 +212,10 @@ def _criterion_6():
         spread = max(abs(a - b) for a in vals.values()
                      for b in vals.values()) / ref
         meas[f"spread_chi{int(chi)}"] = float(spread)
-        ok = ok and spread < 0.05
+    gates = [(key, "<", 0.05) for key in meas]
     cf = beta_B(TransmonParams(kappa=1.0, chi=20.0, nbar=100.0), "closed_form")
     meas["closed_form_value"] = float(cf)
-    ok = ok and abs(cf - 7.97885) < 1e-4
-    return ok, meas, "bright width: quadrature, saddle point, closed form"
+    return meas, gates + [("closed_form_value", "near", [7.97885, 1e-4])]
 
 
 # ---------------------------------------------------------------------------
@@ -209,11 +227,10 @@ def _criterion_7():
                        omega_b=0.1 * bb, omega_d=0.001 * bb)
     _, ts, _, rate, target = _transmon.dark_norm_fit(p, npts=60, nmax=200)
     rel = abs(rate - target) / target
-    ok = rel < 0.10
     meas = {"fitted_rate": rate, "target_rate": target, "rel_dev": float(rel),
             "window_lo": float(ts[0]), "window_hi": float(ts[-1]),
             "validity_ratio": _transmon.validity_ratio(p)}
-    return ok, meas, "dark-norm decay fit against the slow eigenvalue"
+    return meas, [("rel_dev", "<", 0.10)]
 
 
 # ---------------------------------------------------------------------------
@@ -240,30 +257,29 @@ def _criterion_8():
     want = -_transmon.unshifted_rate(p).real
     unshifted_dev = abs(decay_rate(tu[5:], amps[5:]) - want) / want
 
-    ok = rel < 0.05 and curve_dev < 1e-6 and unshifted_dev < 1e-3
     meas = {"fitted_rate": rate, "perturbative_rate": float(gam),
             "rel_dev": float(rel), "fock_curve_dev": curve_dev,
             "unshifted_rate_rel_dev": float(unshifted_dev)}
-    return ok, meas, ("memory-kernel decay against the perturbative rate and "
-                      "the two-level Fock evolution in both frames")
+    return meas, [("rel_dev", "<", 0.05), ("fock_curve_dev", "<", 1e-6),
+                  ("unshifted_rate_rel_dev", "<", 1e-3)]
 
 
 # ---------------------------------------------------------------------------
 # 9. monitored norm decreases from the start
 
 def _criterion_9():
-    meas = {}
-    ok = True
+    meas, gates = {}, []
     ts = np.linspace(0.05, 1.0, 20)
     for i, (nbar, om) in enumerate(((4.0, 0.05), (100.0, 0.1), (100.0, 0.05))):
         p = TransmonParams(kappa=1.0, chi=20.0, nbar=nbar, omega_b=om)
         n0, d0 = _transmon.norm_evolution_multiscale(p, 0.0)
-        ok = ok and n0 == 1.0 and d0 == 0.0
         _, dn = _transmon.norm_evolution_multiscale(p, ts)
-        worst = float(np.max(dn))
-        meas[f"max_dnorm_dt_{i}"] = worst
-        ok = ok and worst < 0.0
-    return ok, meas, "norm flat at t=0 then strictly decreasing"
+        meas[f"max_dnorm_dt_{i}"] = float(np.max(dn))
+        meas[f"norm_at_0_{i}"], meas[f"dnorm_dt_at_0_{i}"] = n0, d0
+        gates += [(f"norm_at_0_{i}", "==", 1.0),
+                  (f"dnorm_dt_at_0_{i}", "==", 0.0),
+                  (f"max_dnorm_dt_{i}", "<", 0.0)]
+    return meas, gates
 
 
 # ---------------------------------------------------------------------------
@@ -291,12 +307,10 @@ def _criterion_10():
         mean_c = np.vdot(a[:-1], sqrt_n * a[1:]) / np.vdot(a, a).real
         alpha_dev = max(alpha_dev, abs(integrate_sse(p4, path).alpha - mean_c))
 
-    ok = rel < 0.03 and alpha_dev < 5e-4
     meas = {"peak": float(st.peak), "target": float(target),
             "rel_dev": float(rel), "npaths": npaths,
             "alpha_oracle_dev": float(alpha_dev)}
-    return ok, meas, ("current magnitude peak, and the kernel's amplitude "
-                      "against the Fock SSE oracle")
+    return meas, [("rel_dev", "<", 0.03), ("alpha_oracle_dev", "<", 5e-4)]
 
 
 # ---------------------------------------------------------------------------
@@ -304,13 +318,10 @@ def _criterion_10():
 
 def _criterion_11():
     rep = null_correspondence(HeterodyneParams(kappa=1.0, nbar=4.0), 5.0)
-    ok = (rep["max_amplitude_dev"] < 1e-8
-          and rep["max_log_prefactor_dev"] < 1e-8
-          and rep["norm_factor_dev"] < 1e-10)
-    meas = {k: float(rep[k]) for k in
-            ("max_amplitude_dev", "max_log_prefactor_dev", "norm_factor_dev")}
-    return ok, meas, ("coherent kernel on a locked homodyne record against "
-                      "the no-click flow")
+    gates = [("max_amplitude_dev", "<", 1e-8),
+             ("max_log_prefactor_dev", "<", 1e-8),
+             ("norm_factor_dev", "<", 1e-10)]
+    return {k: float(rep[k]) for k, _, _ in gates}, gates
 
 
 # ---------------------------------------------------------------------------
@@ -320,15 +331,14 @@ def _criterion_12():
     params = HeterodyneParams(kappa=1.0, nbar=4.0)
     path = NoisePath.draw(params, 3.0, 1e-3, seed=29)
     rep = gauge_equivalence(params, path)
-    ok = (rep["max_quadrature_dev"] < 1e-8
-          and abs(rep["norm_ratio"] - 1.0) < 1e-8
-          and abs(rep["ray_fidelity"] - 1.0) < 1e-8
-          and rep["decomposition_dev"] < 1e-10)
     meas = {"max_quadrature_dev": float(rep["max_quadrature_dev"]),
             "norm_ratio_minus_1": float(rep["norm_ratio"] - 1.0),
             "ray_infidelity": float(1.0 - rep["ray_fidelity"]),
             "decomposition_dev": float(rep["decomposition_dev"])}
-    return ok, meas, "same quadrature record, same ray"
+    return meas, [("max_quadrature_dev", "<", 1e-8),
+                  ("norm_ratio_minus_1", "abs<", 1e-8),
+                  ("ray_infidelity", "abs<", 1e-8),
+                  ("decomposition_dev", "<", 1e-10)]
 
 
 # ---------------------------------------------------------------------------
@@ -340,24 +350,24 @@ def _criterion_13():
 
     mono = bool(np.all(np.diff(ds.eps_dispersive) <= 1e-15))
     late = bool(np.all(ds.eps_dispersive[ds.tau >= 1.7] < 1e-3))
-    start_half = ds.eps_dispersive[0] == 0.5
-
     m = min_error_next_jump(p_next)
-    interior = 0.0 < m["tau_min"] < 6.0 and m["chi_t_min"] > 1.0
-
     e60 = error_next_jump(p_next, 60.0)
-    approach = e60 < 0.5 and abs(e60 - 0.5) < 0.01
-
     freq = y_oscillation_frequency(p_next)
     f_target = p_next.chi / (2.0 * math.pi)
     f_rel = abs(freq - f_target) / f_target
 
-    ok = mono and late and start_half and interior and approach and f_rel < 0.05
     meas = {"dispersive_monotone": mono, "late_below_1e-3": late,
             "min_tau": float(m["tau_min"]), "min_chi_t": float(m["chi_t_min"]),
             "eps_at_60": float(e60), "fft_freq": float(freq),
-            "fft_rel_dev": float(f_rel)}
-    return ok, meas, "shape constraints on both error curves and the decrement"
+            "fft_rel_dev": float(f_rel),
+            "eps_dispersive_0": float(ds.eps_dispersive[0])}
+    return meas, [("dispersive_monotone", "==", True),
+                  ("late_below_1e-3", "==", True),
+                  ("eps_dispersive_0", "==", 0.5),
+                  ("min_tau", ">", 0.0), ("min_tau", "<", 6.0),
+                  ("min_chi_t", ">", 1.0),
+                  ("eps_at_60", "<", 0.5), ("eps_at_60", "near", [0.5, 0.01]),
+                  ("fft_rel_dev", "<", 0.05)]
 
 
 # ---------------------------------------------------------------------------
@@ -380,12 +390,13 @@ def _criterion_14():
     gap_a = ma.rate_identity_gap(ma.initial_state)
     gap_c = mc.rate_identity_gap(mc.initial_state)
 
-    ok = ra["passed"] and rc["passed"] and max(gap_a, gap_c) < 1e-12
+    tol = 5.0 / math.sqrt(ntraj)   # the Monte Carlo band on each element
     meas = {"atom_max_dev": float(ra["max_deviation"]),
             "cavity_max_dev": float(rc["max_deviation"]),
-            "tolerance": float(ra["tolerance"]), "ntraj": ntraj,
+            "tolerance": tol, "ntraj": ntraj,
             "rate_identity_gap": float(max(gap_a, gap_c))}
-    return ok, meas, "ensemble mean of trajectories vs direct master equation"
+    return meas, [("atom_max_dev", "<", tol), ("cavity_max_dev", "<", tol),
+                  ("rate_identity_gap", "<", 1e-12)]
 
 
 # ---------------------------------------------------------------------------
@@ -413,8 +424,7 @@ def _criterion_15():
         for key, argv in repeats.items():
             argv = argv + ["--out", os.path.join(tmp, key + ".csv")]
             runs[key] = _run_cli_csv(argv) == _run_cli_csv(argv)
-    return all(runs.values()), runs, \
-        "same config and seed give identical bytes on every run"
+    return runs, [(key, "==", True) for key in runs]
 
 
 # index -> (title, runner, wall-clock budget in seconds); the budgets are
@@ -447,15 +457,12 @@ def run_criterion(index: int) -> CriterionResult:
     title, runner, budget = _CRITERIA[index]
     t0 = time.perf_counter()
     try:
-        passed, measured, detail = runner()
+        measured, gates = runner()
     except Exception as exc:  # a crash is a failed criterion, not a crash
-        elapsed = time.perf_counter() - t0
-        return CriterionResult(index, title, False,
-                               {"error": type(exc).__name__},
-                               f"raised: {exc!r}", elapsed)
+        measured, gates = {"error": repr(exc)}, None
     elapsed = time.perf_counter() - t0
-    if elapsed > budget:
-        passed = False
-        measured = dict(measured, time_bound=budget)
-        detail += f" [exceeded {budget:g}s budget]"
-    return CriterionResult(index, title, passed, measured, detail, elapsed)
+    checked = [_gate(key, measured[key], relation, bound)
+               for key, relation, bound in gates or ()]
+    checked.append(_gate("elapsed", elapsed, "<=", budget))
+    passed = gates is not None and all(g["passed"] for g in checked)
+    return CriterionResult(index, title, passed, measured, checked, elapsed)

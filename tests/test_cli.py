@@ -487,6 +487,10 @@ def test_validate_subcommand(tmp_path, capsys):
     assert len(doc["results"]) == 1
     assert doc["results"][0]["passed"] is True
     assert doc["results"][0]["index"] == 5
+    gates = doc["results"][0]["gates"]
+    assert [(g["name"], g["relation"], g["bound"]) for g in gates] == [
+        ("log_W", "==", -5e8), ("elapsed", "<=", 1.0)]
+    assert all(g["passed"] for g in gates)
 
 
 def test_validate_bad_criteria():

@@ -282,7 +282,8 @@ def test_survival_blocks_off_the_eigenmodes():
 def test_survival_memory_per_point(name):
     """Only W (8 bytes a time) grows with the grid; the states are per
     block (building every state at once costs 96 bytes a time on the atom
-    and 544 on the cavity)."""
+    and 544 on the cavity), and one block's are dropped before the next
+    block's are built."""
     model, tmax = MODELS[name]
     flow = NullFlow(model.generator, model.initial_state)
 
@@ -297,6 +298,7 @@ def test_survival_memory_per_point(name):
 
     growth = (peak(16 * _BLOCK) - peak(2 * _BLOCK)) / (14 * _BLOCK)
     assert growth <= 12.0
+    assert peak(2 * _BLOCK) <= 1.25 * peak(_BLOCK)
 
 
 def test_sample_gaps_inverts_pure_decay():
@@ -643,9 +645,7 @@ def test_jump_record_validates_times():
 def test_lindblad_consistency_small_ensemble():
     p = Atom3Params(omega1=1.0, omega2=0.7, delta2=0.5, beta1=1.0, beta2=0.8)
     rep = lindblad_consistency(effective_model(p), 300, 3.0, seedbase=14)
-    assert rep["passed"]
-    assert rep["max_deviation"] < rep["tolerance"]
-    assert rep["tolerance"] == 5.0 / np.sqrt(300)
+    assert rep["max_deviation"] < 5.0 / np.sqrt(300)
     rho = rep["rho_direct"]
     assert abs(np.trace(rho).real - 1.0) < 1e-8
     assert np.max(np.abs(rho - rho.conj().T)) < 1e-10
@@ -810,7 +810,7 @@ def test_eig_fallback_first_jump_and_ensemble():
         assert abs(np.vdot(psi, psi).real - u) < 1e-9
     _assert_engine_matches_reference(model, 3.0, seedbase=2, ntraj=40)
     rep = lindblad_consistency(model, 4000, 3.0, seedbase=5)
-    assert rep["passed"]
+    assert rep["max_deviation"] < 5.0 / np.sqrt(4000)
     assert abs(np.trace(rep["rho_direct"]).real - 1.0) < 1e-8
 
 
