@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .trajectories import EffectiveModel
+from .trajectories import EffectiveModel, _check_times
 from .numerics import (TAIL_TOL, FockVector, ParameterError, TruncationError,
                        expm_action, fock_ops)
 
@@ -87,6 +87,8 @@ class CoherentTrajectory:
 
     With gamma_det = 0 this is d(beta)/dt = -drive * alpha.  Norm is lost
     only through the detector: d ln||psi||^2 / dt = -kappa|alpha-gamma_det|^2.
+    Every method raises ValueError for a time that is not finite and
+    non-negative, as ``NullFlow`` does.
     """
 
     kappa: float
@@ -105,7 +107,7 @@ class CoherentTrajectory:
         return self.drive / (0.5 * self.kappa - 1j * self.chi_eff)
 
     def alpha(self, t):
-        t = np.asarray(t, dtype=float)
+        t = _check_times("t", t)
         val = self.alpha_inf + (self.alpha0 - self.alpha_inf) * np.exp(self.lam * t)
         return complex(val) if val.ndim == 0 else val
 
@@ -118,9 +120,9 @@ class CoherentTrajectory:
         """beta(t) with beta(0) = 0."""
         g = self.kappa * np.conj(self.gamma_det) - self.drive
         h = -0.5 * self.kappa * abs(self.gamma_det) ** 2
-        t_arr = np.asarray(t, dtype=float)
+        t_arr = _check_times("t", t)
         # + 0j turns a -0.0 real part at t = 0 into 0.0
-        val = g * self._alpha_integral(t) + h * t_arr + 0j
+        val = g * self._alpha_integral(t_arr) + h * t_arr + 0j
         return complex(val) if val.ndim == 0 else val
 
     def log_survival(self, t):
@@ -154,8 +156,9 @@ def detuned_flow(p: CavityParams, alpha0: complex) -> CoherentTrajectory:
 
 def short_time_W(p: CavityParams, t):
     """Cubic-law survival exp(-nbar kappa^3 t^3 / 12), valid for kappa*t << 1
-    (resonant vacuum start)."""
-    t = np.asarray(t, dtype=float)
+    (resonant vacuum start).  Raises ValueError for a time that is not
+    finite and non-negative."""
+    t = _check_times("t", t)
     val = np.exp(-p.nbar * p.kappa ** 3 * t ** 3 / 12.0)
     return float(val) if val.ndim == 0 else val
 

@@ -162,8 +162,7 @@ def _run_telegraph(cfg):
     thr = cfg["dark_threshold"]
     dark = gaps > thr
     rec = JumpRecord(times=np.cumsum(gaps), channels=channels,
-                     labels=model.labels, final_state=model.initial_state,
-                     tmax=float(np.sum(gaps)))
+                     labels=model.labels, tmax=float(np.sum(gaps)))
     st = telegraph_stats(rec, thr)
     summary = {"p_dark": st.p_dark, "p_dark_se": st.p_dark_se,
                "n_dark": st.n_dark, "dark_threshold": thr,

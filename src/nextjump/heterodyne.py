@@ -13,15 +13,13 @@ scalar log-prefactor ``beta(t)`` is stochastic.
 
 The coherent kernel advances ``(alpha, beta)`` exactly over each noise step
 (piecewise-constant record derivative, within-step phase integrated in closed
-form) and carries two demodulated record integrals: the plain average
-``record_T`` whose time average ``I = record_T/t`` is the measured current,
-and the exponentially filtered ``record_S`` with memory ``2/kappa``.  One law
-serves every route: ``_coherent_terms`` alone derives the record's per-step
-law (alpha_k, the demodulation weights ehat_k and the beta increment
-``gain_k*dz_k + drift_k``) and ``_record_S_step`` the decay and gain of one
-record_S step.  The kernel, the ensemble samplers and ``null_correspondence``,
+form) and carries the demodulated record integral ``record_T``, whose time
+average ``I = record_T/t`` is the measured current.  One law serves every
+route: ``_coherent_terms`` alone derives the record's per-step law (alpha_k,
+the demodulation weights ehat_k and the beta increment ``gain_k*dz_k +
+drift_k``).  The kernel, the ensemble samplers and ``null_correspondence``,
 which runs the kernel on a homodyne record locked to its most likely value,
-read them and derive no copy.  ``fock_sse_oracle``, explicit Euler on a
+read it and derive no copy.  ``fock_sse_oracle``, explicit Euler on a
 truncated number basis, is the kernel's brute-force oracle; acceptance
 criterion 10 holds the kernel's alpha to it on two records.  A ``NoisePath``
 is the record alone (its step and increments); ``B`` and ``omega`` are read
@@ -79,8 +77,8 @@ _STREAM_FILTERED = 4
 _STREAM_UNRAVELING = 5
 
 #: steps the coherent kernel advances together.  It bounds the kernel's
-#: working arrays, and as the step guard keeps kappa*dt <= 0.01, the in-block
-#: rescaling e^{kappa dt m/2} of record_S stays below e^{0.005*2048} ~ 3e4.
+#: working arrays.  Each block's sums start from the last one's carry, so it
+#: also fixes how beta and record_T round, which pinned outputs hold.
 _BLOCK = 2048
 
 
@@ -187,13 +185,11 @@ class SSEState:
     """Conditioned (unnormalized) state exp(alpha c^dag + beta)|0> after
     integrating a record up to time t, with norm^2 = exp(2 Re beta +
     |alpha|^2).  It carries the accumulated demodulated record integral
-    ``record_T`` (current I = record_T/t, stored in units of B) and the
-    filtered record ``record_S``.
+    ``record_T`` (current I = record_T/t, stored in units of B).
     """
 
     t: float
     record_T: complex
-    record_S: complex
     alpha: complex
     beta: complex
 
@@ -252,39 +248,25 @@ def _coherent_terms(params: HeterodyneParams, dt: float, steps: np.ndarray,
     return np.where(steps == 0, alpha0, abar + d), ehat, gain, drift
 
 
-def _record_S_step(params: HeterodyneParams, dt: float):
-    """Decay r = e^{-kappa dt/2} and midpoint gain a_gain = (sqrt(kappa)/B)
-    e^{-kappa dt/4} of the record_S step S_{k+1} = r S_k + a_gain ehat_k dz_k."""
-    kappa = params.kappa
-    return (np.exp(-kappa * dt / 2),
-            np.sqrt(kappa) / params.B * np.exp(-kappa * dt / 4))
-
-
 def _coherent_kernel(params: HeterodyneParams, path: NoisePath, at: np.ndarray,
                      alpha0: complex = 0j, beta0: complex = 0j) -> np.ndarray:
-    """Rows alpha, beta, record_T, record_S after each step count in ``at``.
+    """Rows alpha, beta, record_T after each step count in ``at``.
 
     The coherent step over a whole record, ``_BLOCK`` steps at a time: alpha
     in closed form, beta and record_T as cumulative sums of their step
-    increments.  record_S obeys S_{k+1} = r S_k + a_k with a_k = a_gain dz_k
-    ehat_k (``_record_S_step``), so within a block from step j, S_{j+m} =
-    r^m (S_j + sum_{i<m} a_{j+i} r^{-(i+1)}).
+    increments.
     """
     dt, n = path.dt, path.nsteps
-    r, a_gain = _record_S_step(params, dt)
-    out = np.empty((4, at.size), dtype=complex)
+    out = np.empty((3, at.size), dtype=complex)
     out[0] = _coherent_terms(params, dt, at, alpha0)[0]
-    carry = np.array([beta0, 0j, 0j])
+    carry = np.array([beta0, 0j])
     out[1:, at == 0] = carry[:, None]
     for j in range(0, n, _BLOCK):
         steps = np.arange(j, min(j + _BLOCK, n))
         dz = path.increments[j:j + steps.size]
         _, ehat, gain, drift = _coherent_terms(params, dt, steps, alpha0)
-        q = r ** (steps - (j - 1))
-        block = np.stack([np.cumsum(gain * dz + drift), np.cumsum(dz * ehat),
-                          np.cumsum(a_gain * dz * ehat / q)])
-        block[:2] += carry[:2, None]
-        block[2] = q * (block[2] + carry[2])
+        block = np.stack([np.cumsum(gain * dz + drift), np.cumsum(dz * ehat)])
+        block += carry[:, None]
         sel = (at > j) & (at <= j + steps.size)
         out[1:, sel] = block[:, at[sel] - j - 1]
         carry = block[:, -1]
@@ -301,9 +283,9 @@ def integrate_sse(params: HeterodyneParams, path: NoisePath) -> SSEState:
     piecewise-constant record itself.
     """
     _check_step(params, path.dt)
-    al, be, T, S = _coherent_kernel(params, path, np.array([path.nsteps]))[:, 0]
-    return SSEState(t=path.duration, record_T=complex(T), record_S=complex(S),
-                    alpha=complex(al), beta=complex(be))
+    al, be, T = _coherent_kernel(params, path, np.array([path.nsteps]))[:, 0]
+    return SSEState(t=path.duration, record_T=complex(T), alpha=complex(al),
+                    beta=complex(be))
 
 
 def fock_sse_oracle(params: HeterodyneParams, path: NoisePath,
@@ -345,9 +327,9 @@ def integrate_sse_series(params: HeterodyneParams, path: NoisePath,
     n = path.nsteps
     at = np.unique(np.r_[0:n + 1:every, n])
     out = _coherent_kernel(params, path, at)
-    return [SSEState(t=k * path.dt, record_T=complex(T), record_S=complex(S),
-                     alpha=complex(al), beta=complex(be))
-            for k, (al, be, T, S) in zip(at.tolist(), out.T.tolist())]
+    return [SSEState(t=k * path.dt, record_T=complex(T), alpha=complex(al),
+                     beta=complex(be))
+            for k, (al, be, T) in zip(at.tolist(), out.T.tolist())]
 
 
 def _sample_gaussian(rows: np.ndarray, mean, scale: float, npaths: int,

@@ -26,6 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cavity import CavityParams, detuned_flow, resonant_flow
+from .trajectories import _check_times
 from .numerics import _vertex_offset
 
 __all__ = [
@@ -47,11 +48,9 @@ def error_next_jump(p: CavityParams, t):
     P_B = 1 - W(0, t) that of the resonant branch; the error is
     P_G/(P_G + P_B).  Both survival curves start from vacuum.  At t = 0 the
     ratio is taken at its short-time limit 1/2 (the leading cubic click mass
-    is chi-independent).  Raises ValueError for a negative or NaN t.
+    is chi-independent).  The flows raise ValueError for a t that is not
+    finite and non-negative.
     """
-    t = np.asarray(t, dtype=float)
-    if not np.all(t >= 0):
-        raise ValueError("t must be nonnegative and not NaN")
     traj_g = detuned_flow(p, 0j)
     traj_b = resonant_flow(p)
     pg = 1.0 - traj_g.survival(t)
@@ -88,9 +87,10 @@ def log_decrement_Y(p: CavityParams, tau):
 
     Y = -(1 + (2 chi/kappa)^2) dln W/dtau / nbar, which reduces to
     (1 + (2 chi/kappa)^2)|alpha(tau/kappa)|^2/nbar; it rings while the
-    amplitude spirals into gamma_L and settles at exactly 1.
+    amplitude spirals into gamma_L and settles at exactly 1.  Raises
+    ValueError for a tau that is not finite and non-negative.
     """
-    tau = np.asarray(tau, dtype=float)
+    tau = _check_times("tau", tau)
     traj = detuned_flow(p, 0j)
     al = traj.alpha(tau / p.kappa)
     out = (1.0 + (2.0 * p.chi / p.kappa) ** 2) * np.abs(al) ** 2 / p.nbar

@@ -523,13 +523,11 @@ def sample_gaps(survival, n: int, rng, t_hi: float) -> np.ndarray:
 
 @dataclass(frozen=True)
 class JumpRecord:
-    """Ordered click times with channel labels and the final conditioned
-    state (unnormalized, relative to the last reset)."""
+    """Ordered click times with channel labels, observed on [0, tmax]."""
 
     times: np.ndarray
     channels: np.ndarray          # integer channel index per jump
     labels: tuple                 # channel names, indexed by channels
-    final_state: np.ndarray
     tmax: float
 
     def __post_init__(self):
@@ -615,10 +613,10 @@ def run_trajectory(model: EffectiveModel, tmax: float,
     rng.stream_index of a batch on rng.seed would.  A tmax that is not
     finite and non-negative raises ValueError."""
     tmax = float(_check_times("tmax", tmax))
-    times, channels, final = _unravel(
+    times, channels, _ = _unravel(
         model, tmax, StreamDraws(rng.seed, [rng.stream_index]))
     return JumpRecord(np.array(times[0]), np.array(channels[0], dtype=int),
-                      model.labels, final[:, 0], tmax)
+                      model.labels, tmax)
 
 
 def telegraph_run(model: EffectiveModel, total_time: float,
@@ -655,7 +653,7 @@ def telegraph_run(model: EffectiveModel, total_time: float,
     u = RngStream(rng.seed, rng.stream_index + 1).generator().random(gaps.size)
     channels = model.choose_channels(flow.state(gaps), u)
     return JumpRecord(np.cumsum(gaps), channels, model.labels,
-                      model.reset_state.copy(), float(max(total_time, tot)))
+                      float(max(total_time, tot)))
 
 
 @dataclass(frozen=True)
@@ -664,15 +662,13 @@ class TelegraphStats:
 
     p_dark: float
     p_dark_se: float              # delta-method standard error
-    dark_durations: np.ndarray    # gap lengths above threshold
     branch_fractions: dict        # label -> share of dark periods it ends
-    threshold: float
     total_time: float
     n_dark: int
 
 
 def telegraph_stats(record: JumpRecord, dark_threshold: float) -> TelegraphStats:
-    """Dark fraction, dark-duration sample, and terminating-channel shares.
+    """Dark fraction, dark-period count, and terminating-channel shares.
 
     A dark period is an inter-click gap longer than dark_threshold; p_dark is
     total dark time over total observed time.  The standard error treats each
@@ -681,10 +677,9 @@ def telegraph_stats(record: JumpRecord, dark_threshold: float) -> TelegraphStats
     gaps = record.gaps()
     total = float(gaps.sum())
     if total <= 0.0:
-        return TelegraphStats(0.0, 0.0, np.empty(0), {}, dark_threshold, 0.0, 0)
+        return TelegraphStats(0.0, 0.0, {}, 0.0, 0)
     dark_mask = gaps > dark_threshold
-    dark = gaps[dark_mask]
-    p = float(dark.sum() / total)
+    p = float(gaps[dark_mask].sum() / total)
     resid = np.where(dark_mask, gaps, 0.0) - p * gaps
     se = float(np.sqrt(np.sum(resid ** 2)) / total)
     branch: dict = {}
@@ -693,8 +688,7 @@ def telegraph_stats(record: JumpRecord, dark_threshold: float) -> TelegraphStats
         term = record.channels[dark_mask]
         for k, label in enumerate(record.labels):
             branch[label] = float(np.mean(term == k))
-    return TelegraphStats(p, se, dark, branch, float(dark_threshold),
-                          total, n_dark)
+    return TelegraphStats(p, se, branch, total, n_dark)
 
 
 def _lindblad_evolve(model: EffectiveModel, rho0: np.ndarray,

@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 import importlib
 import inspect
 import pathlib
@@ -250,3 +251,79 @@ def test_parameter_finder_counts_each_route(route, param):
     rest = [src for r, src in SYNTHETIC.items() if r != route]
     sites = _call_sites([ast.parse("\n".join(rest))])
     assert param in _unset(sites, _synthetic_targets())
+
+
+def _reads(trees) -> set:
+    """Names the trees read, as an attribute ``x.name`` or as a string
+    constant (``getattr(x, "name")``); a declaration or a keyword is no
+    read."""
+    found = set()
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                found.add(node.attr)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                found.add(node.value)
+    return found
+
+
+def _unread(trees, fields) -> list:
+    """Labels of the (label, name) fields that the trees never read."""
+    reads = _reads(trees)
+    return sorted(label for label, name in fields if name not in reads)
+
+
+def _library_fields() -> list:
+    """(label, name) per field of each dataclass the library modules
+    export."""
+    fields = []
+    for m in LIBRARY:
+        mod = importlib.import_module(f"nextjump.{m}")
+        for n in mod.__all__:
+            obj = getattr(mod, n)
+            if inspect.isclass(obj) and dataclasses.is_dataclass(obj):
+                fields += [(f"{m}.{n}.{f.name}", f.name)
+                           for f in dataclasses.fields(obj)]
+    return fields
+
+
+#: fields of exported records that nothing in the package, the demos or the
+#: benchmark reads, kept with a reason
+READ_FROM_TESTS_ONLY: dict = {}
+
+
+def test_every_field_has_a_reader_or_a_reason():
+    unread = _unread(_sources(), _library_fields())
+    assert sorted(set(unread) - set(READ_FROM_TESTS_ONLY)) == []
+    # an entry whose field gained a reader, or left the package, goes too
+    assert sorted(set(READ_FROM_TESTS_ONLY) - set(unread)) == []
+    assert all(READ_FROM_TESTS_ONLY.values())
+
+
+FIELD_SYNTHETIC = {
+    "attribute": "total = rec.times.sum()",
+    "getattr": "row = getattr(rec, 'alpha')",
+    "declared": "@dataclass\n"
+                "class Rec:\n"
+                "    times: float\n"
+                "    alpha: float\n"
+                "    tmax: float\n"
+                "    final: float = 0.0",
+    "keyword": "rec = Rec(times=1.0, alpha=0.5, tmax=2.0)",
+}
+
+FIELDS = [(f"m.Rec.{n}", n) for n in ("times", "alpha", "tmax", "final")]
+
+
+def test_field_finder_reports_what_nothing_reads():
+    trees = [ast.parse("\n".join(FIELD_SYNTHETIC.values()))]
+    assert _unread(trees, FIELDS) == ["m.Rec.final", "m.Rec.tmax"]
+
+
+@pytest.mark.parametrize("route, field", [
+    ("attribute", "m.Rec.times"),
+    ("getattr", "m.Rec.alpha"),
+])
+def test_field_finder_counts_each_read(route, field):
+    rest = [src for r, src in FIELD_SYNTHETIC.items() if r != route]
+    assert field in _unread([ast.parse("\n".join(rest))], FIELDS)

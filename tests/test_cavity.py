@@ -158,6 +158,23 @@ def test_short_time_cubic_law():
     assert np.max(rel) < 1e-4
 
 
+@pytest.mark.parametrize("t", [-1.0, math.inf, math.nan])
+@pytest.mark.parametrize("method", ["alpha", "beta", "log_survival",
+                                    "survival", "jump_density"])
+def test_closed_form_refuses_bad_times(method, t):
+    """The closed-form flow refuses what NullFlow refuses: unchecked, the
+    resonant survival at t = -1 read 2.29e5 and the density at NaN read NaN."""
+    p = CavityParams(kappa=1.0, chi=20.0, nbar=100.0)
+    for flow in (resonant_flow(p), detuned_flow(p, 0.5j)):
+        call = getattr(flow, method)
+        with pytest.raises(ValueError, match="finite and non-negative"):
+            call(t)
+        with pytest.raises(ValueError, match="finite and non-negative"):
+            call(np.array([0.0, 1.0, t]))
+    with pytest.raises(ValueError, match="finite and non-negative"):
+        short_time_W(p, t)
+
+
 def test_mean_jump_time_scale():
     p = CavityParams(kappa=1.0, nbar=4.0)
     # gamma_drive = 1, so the scale is 3^(1/3)

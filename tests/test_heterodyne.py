@@ -25,20 +25,22 @@ P100 = HeterodyneParams(kappa=1.0, nbar=100.0)
 # ---------------------------------------------------------------------------
 # Two more samplers of the exact Gaussian law, held here as oracles: the
 # filtered record S and the norm martingale.  They read the package's law
-# (``_sampler_grid``, ``_record_S_step``, ``_sample_gaussian``) and draw from
-# its reserved streams, so their pinned samples are those of the package.
+# (``_sampler_grid``, ``_sample_gaussian``) and draw from its reserved
+# streams, so their pinned samples are those of the package.
 
 def sample_filtered_statistic(params: HeterodyneParams, duration: float, dt: float,
                               npaths: int, seed: int) -> np.ndarray:
-    """Filtered record S(t) for mean-zero noise at the record's end: the
-    kernel's record_S, in which step k enters with weight a_gain ehat_k
-    r^(n-1-k) (``_record_S_step``), the memory kernel e^{-kappa (t-s)/2} at
-    the step midpoint.  <|S|^2> relaxes to 1 - e^{-kappa t} independently of
-    B.  (Re S, Im S) is drawn from its exact Gaussian law, 2 standard normals
-    per path.
+    """Filtered record S(t) for mean-zero noise at the record's end, the
+    recursion S_{k+1} = r S_k + a_gain ehat_k dz_k with decay r = e^{-kappa
+    dt/2} and gain a_gain = (sqrt(kappa)/B) e^{-kappa dt/4}: step k enters
+    with weight a_gain ehat_k r^(n-1-k), the memory kernel e^{-kappa (t-s)/2}
+    at the step midpoint.  <|S|^2> relaxes to 1 - e^{-kappa t} independently
+    of B.  (Re S, Im S) is drawn from its exact Gaussian law, 2 standard
+    normals per path.
     """
     ehat = het._sampler_grid(params, duration, dt)[1]
-    r, a_gain = het._record_S_step(params, dt)
+    r = np.exp(-params.kappa * dt / 2)
+    a_gain = np.sqrt(params.kappa) / params.B * np.exp(-params.kappa * dt / 4)
     w = a_gain * ehat * r ** np.arange(ehat.size - 1, -1, -1)
     x = het._sample_gaussian(np.stack([w.real, w.imag]), [0.0, 0.0],
                              params.B * np.sqrt(dt), npaths,
@@ -171,7 +173,7 @@ def _martingale_z(be, al):
 
 
 def ref_coherent_series(p, path, alpha0=0j, beta0=0j):
-    """(alpha, beta, record_T, record_S) after every step, one step at a time."""
+    """(alpha, beta, record_T) after every step, one step at a time."""
     kappa, B, omega, dt = p.kappa, p.B, p.omega, path.dt
     Gam = p.gamma_drive
     abar = 2 * Gam / kappa
@@ -179,22 +181,16 @@ def ref_coherent_series(p, path, alpha0=0j, beta0=0j):
     I1, I2, I3, I4 = het._step_constants(kappa, omega, dt)
     ehat0 = I1 / dt
     step_decay = math.exp(-kappa * dt / 2)
-    s_boost = math.exp(-kappa * dt / 4)
-    al, be, T, S = complex(alpha0), complex(beta0), 0j, 0j
-    out = [(al, be, T, S)]
+    al, be, T = complex(alpha0), complex(beta0), 0j
+    out = [(al, be, T)]
     for k, dzk in enumerate(path.increments):
         ph = np.exp(-1j * (omega * k * dt))
         c0 = sqk / B * dzk / dt * ph
         be += c0 * (abar * I1 + (al - abar) * I2) - Gam * (abar * I3 + (al - abar) * I4)
         T += dzk * ph * ehat0
-        S = S * step_decay + sqk / B * dzk * ph * ehat0 * s_boost
         al = abar + (al - abar) * step_decay
-        out.append((al, be, T, S))
+        out.append((al, be, T))
     return np.array(out)
-
-
-def _series_array(snaps):
-    return np.array([(s.alpha, s.beta, s.record_T, s.record_S) for s in snaps])
 
 
 # ---------------------------------------------------------------------------
@@ -253,7 +249,6 @@ def test_integrate_sse_silent_path():
     assert abs(st.alpha - 2.0 * (1.0 - math.exp(-1.0))) < 1e-12
     assert abs(st.beta - (-4.0 * math.exp(-1.0))) < 1e-10
     assert st.record_T == 0.0
-    assert st.record_S == 0.0
     assert abs(st.norm_sq() - math.exp(st.log_norm_sq())) < 1e-12
 
 
@@ -263,13 +258,9 @@ def test_integrate_sse_record_accumulators():
     eh = _demod_factors(P4.omega, path.dt, path.nsteps)
     t_direct = np.sum(path.increments * eh)
     assert abs(st.record_T - t_direct) < 1e-12
-    tg = np.arange(path.nsteps) * path.dt
-    ker = np.exp(-P4.kappa * (2.0 - (tg + path.dt / 2)) / 2)
-    s_direct = np.sum(path.increments * eh * ker) * math.sqrt(P4.kappa) / P4.B
-    assert abs(st.record_S - s_direct) < 1e-10
     assert abs(st.current() - st.record_T / 2.0) < 1e-15
     with pytest.raises(ValueError):
-        SSEState(t=0.0, record_T=0j, record_S=0j, alpha=0j, beta=0j).current()
+        SSEState(t=0.0, record_T=0j, alpha=0j, beta=0j).current()
 
 
 def test_integrate_sse_step_guard():
@@ -324,7 +315,6 @@ def test_integrate_sse_series_consistency():
     assert snaps[-1].alpha == final.alpha
     assert snaps[-1].beta == final.beta
     assert snaps[-1].record_T == final.record_T
-    assert snaps[-1].record_S == final.record_S
     with pytest.raises(ValueError):
         integrate_sse_series(P4, path, every=0)
 
@@ -337,7 +327,7 @@ def test_integrate_sse_series_snapshot_grid():
     empty = NoisePath(dt=1e-3, increments=np.zeros(0))
     assert len(integrate_sse_series(P4, empty, every=7)) == 1
     only = het._coherent_kernel(P4, empty, np.array([0]), 0.5, 0.25j)
-    assert only.shape == (4, 1) and only[0, 0] == 0.5 and only[1, 0] == 0.25j
+    assert only.shape == (3, 1) and only[0, 0] == 0.5 and only[1, 0] == 0.25j
 
 
 # ids: the start (None is the vacuum) and whether the record is homodyne
@@ -354,7 +344,7 @@ def test_coherent_kernel_matches_stepwise(p, a0, b0):
         path = NoisePath(dt=0.005, increments=rng.normal(0.0, math.sqrt(0.005), 6000))
     else:
         path = NoisePath.draw(p, 9.0, 1e-3, seed=21)
-    assert path.nsteps > 4096        # the record_S sum spans several blocks
+    assert path.nsteps > 4096        # the beta and record_T sums carry over blocks
     ref = ref_coherent_series(p, path, a0, b0)
     got = het._coherent_kernel(p, path, np.arange(path.nsteps + 1), a0, b0).T
     # cumulative sums round differently from the step loop: well inside 1e-12
@@ -362,18 +352,7 @@ def test_coherent_kernel_matches_stepwise(p, a0, b0):
     assert np.all(np.abs(got - ref) <= tol)
     if a0 == 0 and b0 == 0:
         fin = integrate_sse(p, path)
-        assert (fin.alpha, fin.beta, fin.record_T, fin.record_S) == tuple(got[-1])
-
-
-def test_record_S_at_the_step_guard_stays_finite():
-    # kappa*dt = 0.01 over kappa*t = 500: the unblocked rescaling e^{kappa t/2}
-    # would reach e^250; blocks keep it below e^20.5
-    rng = RngStream(4, 9).generator()
-    path = NoisePath(dt=0.01, increments=rng.normal(0.0, 0.1, 50_000))
-    ref = ref_coherent_series(PH, path)[:, 3]
-    got = _series_array(integrate_sse_series(PH, path, every=1))[:, 3]
-    assert np.all(np.isfinite(got))
-    assert np.max(np.abs(got - ref)) < 1e-12
+        assert (fin.alpha, fin.beta, fin.record_T) == tuple(got[-1])
 
 
 # explicit Euler is first order, its error (u alpha h)^2/2 per substep: the

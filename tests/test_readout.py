@@ -92,12 +92,18 @@ def test_error_dispersive_matches_mpmath():
     lambda: error_next_jump(P, -1.0),
     lambda: error_next_jump(P, math.nan),
     lambda: error_next_jump(CavityParams(1.0, chi=math.nan, nbar=4.0), 1.0),
+    lambda: error_next_jump(P, math.inf),
+    lambda: log_decrement_Y(P, -1.0),
+    lambda: log_decrement_Y(P, math.inf),
+    lambda: log_decrement_Y(P, math.nan),
 ], ids=["nan-snr", "nan-in-snr-array", "negative-t", "nan-t",
         "negative-tau", "next-jump-negative-t", "next-jump-nan-t",
-        "next-jump-nan-chi"])
+        "next-jump-nan-chi", "next-jump-inf-t", "log-decrement-negative-tau",
+        "log-decrement-inf-tau", "log-decrement-nan-tau"])
 def test_readout_refuses_bad_input(call):
-    """A negative or NaN time, SNR or shift raises, where the dispersive
-    error would be NaN and the next-jump error would read 1/2."""
+    """A negative, infinite or NaN time, SNR or shift raises, where the
+    dispersive error would be NaN, the next-jump error would read 1/2 and
+    Y at tau = -1 would read 2.37."""
     with pytest.raises(ValueError):
         call()
 
