@@ -27,7 +27,7 @@ import numpy as np
 
 from .cavity import CavityParams, detuned_flow, resonant_flow
 from .trajectories import _check_times
-from .numerics import _vertex_offset
+from .numerics import ParameterError, _vertex_offset
 
 __all__ = [
     "ReadoutCurves",
@@ -88,9 +88,12 @@ def log_decrement_Y(p: CavityParams, tau):
     Y = -(1 + (2 chi/kappa)^2) dln W/dtau / nbar, which reduces to
     (1 + (2 chi/kappa)^2)|alpha(tau/kappa)|^2/nbar; it rings while the
     amplitude spirals into gamma_L and settles at exactly 1.  Raises
-    ValueError for a tau that is not finite and non-negative.
+    ValueError for a tau that is not finite and non-negative, and
+    ParameterError for nbar = 0, where Y is 0/0.
     """
     tau = _check_times("tau", tau)
+    if not p.nbar > 0.0:
+        raise ParameterError(f"log_decrement_Y needs nbar > 0, got {p.nbar}")
     traj = detuned_flow(p, 0j)
     al = traj.alpha(tau / p.kappa)
     out = (1.0 + (2.0 * p.chi / p.kappa) ** 2) * np.abs(al) ** 2 / p.nbar
@@ -167,10 +170,16 @@ def min_error_next_jump(p: CavityParams, tau_max: float = 6.0) -> dict:
 
     Scans eps(tau) on a uniform grid of 60001 points from just above tau = 0
     to tau_max and reports the minimum, its location, and the constant
-    implied by the scaling eps_min ~ (kappa nbar^{1/3}/|chi|)^2.
+    implied by the scaling eps_min ~ (kappa nbar^{1/3}/|chi|)^2.  Raises
+    ParameterError for chi = 0 or nbar = 0, where that scale is 1/0 or 0.
     """
+    if p.chi == 0.0:
+        raise ParameterError("min_error_next_jump needs chi != 0")
+    if not p.nbar > 0.0:
+        raise ParameterError(f"min_error_next_jump needs nbar > 0, "
+                             f"got {p.nbar}")
     tau = np.linspace(1e-4, tau_max, 60001)
-    eps= error_next_jump(p, tau / p.kappa)
+    eps = error_next_jump(p, tau / p.kappa)
     i = int(np.argmin(eps))
     scale = (p.kappa * p.nbar ** (1.0 / 3.0) / abs(p.chi)) ** 2
     return {

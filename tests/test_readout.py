@@ -6,6 +6,7 @@ import pytest
 from scipy.integrate import cumulative_simpson
 
 from nextjump.cavity import CavityParams, detuned_flow
+from nextjump.numerics import ParameterError
 from nextjump.readout import (ReadoutCurves, error_dispersive,
                               error_next_jump, figure1_dataset,
                               log_decrement_Y, min_error_next_jump,
@@ -105,6 +106,23 @@ def test_readout_refuses_bad_input(call):
     dispersive error would be NaN, the next-jump error would read 1/2 and
     Y at tau = -1 would read 2.37."""
     with pytest.raises(ValueError):
+        call()
+
+
+@pytest.mark.parametrize("call, name", [
+    (lambda: log_decrement_Y(CavityParams(1.0, chi=1.0, nbar=0.0), 1.0),
+     "nbar"),
+    (lambda: min_error_next_jump(CavityParams(1.0, chi=0.0, nbar=100.0)),
+     "chi"),
+    (lambda: min_error_next_jump(CavityParams(1.0, chi=1.0, nbar=0.0)),
+     "nbar"),
+], ids=["log-decrement-zero-nbar", "min-error-zero-chi",
+        "min-error-zero-nbar"])
+def test_readout_refuses_degenerate_params(call, name):
+    """A parameter that puts a zero in a denominator raises ParameterError
+    naming it, where Y read NaN with a RuntimeWarning and the minimum
+    search raised a bare ZeroDivisionError."""
+    with pytest.raises(ParameterError, match=name):
         call()
 
 
