@@ -66,6 +66,9 @@ _ROOT_RTOL = 1e-13
 #: (1.6e-8 at 2,048 cells), and 97.6% of the Newton points by less than
 #: 4.5e-14 (40% at 2,048 cells)
 _GAP_GRID_CELLS = 16384
+#: bins of u in [0, 1) that index the cells of that table
+#: (``_cell_index``); a power of two, so a sample's bin floor(u K) is exact
+_LOOKUP_BINS = 1 << 16
 #: grading of that table: its cells grow geometrically from t_hi / ratio
 #: (below it they are even) up to t_hi, each about ln(ratio) / cells =
 #: 0.056% wider than the last
@@ -414,6 +417,42 @@ def _inverse_cells(grid: np.ndarray, table: np.ndarray) -> np.ndarray:
     return cells
 
 
+def _cell_index(table: np.ndarray) -> np.ndarray:
+    """First table node of each u-bin, for ``_find_cells``.
+
+    Entry m counts the nodes of the non-increasing table whose W = e^table
+    lies in a bin above m, i.e. at or above (m + 1) / _LOOKUP_BINS: for a
+    level u in bin m, every one of them is at or above u, and the nodes
+    below them in the bin m itself are the only ones to compare with u.
+    """
+    bins = np.minimum(np.exp(table) * _LOOKUP_BINS, _LOOKUP_BINS)
+    counts = np.bincount(bins.astype(np.intp), minlength=_LOOKUP_BINS + 1)
+    return table.size - np.cumsum(counts)
+
+
+def _find_cells(table: np.ndarray, index: np.ndarray, u: np.ndarray,
+                lu: np.ndarray) -> np.ndarray:
+    """np.searchsorted(-table, -lu, side="right") for lu = ln u, u in
+    [0, 1): the number of nodes of the non-increasing table at or above
+    each level.
+
+    Indexed search (Chen & Asau, Computing 13, 1974): u's bin gives its
+    first candidate from ``_cell_index``, and one compare steps past the
+    bin's node if it holds one.  A count is kept only where the node
+    before it is at or above lu and the node at it is not (or it is past
+    the end), which holds for exactly one count whatever rounding put a
+    node in the wrong bin; the few samples whose bin holds more nodes, or
+    whose candidate fails that test, fall back to ``np.searchsorted``.
+    """
+    above = np.append(table, np.nan)          # NaN >= lu is False
+    k = index.take((u * _LOOKUP_BINS).astype(np.intp))
+    k += above.take(k) >= lu
+    miss = np.flatnonzero((above.take(k) >= lu) | ~(above.take(k - 1) >= lu))
+    if miss.size:
+        k[miss] = np.searchsorted(-table, -lu[miss], side="right")
+    return k
+
+
 def _log_survival(survival, t: np.ndarray) -> np.ndarray:
     """ln W(t) as ``sample_gaps`` reads it, with ln 0 = -inf.  A W that is
     NaN, negative or +inf raises FloatingPointError naming its time, so a
@@ -467,20 +506,22 @@ def sample_gaps(survival, n: int, rng, t_hi: float) -> np.ndarray:
     t_hi = float(_check_times("t_hi", t_hi, positive=True))
     if isinstance(rng, RngStream):
         rng = rng.generator()
-    log_u = _log(rng.random(n))
+    u = rng.random(n)
     grid = np.expm1(np.log1p(_GAP_GRID_RATIO)
                     * np.linspace(0.0, 1.0, _GAP_GRID_CELLS + 1))
     grid *= t_hi / _GAP_GRID_RATIO
     grid[-1] = t_hi
     table = np.minimum.accumulate(_log_survival(survival, grid))
     cells = _inverse_cells(grid, table)
+    index = _cell_index(table)
     log_w = lambda t, idx: _log_survival(survival, t)
     gaps = np.empty(n)
     for s in range(0, n, _BLOCK):
-        lu = log_u[s:s + _BLOCK]
+        us = u[s:s + _BLOCK]
+        lu = _log(us)
         # first grid point below each level; past the end (u <= W(t_hi))
         # means censored
-        k = np.searchsorted(-table, -lu, side="right")
+        k = _find_cells(table, index, us, lu)
         gaps[s:s + _BLOCK] = t_hi
         live = np.flatnonzero(k <= _GAP_GRID_CELLS)
         if not live.size:

@@ -18,8 +18,9 @@ from nextjump.atom3 import Atom3Params, effective_model
 from nextjump.numerics import DRAW_BUFFER, RngStream, StreamDraws
 from nextjump.trajectories import (BISECT_ITERS, EIG_COND_LIMIT,
                                    EffectiveModel, JumpRecord, NullFlow,
-                                   _BLOCK, _GAP_GRID_CELLS, _TELEGRAPH_BATCH,
-                                   _find_level,
+                                   _BLOCK, _GAP_GRID_CELLS, _LOOKUP_BINS,
+                                   _TELEGRAPH_BATCH, _cell_index,
+                                   _find_cells, _find_level,
                                    _unravel, lindblad_consistency,
                                    run_trajectory, sample_gaps, telegraph_run,
                                    telegraph_stats)
@@ -399,6 +400,70 @@ def test_sample_gaps_points_per_sample(case):
     sample_gaps(counted, n, RngStream(1, 1), t_hi)
     assert calls[0] == _GAP_GRID_CELLS + 1
     assert sum(calls[1:]) <= cap * n
+
+
+def _adversarial_tables():
+    """Non-increasing ln W tables of _GAP_GRID_CELLS + 1 nodes that are
+    hard on the cell lookup, each with the levels u to look up in it."""
+    rng = np.random.default_rng(30)
+    nodes = _GAP_GRID_CELLS + 1
+    k = _LOOKUP_BINS
+    # bin edges m / k and 1 .. 4 ulp below them, where e^ln w may round
+    # into the bin above w's own
+    edges = [rng.integers(1, k, 1500) / k]
+    for _ in range(4):
+        edges.append(np.nextafter(edges[-1], 0.0))
+    edges = np.concatenate(edges)
+    w = np.sort(np.concatenate((
+        rng.random(nodes - edges.size - 2000), edges,
+        1.0 - 1e-9 * np.arange(2000),              # 2,000 in the top bin
+    )))[::-1]
+    w[0] = 1.0
+    # flat runs as the running minimum leaves them, where W rose
+    bumpy = np.log(w)
+    bumpy[5000:5400] += 1e-3
+    bumpy[9000:9007] += 1e-12
+    flat = np.minimum.accumulate(bumpy)
+    # W reaches 0: a -inf tail
+    dead = np.log(w)
+    dead[-3000:] = -np.inf
+    # W(0) < 1: levels above the first node take cell 0
+    low = np.log(0.5 * w)
+    levels = np.concatenate((
+        np.exp(flat[::7]), w[::5],                # levels equal to nodes
+        edges,
+        [0.0, 1e-300, 5e-324, 1.0 / k, np.nextafter(1.0, 0.0)],
+        rng.random(20000),
+    ))
+    return {"flat-runs": (flat, levels), "inf-tail": (dead, levels),
+            "below-one": (low, levels)}
+
+
+@pytest.mark.parametrize("name", ["flat-runs", "inf-tail", "below-one"])
+def test_find_cells_matches_searchsorted(name):
+    """The indexed lookup returns exactly np.searchsorted's count, in one
+    call and one level at a time: levels on nodes, on bin edges and 1 to 4
+    ulp below, u = 0 and levels below the last node (censored), bins that
+    hold 2,000 nodes, flat runs and a -inf tail; and so it stays with an
+    index that misplaces nodes, as rounding of e^ln W could."""
+    table, u = _adversarial_tables()[name]
+    with np.errstate(divide="ignore"):
+        lu = np.log(u)
+    assert np.all(table[1:] <= table[:-1])
+    want = np.searchsorted(-table, -lu, side="right")
+    index = _cell_index(table)
+    assert np.array_equal(_find_cells(table, index, u, lu), want)
+    for i in range(0, u.size, 97):
+        one = _find_cells(table, index, u[i:i + 1], lu[i:i + 1])
+        assert one.shape == (1,) and one[0] == want[i]
+    # the count stays exact if rounding misplaced nodes in their bins: an
+    # index one too high, one too low, or none of the right ones at all
+    wrong = np.random.default_rng(31).integers(0, table.size + 1, index.size)
+    for bad in (np.minimum(index + 1, table.size), np.maximum(index - 1, 0),
+                wrong):
+        assert np.array_equal(_find_cells(table, bad, u, lu), want)
+    # every kind of cell was met: the first, the censored and the rest
+    assert want.min() <= 1 and want.max() == table.size
 
 
 def _nan_after_the_table():
