@@ -10,13 +10,16 @@ bisection-safeguarded).  With that sampling the trajectory ensemble carries
 the physical measure, so averages of normalized projectors reproduce the
 Lindblad density matrix.  Independent gaps (``sample_gaps``) share one
 survival curve, so each root starts next to its answer: ln W is tabulated
-once on a grid graded toward t = 0 and a monotone cubic interpolant of the
-inverse t(ln W) seeds the root (after Olver & Townsend, "Fast inverse
-transform sampling in one and two dimensions", arXiv:1307.1223).  Where
-the seed's error estimate exceeds twice the closing pair's width, one
-point at the seed and a Newton step along the cubic's slope sharpen it;
-then a pair of points 0.9 _ROOT_RTOL apart around it closes most
-brackets, and the regula falsi finishes the few it misses.
+once on a grid graded toward t = 0, each level finds its table cell by an
+indexed search over equal bins of u (Chen & Asau, Computing 13, 1974),
+and an 8-node interpolant of the inverse t(ln W) around that cell seeds
+the root (after Olver & Townsend, "Fast inverse transform sampling in one
+and two dimensions", arXiv:1307.1223, and Derflinger, Hoermann & Leydold,
+ACM TOMACS 20(4), 2010).  Where the seed's error estimate exceeds twice
+the closing pair's width, one point at the seed and a Newton step along
+the interpolant's slope sharpen it; then a pair of points 0.9 _ROOT_RTOL
+apart around it closes most brackets, and the regula falsi finishes the
+few it misses.
 
 Ensembles run in lockstep: one propagator per model, the eigenmode
 coefficients of every live trajectory held as one (d, n) array, and all
@@ -58,13 +61,19 @@ EIG_COND_LIMIT = 1e8
 BISECT_ITERS = 64
 #: relative bracket width at which a jump time counts as located
 _ROOT_RTOL = 1e-13
+#: nodes of the interpolant of the inverse t(ln W) that seeds each sample
+#: of ``sample_gaps`` (``_inverse_cells``): at 4, 6, 8 and 10, criterion
+#: 4's atom (150,000 draws) asked for 3.06, 2.59, 2.15 and 2.05 survival
+#: points a sample beyond the table, and the work per sample and per table
+#: grows with it
+_SEED_NODES = 8
 #: cells of the ln W table that seeds ``sample_gaps``, one _BLOCK of
 #: survival times (the 16,385 nodes take one survival call).  That many
-#: put the cubic seed, after its Newton step where it takes one, within
-#: the closing pair's 0.45 _ROOT_RTOL of the root for most samples: on
-#: criterion 4's atom the seed errs by 3.6e-12 relative in the median
-#: (1.6e-8 at 2,048 cells), and 97.6% of the Newton points by less than
-#: 4.5e-14 (40% at 2,048 cells)
+#: put the 8-node seed within the closing pair's 0.45 _ROOT_RTOL of the
+#: root for most samples without a seed point: on criterion 4's atom it
+#: errs by 6e-16 relative in the median, 86% of the samples skip the
+#: seed pass, and they take 2.15 points a sample (2.42 at 8,192 cells,
+#: 2.84 at 4,096)
 _GAP_GRID_CELLS = 16384
 #: bins of u in [0, 1) that index the cells of that table
 #: (``_cell_index``); a power of two, so a sample's bin floor(u K) is exact
@@ -371,49 +380,64 @@ def _log(w):
 
 
 def _inverse_cells(grid: np.ndarray, table: np.ndarray) -> np.ndarray:
-    """Per-cell seeds for the inverse of a tabulated ln W, rows (4, cells).
+    """Per-cell seeds for the inverse of a tabulated ln W, rows
+    (_SEED_NODES, cells).
 
-    Column i holds (c3, c2, c1, half) for the cell [grid[i], grid[i+1]]:
-    the guess for a level y in it is t = grid[i] + ((c3 r + c2) r + c1) r
-    with r = y - table[i], and half is the straddle half-width.  The cubic
-    is the Hermite interpolant of t(y) with node slopes taken from the
-    cubic through the four nodes around each cell, limited as Hyman does
-    ("Accurate monotonicity preserving cubic interpolation", SIAM J. Sci.
-    Stat. Comput. 4, 645 (1983)) so it stays monotone; half is how far it
-    lies from that four-node cubic at the middle of the cell, an estimate
-    of its error.  A cell whose five nodes i-1 .. i+3 are not strictly
-    decreasing and finite, and the first cell and the last two, keep the
-    straight line through their ends with a quarter of their width as
-    half.
+    Column i holds (c_7, ..., c_2, c_1, half) for the cell
+    [grid[i], grid[i+1]]: the guess for a level y in it is
+    t = grid[i] + ((c_7 r + c_6) r + ... + c_1) r with r = y - table[i],
+    and half is the straddle half-width.  The polynomial interpolates t(y)
+    on the 8 nodes i-3 .. i+4 around the cell (after Derflinger, Hoermann
+    & Leydold, "Random variate generation by numerical inversion when only
+    the density is known", ACM TOMACS 20(4), 2010): its Newton form takes
+    the nodes from the cell outward, i, i+1, i-1, .. i-3, i+4, and is
+    expanded in powers of r.  half is the last Newton term at the middle
+    of the cell, which is how far the interpolant on the first 7 of those
+    nodes lies from it there, an estimate of the error that overstates
+    the 8-node one.  A cell whose nodes i-3 .. i+4 are not strictly
+    decreasing and finite, and the first three cells and the last three,
+    keep the straight line through their ends with a quarter of their
+    width as half.
     """
+    deg = _SEED_NODES - 1
+    left = deg // 2                          # nodes left of the cell's own
+    n = grid.size - deg                      # cells with all their nodes
+    inner = slice(left, left + n)
     dt = np.diff(grid)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    cells = np.zeros((_SEED_NODES, dt.size))
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         dy = np.diff(table)
-        s = dt / dy                                # secant dt/dy, negative
-        cells = np.vstack((np.zeros_like(dt), np.zeros_like(dt), s,
-                           0.25 * dt))
-        h0, h1, h2 = dy[:-2], dy[1:-1], dy[2:]
-        # four-node cubic of the cells 1 .. n-2 in r: its derivative at
-        # the left node is a slope accurate to third order
-        d0 = (s[1:-1] - s[:-2]) / (h0 + h1)
-        d1 = (s[2:] - s[1:-1]) / (h1 + h2)
-        l3 = (d1 - d0) / (h0 + h1 + h2)
-        l2 = d0 + l3 * (h0 - h1)
-        l1 = s[1:-1] - d0 * h1 - l3 * h1 * h0
-        slope = np.minimum(np.maximum(l1, 3.0 * np.maximum(s[:-2], s[1:-1])),
-                           0.0)
-        # Hermite cubic of the cells 1 .. n-3 between those node slopes
-        m0, m1, sc, hc = slope[:-1], slope[1:], s[1:-2], h1[:-1]
-        c2 = (3.0 * sc - 2.0 * m0 - m1) / hc
-        c3 = (m0 + m1 - 2.0 * sc) / hc ** 2
-        r = 0.5 * hc
-        lag = ((l3[:-1] * r + l2[:-1]) * r + l1[:-1]) * r
-        half = np.abs(((c3 * r + c2) * r + m0) * r - lag)
-    # the cubic of cell i reads the table steps i-1 .. i+2
-    dec = np.isfinite(dy) & (dy < 0.0)
-    ok = dec[:-3] & dec[1:-2] & dec[2:-1] & dec[3:]
-    ok &= np.isfinite(c2) & np.isfinite(c3) & np.isfinite(half)
-    cells[:, 1:-2][:, ok] = np.vstack((c3, c2, m0, half))[:, ok]
+        cells[-2] = dt / dy
+        cells[-1] = 0.25 * dt
+        # Newton coefficients: divided differences of t(y) on the node
+        # runs i, i..i+1, i-1..i+1, i-1..i+2, .. i-3..i+4
+        newton = [grid[inner]]
+        dd = grid
+        for k in range(1, _SEED_NODES):
+            dd = (dd[1:] - dd[:-1]) / (table[k:] - table[:-k])
+            newton.append(dd[left - k // 2:left - k // 2 + n])
+        # offsets in r of the Newton nodes after the first, i+1, i-1, ..
+        y0 = table[inner]
+        nodes = [table[left + o:left + o + n] - y0
+                 for o in ((j + 1) // 2 if j % 2 else -(j // 2)
+                           for j in range(1, deg))]
+        mid = 0.5 * dy[inner]
+        half = newton[-1] * mid
+        for d in nodes:
+            half *= mid - d
+        half = np.abs(half)
+        # powers of r, folding the Newton form from its top coefficient;
+        # the first node, r = 0, only shifts the powers
+        power = [newton[-1]]
+        for c, d in zip(newton[-2:0:-1], nodes[::-1]):
+            power = ([c - d * power[0]]
+                     + [p - d * q for p, q in zip(power[:-1], power[1:])]
+                     + power[-1:])
+        finite = np.isfinite(sum(power, half))
+    bad = np.concatenate(([0], np.cumsum(~(np.isfinite(dy) & (dy < 0.0)))))
+    ok = finite & (bad[deg:] == bad[:-deg])
+    for row, val in zip(cells, power[::-1] + [half]):
+        np.copyto(row[inner], val, where=ok)
     return cells
 
 
@@ -484,17 +508,21 @@ def sample_gaps(survival, n: int, rng, t_hi: float) -> np.ndarray:
     ln W is tabulated once on a grid graded toward t = 0 (even cells below
     t_hi / _GAP_GRID_RATIO, geometric ones above it, ending exactly at 0
     and t_hi), as its running minimum so the table stays monotone under
-    rounding.  Then, in blocks of _BLOCK samples, each level's table cell
-    gives a bracket and a seed x from a monotone cubic interpolant of the
-    inverse t(ln W) (``_inverse_cells``), with half its error estimate.
-    Seed pass: a sample whose half is above 4 h, for the closing
-    half-width h = 0.45 _ROOT_RTOL x, evaluates ln W at x, tightens its
-    bracket there and moves x by one Newton step along the cubic's own
-    slope dt/dy.  Closing pair: every sample evaluates ln W at x - h and
-    then at x + h (x first kept h inside its bracket); when the root lies
-    between the two points its bracket is now 2 h < _ROOT_RTOL * b wide.  A sample whose bracket is that narrow, or
-    whose point hit the level exactly, is done; the regula falsi of
-    ``_find_level`` finishes the few left on their tightened brackets.
+    rounding; the table also gives the index of u-bins (``_cell_index``)
+    and every cell's seed coefficients (``_inverse_cells``).  Then, in
+    blocks of _BLOCK samples, each level's table cell, found by
+    ``_find_cells`` exactly as np.searchsorted would find it, gives a
+    bracket and a seed x from the 8-node interpolant of the inverse
+    t(ln W), with half its error estimate.  Seed pass: a sample whose half
+    is above 4 h, for the closing half-width h = 0.45 _ROOT_RTOL x,
+    evaluates ln W at x, tightens its bracket there and moves x by one
+    Newton step along the interpolant's own slope dt/dy.  Closing pair:
+    every sample evaluates ln W at x - h and then at x + h (x first kept h
+    inside its bracket); when the root lies between the two points its
+    bracket is now 2 h < _ROOT_RTOL * b wide.  A sample whose bracket is
+    that narrow, or whose point hit the level exactly, is done; the regula
+    falsi of ``_find_level`` finishes the few left on their tightened
+    brackets.
     Each uncensored gap is thus the middle of a sign-changing bracket at
     most _ROOT_RTOL * b wide, or an exact root.  A sample with
     u <= W(t_hi) is censored and comes back as exactly t_hi, so
@@ -528,25 +556,33 @@ def sample_gaps(survival, n: int, rng, t_hi: float) -> np.ndarray:
             continue
         lu = lu[live]
         k = np.maximum(k[live], 1)
-        c3, c2, c1, half = cells.take(k - 1, axis=1)
+        *coef, half = cells.take(k - 1, axis=1)      # c_7 .. c_1, half
         a, b = grid.take(k - 1), grid.take(k)
         fa, fb = table.take(k - 1) - lu, table.take(k) - lu
         r = -fa
-        x = a + ((c3 * r + c2) * r + c1) * r
+        x = coef[0]
+        for c in coef[1:]:
+            x = x * r + c
+        x = a + x * r
         # seed pass, x kept in [a, b] so W is asked for no time outside
-        # [0, t_hi].  half overstates the seed's error (|x - root| < 0.6
-        # half in 99% of the draws on criterion 4's atom and criterion 3's
-        # cavity), so only a half above 4 h pays for a point: above 1 h
-        # the cavity took 2.91 points a sample, above 4 h 2.04.  Arrays of
-        # one length per block, not subsets of the seeded samples, left
-        # the gap-sample process's peak RSS about 2 MB lower
+        # [0, t_hi].  half overstates the seed's error (on criterion 4's
+        # atom, |x - root| < 0.55 half in 99% of the draws whose half is
+        # above 20 h), so only a half above 4 h pays for a point: the
+        # atom took 2.17 points a sample above 2.2 h and 2.15 above 4 h,
+        # and a higher bar saves a few hundredths more and leaves more
+        # samples to the regula falsi.  Arrays of one length per block,
+        # not subsets of the seeded samples, left the gap-sample
+        # process's peak RSS about 2 MB lower
         x = np.minimum(np.maximum(x, a), b)
         seed = half > 1.8 * _ROOT_RTOL * x
         if seed.any():
             f = np.full(x.size, np.nan)
             f[seed] = log_w(x[seed], None) - lu[seed]
             a, b, fa, fb = _tighten(x, f, a, b, fa, fb)
-            x = np.where(seed, x - f * ((3.0 * c3 * r + 2.0 * c2) * r + c1), x)
+            slope = 0.0                             # dt/dy at r
+            for power, c in zip(range(_SEED_NODES - 1, 0, -1), coef):
+                slope = slope * r + power * c
+            x = np.where(seed, x - f * slope, x)
         # closing pair, x - h tightening the bracket before x + h
         x = np.minimum(np.maximum(x, a), b)
         h = 0.45 * _ROOT_RTOL * x

@@ -19,8 +19,9 @@ from nextjump.numerics import DRAW_BUFFER, RngStream, StreamDraws
 from nextjump.trajectories import (BISECT_ITERS, EIG_COND_LIMIT,
                                    EffectiveModel, JumpRecord, NullFlow,
                                    _BLOCK, _GAP_GRID_CELLS, _LOOKUP_BINS,
-                                   _TELEGRAPH_BATCH, _cell_index,
-                                   _find_cells, _find_level,
+                                   _SEED_NODES, _TELEGRAPH_BATCH,
+                                   _cell_index, _find_cells, _find_level,
+                                   _inverse_cells,
                                    _unravel, lindblad_consistency,
                                    run_trajectory, sample_gaps, telegraph_run,
                                    telegraph_stats)
@@ -374,10 +375,10 @@ def test_sample_gaps_matches_scalar_bisection(case):
     u = RngStream(21, 0).generator().random(n)
     want = np.array([_bisect_reference(survival, v, t_hi) for v in u])
     assert np.max(np.abs(got - want)) < 1e-9
-    # after the one table of ln W, a seed point for most atom samples and
-    # few cavity ones, the closing pair and a few regula falsi passes: 3.0
-    # (atom) and 2.0 (cavity) points a sample at this seed, where
-    # bisection takes 64
+    # after the one table of ln W, a seed point for a seventh of the atom
+    # samples and no cavity one, the closing pair and a few regula falsi
+    # passes: 2.15 (atom) and 2.0 (cavity) points a sample at this seed,
+    # where bisection takes 64
     assert sum(calls[1:]) < 5 * n
 
 
@@ -385,21 +386,66 @@ def test_sample_gaps_matches_scalar_bisection(case):
 def test_sample_gaps_points_per_sample(case):
     """Beyond the table of ln W, the seed pass, the closing pair and the
     few regula falsi passes left cost criterion 4's atom (150,000 draws,
-    t_hi 900) about 2.96 survival points a sample and the resonant cavity
-    at nbar 4 (100,000 draws, t_hi 40) about 2.04; the straddle pass and
-    the regula falsi before them took 4.43 and 3.79."""
+    t_hi 900) about 2.15 survival points a sample and the resonant cavity
+    at nbar 4 (100,000 draws, t_hi 40) about 2.0001, where the closing
+    pair alone takes 2."""
     if case == "atom":
         model = _pilot_model()
         survival = NullFlow(model.generator, model.initial_state).survival
-        n, t_hi, cap = 150_000, 900.0, 3.3
+        n, t_hi, cap = 150_000, 900.0, 2.25
     else:
         survival = cavity.resonant_flow(
             cavity.CavityParams(kappa=1.0, nbar=4.0)).survival
-        n, t_hi, cap = 100_000, 40.0, 2.5
+        n, t_hi, cap = 100_000, 40.0, 2.1
     counted, calls = _counting(survival)
     sample_gaps(counted, n, RngStream(1, 1), t_hi)
     assert calls[0] == _GAP_GRID_CELLS + 1
     assert sum(calls[1:]) <= cap * n
+
+
+def _seed_at(cells, grid, table, i, y):
+    """The seed of cell i of ``_inverse_cells`` at the levels y."""
+    *coef, half = cells[:, i]
+    r = np.asarray(y) - table[i]
+    x = 0.0
+    for c in coef:
+        x = x * r + c
+    return grid[i] + x * r
+
+
+def test_inverse_cells_interpolate_their_nodes():
+    """Each inner cell's seed passes through its 8 nodes i-3 .. i+4 and
+    misses the exact inverse at mid-cell by less than its half; the end
+    cells and the cells that reach a flat step of the table keep the
+    straight line through their ends, with a quarter of the width as
+    half."""
+    # W = exp(-(t + t^2 / 2)), so t(y) = sqrt(1 - 2 y) - 1
+    grid = np.expm1(np.linspace(0.0, np.log1p(50.0), 401))
+    table = -(grid + 0.5 * grid ** 2)
+    cells = _inverse_cells(grid, table)
+    assert cells.shape == (_SEED_NODES, 400) and _SEED_NODES == 8
+    inner = range(3, 397)
+    for i in inner:
+        y = table[i - 3:i + 5]
+        assert np.allclose(_seed_at(cells, grid, table, i, y),
+                           grid[i - 3:i + 5], rtol=0.0,
+                           atol=1e-12 * grid[i + 4])
+        mid = 0.5 * (table[i] + table[i + 1])
+        err = abs(_seed_at(cells, grid, table, i, mid)
+                  - (np.sqrt(1.0 - 2.0 * mid) - 1.0))
+        assert err <= max(cells[-1, i], 1e-15 * grid[i + 1])
+        assert cells[-1, i] < 1e-10 * grid[i + 1]
+    line = np.vstack((np.zeros((_SEED_NODES - 2, 400)),
+                      np.diff(grid) / np.diff(table), 0.25 * np.diff(grid)))
+    ends = [0, 1, 2, 397, 398, 399]
+    assert np.array_equal(cells[:, ends], line[:, ends])
+    # a flat step between nodes 200 and 201 reaches the cells 197 .. 203
+    table[201] = table[200]
+    flat = _inverse_cells(grid, table)
+    near = list(range(197, 204))
+    assert np.array_equal(flat[:-2, near], np.zeros((_SEED_NODES - 2, 7)))
+    assert np.array_equal(flat[-1, near], 0.25 * np.diff(grid)[near])
+    assert np.array_equal(flat[:, [196, 205]], cells[:, [196, 205]])
 
 
 def _adversarial_tables():
