@@ -24,7 +24,7 @@ def main(seed: int = 2):
     p = Atom3Params(omega1=5.0, omega2=0.05, delta2=5.0, beta1=1.0, beta2=0.0)
     # every click resets the emitter to the ground state
     rec = telegraph_run(effective_model(p), 6000.0, RngStream(seed, 0))
-    gaps = rec.gaps()
+    gaps = rec.gaps
     n = rec.njumps
     stats = telegraph_stats(rec, dark_threshold=10.0)
     pd_pred, _ = dark_fraction(p)

@@ -54,7 +54,7 @@ from .heterodyne import (HeterodyneParams, NoisePath, current_statistics,
 from .numerics import (IntegrationError, ParameterError, RngStream,
                        TruncationError, decay_rate)
 from .readout import figure1_dataset, min_error_next_jump, y_oscillation_frequency
-from .trajectories import JumpRecord, NullFlow, sample_gaps, telegraph_stats
+from .trajectories import NullFlow, _telegraph_horizon, telegraph_run, telegraph_stats
 from .transmon import TransmonParams, beta_B
 
 __all__ = ["main"]
@@ -153,26 +153,21 @@ def _run_telegraph(cfg):
     p = Atom3Params(omega1=cfg["omega1"], omega2=omega2, delta2=cfg["delta2"],
                     beta1=cfg["beta1"], beta2=cfg["beta2"])
     model = _atom3.effective_model(p)
-    nf = NullFlow(model.generator, model.initial_state)
-    n = cfg["ntraj"]
-    t_hi = 900.0 / cfg["beta1"]
-    gaps = sample_gaps(nf.survival, n, RngStream(cfg["seed"], 0), t_hi=t_hi)
-    u2 = RngStream(cfg["seed"], 1).generator().random(n)
-    channels = model.choose_channels(nf.state(gaps), u2)
+    rec = telegraph_run(model, math.inf, RngStream(cfg["seed"], 0),
+                        ngaps=cfg["ntraj"])
+    gaps = rec.gaps
     thr = cfg["dark_threshold"]
-    dark = gaps > thr
-    rec = JumpRecord(times=np.cumsum(gaps), channels=channels,
-                     labels=model.labels, tmax=float(np.sum(gaps)))
     st = telegraph_stats(rec, thr)
     summary = {"p_dark": st.p_dark, "p_dark_se": st.p_dark_se,
                "n_dark": st.n_dark, "dark_threshold": thr,
-               "n_censored": int(np.count_nonzero(gaps == t_hi)),
+               "n_censored": int(np.sum(gaps == _telegraph_horizon(model))),
                "p_dark_formula": dark_fraction(p)[0],
                "beta_ell": beta_ell(p)}
     for label, share in st.branch_fractions.items():
         summary[f"dark_ended_by_{label}"] = share
     return (("k", "gap", "channel", "dark"),
-            (range(n), gaps, np.asarray(model.labels)[channels], dark), summary)
+            (range(gaps.size), gaps, np.asarray(model.labels)[rec.channels],
+             gaps > thr), summary)
 
 
 def _run_transmon_dark(cfg):

@@ -245,11 +245,11 @@ class RngStream:
     ``generator()``, a numpy ``Generator``, serves one stream's bulk draws,
     where numpy's C Philox is fastest: ``sample_gaps`` (the gaps),
     ``NoisePath.draw`` (a record's increments), the three heterodyne samplers
-    (one block of normals each), and the channel draws of ``telegraph_run``
-    and the CLI's telegraph, both from the stream after the gaps' one.  ``StreamDraws`` serves the few draws
-    per step of many streams at once, without a ``Generator`` per stream:
-    it is the jump engine's only route, behind ``lindblad_consistency`` and
-    ``run_trajectory``.
+    (one block of normals each), and the channel draws of ``telegraph_run``,
+    from the stream after the gaps' one.  ``StreamDraws`` serves the few
+    draws per step of many streams at once, without a ``Generator`` per
+    stream: it is the jump engine's only route, behind
+    ``lindblad_consistency`` and ``run_trajectory``.
     """
 
     seed: int

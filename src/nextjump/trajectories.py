@@ -112,8 +112,7 @@ class EffectiveModel:
     jump_ops: (d, d) channel operators L_k, one per detector.
     labels: channel names parallel to jump_ops.
     initial_state: normalized state the trajectory starts from.
-    beta_fast: fast decay scale; sets default dark thresholds and the
-        bracket for gap sampling.
+    beta_fast: fast decay scale; sets telegraph_run's censoring horizon.
     reset_state: constant post-jump state when every channel resets to the
         same place (lets long runs reuse one propagator); None applies the
         chosen jump operator and renormalizes.
@@ -600,27 +599,29 @@ def sample_gaps(survival, n: int, rng, t_hi: float) -> np.ndarray:
 
 @dataclass(frozen=True)
 class JumpRecord:
-    """Ordered click times with channel labels, observed on [0, tmax]."""
+    """Inter-click gaps as drawn, the first from t = 0, and each click's
+    channel; ValueError unless the gaps are finite and positive, one each."""
 
-    times: np.ndarray
+    gaps: np.ndarray
     channels: np.ndarray          # integer channel index per jump
     labels: tuple                 # channel names, indexed by channels
-    tmax: float
 
     def __post_init__(self):
-        object.__setattr__(self, "times", np.asarray(self.times, dtype=float))
+        object.__setattr__(self, "gaps",
+                           _check_times("gaps", self.gaps, positive=True))
         object.__setattr__(self, "channels",
                            np.asarray(self.channels, dtype=int))
-        if self.times.size > 1 and np.any(np.diff(self.times) <= 0):
-            raise ValueError("jump times must be strictly increasing")
+        if self.gaps.ndim != 1 or self.channels.shape != self.gaps.shape:
+            raise ValueError("one channel per gap required")
 
     @property
     def njumps(self) -> int:
-        return int(self.times.size)
+        return int(self.gaps.size)
 
-    def gaps(self) -> np.ndarray:
-        """Inter-click intervals, the first measured from t=0."""
-        return np.diff(self.times, prepend=0.0)
+    @property
+    def times(self) -> np.ndarray:
+        """Click times: the gaps summed in order, as the engine sums its clock."""
+        return np.cumsum(self.gaps)
 
 
 def _unravel(model: EffectiveModel, tmax: float, draws: StreamDraws) -> tuple:
@@ -635,8 +636,8 @@ def _unravel(model: EffectiveModel, tmax: float, draws: StreamDraws) -> tuple:
     for together on one propagator by ``_find_level``, each on the bracket
     [0, remaining time] whose end values the retirement test already gave,
     and each pass evaluates only the trajectories still unresolved.
-    Returns (times, channels, final): a list of click times and a list of
-    channel indices per trajectory, and the (d, n) final states,
+    Returns (gaps, channels, final): the inter-click gaps and the channel
+    indices of each trajectory, as lists, and the (d, n) final states,
     unnormalized relative to the last reset.
     """
     n = len(draws)
@@ -646,7 +647,7 @@ def _unravel(model: EffectiveModel, tmax: float, draws: StreamDraws) -> tuple:
     norm0 = np.full(n, flow._norm0)
     final = np.repeat(psi0[:, np.newaxis], n, axis=1)
     t = np.zeros(n)
-    times = [[] for _ in range(n)]
+    gaps = [[] for _ in range(n)]
     channels = [[] for _ in range(n)]
     live = np.flatnonzero(t < tmax)
     while live.size:
@@ -673,14 +674,14 @@ def _unravel(model: EffectiveModel, tmax: float, draws: StreamDraws) -> tuple:
             ks = model.choose_channels(psi_j, draws.next(live))
         post = model.reset(ks, psi_j)
         t[live] += t_rel
-        for j, k in zip(live.tolist(), ks.tolist()):
-            times[j].append(t[j])
+        for j, g, k in zip(live.tolist(), t_rel.tolist(), ks.tolist()):
+            gaps[j].append(g)
             channels[j].append(k)
         final[:, live] = post
         coef[:, live] = flow._coefficients(post)
         norm0[live] = np.sum(np.abs(post) ** 2, axis=0)
         live = live[t[live] < tmax]
-    return times, channels, final
+    return gaps, channels, final
 
 
 def run_trajectory(model: EffectiveModel, tmax: float,
@@ -690,47 +691,50 @@ def run_trajectory(model: EffectiveModel, tmax: float,
     rng.stream_index of a batch on rng.seed would.  A tmax that is not
     finite and non-negative raises ValueError."""
     tmax = float(_check_times("tmax", tmax))
-    times, channels, _ = _unravel(
+    gaps, channels, _ = _unravel(
         model, tmax, StreamDraws(rng.seed, [rng.stream_index]))
-    return JumpRecord(np.array(times[0]), np.array(channels[0], dtype=int),
-                      model.labels, tmax)
+    return JumpRecord(gaps[0], channels[0], model.labels)
 
 
-def telegraph_run(model: EffectiveModel, total_time: float,
-                  rng: RngStream) -> JumpRecord:
-    """Long telegraph record for a constant-reset model.
+def _telegraph_horizon(model: EffectiveModel) -> float:
+    """900 / beta_fast, at which ``telegraph_run`` censors its gaps."""
+    return 900.0 / model.beta_fast
 
-    Gaps are iid, so they are drawn in vectorized batches of
-    _TELEGRAPH_BATCH from one generator of rng, each censored at
-    900/beta_fast, until their sum crosses total_time (the crossing gap is
-    kept).  Channel labels are attributed afterwards, one uniform per gap
-    from the paired stream RngStream(rng.seed, rng.stream_index + 1), which
-    keeps the gap sequence invariant under changes in channel handling.
-    A total_time that is not finite and non-negative raises ValueError.
-    """
+
+def telegraph_run(model: EffectiveModel, total_time: float, rng: RngStream,
+                  *, ngaps: int | None = None) -> JumpRecord:
+    """Long telegraph record for a constant-reset model: iid gaps censored
+    at ``_telegraph_horizon``, up to the one whose running sum reaches
+    total_time or to ngaps of them, whichever comes first.  With ngaps they
+    are one ``sample_gaps`` call on rng, without it batches of
+    _TELEGRAPH_BATCH from one generator of rng.  Channel labels are
+    attributed afterwards, one uniform per gap from the paired stream
+    RngStream(rng.seed, rng.stream_index + 1), which keeps the gap sequence
+    invariant under changes in channel handling.  A total_time that is
+    negative or NaN raises ValueError, and so does an infinite one without
+    ngaps."""
     if model.reset_state is None:
         raise ValueError("telegraph_run needs a constant reset state")
-    total_time = float(_check_times("total_time", total_time))
+    if ngaps is None or total_time != math.inf:
+        total_time = float(_check_times("total_time", total_time))
     gen = rng.generator()
-    t_hi = 900.0 / model.beta_fast
+    t_hi = _telegraph_horizon(model)
     flow = NullFlow(model.generator, model.reset_state)
+    batch = _TELEGRAPH_BATCH if ngaps is None else ngaps
     chunks = []
     tot = 0.0
     while tot < total_time:
-        g = sample_gaps(flow.survival, _TELEGRAPH_BATCH, gen, t_hi)
+        g = sample_gaps(flow.survival, batch, gen, t_hi)
         cs = np.cumsum(g)
-        if tot + cs[-1] >= total_time:
-            k = int(np.searchsorted(tot + cs, total_time)) + 1
-            chunks.append(g[:k])
-            tot += cs[min(k, g.size) - 1]
+        if ngaps is not None or tot + cs[-1] >= total_time:
+            chunks.append(g[:int(np.searchsorted(tot + cs, total_time)) + 1])
             break
         chunks.append(g)
         tot += cs[-1]
     gaps = np.concatenate(chunks) if chunks else np.empty(0)
     u = RngStream(rng.seed, rng.stream_index + 1).generator().random(gaps.size)
     channels = model.choose_channels(flow.state(gaps), u)
-    return JumpRecord(np.cumsum(gaps), channels, model.labels,
-                      float(max(total_time, tot)))
+    return JumpRecord(gaps, channels, model.labels)
 
 
 @dataclass(frozen=True)
@@ -751,7 +755,7 @@ def telegraph_stats(record: JumpRecord, dark_threshold: float) -> TelegraphStats
     total dark time over total observed time.  The standard error treats each
     gap as one observation of (dark time, time) and propagates the ratio.
     """
-    gaps = record.gaps()
+    gaps = record.gaps
     total = float(gaps.sum())
     if total <= 0.0:
         return TelegraphStats(0.0, 0.0, {}, 0.0, 0)
@@ -761,7 +765,7 @@ def telegraph_stats(record: JumpRecord, dark_threshold: float) -> TelegraphStats
     se = float(np.sqrt(np.sum(resid ** 2)) / total)
     branch: dict = {}
     n_dark = int(dark_mask.sum())
-    if n_dark and record.channels.size == gaps.size:
+    if n_dark:
         term = record.channels[dark_mask]
         for k, label in enumerate(record.labels):
             branch[label] = float(np.mean(term == k))

@@ -435,8 +435,8 @@ def _criterion_15():
 _CRITERIA = {
     1: ("survival-closed-form-vs-fock", _criterion_1, 1.0),
     2: ("short-time-cubic-log-survival", _criterion_2, 1.0),
-    3: ("jump-time-sampling-ks", _criterion_3, 10.0),
-    4: ("telegraph-dark-statistics", _criterion_4, 5.0),
+    3: ("jump-time-sampling-ks", _criterion_3, 1.0),
+    4: ("telegraph-dark-statistics", _criterion_4, 2.5),
     5: ("strong-drive-log-survival", _criterion_5, 1.0),
     6: ("bright-width-triple-estimate", _criterion_6, 1.0),
     7: ("dark-norm-slow-decay-fit", _criterion_7, 4.0),
@@ -446,7 +446,7 @@ _CRITERIA = {
     11: ("silent-limit-correspondence", _criterion_11, 1.0),
     12: ("gauge-shift-equivalence", _criterion_12, 1.0),
     13: ("readout-error-properties", _criterion_13, 1.0),
-    14: ("unraveling-vs-lindblad", _criterion_14, 3.0),
+    14: ("unraveling-vs-lindblad", _criterion_14, 2.0),
     15: ("csv-reproducibility", _criterion_15, 1.0),
 }
 

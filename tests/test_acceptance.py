@@ -108,6 +108,24 @@ def test_criterion_10_fails_on_a_tilted_alpha(monkeypatch):
     assert result.measured["alpha_oracle_dev"] > 5e-4
 
 
+def test_criterion_4_fails_on_a_short_censoring_horizon(monkeypatch):
+    """telegraph_run's gaps censored at 30 / beta_fast in place of 900 cut
+    every dark period short, so p_dark falls far below 1/3; the dark-tail
+    sample, drawn by validation's own sample_gaps, stays as it was."""
+    from nextjump import trajectories
+    sample = trajectories.sample_gaps
+
+    def short(survival, n, rng, t_hi):
+        return sample(survival, n, rng, t_hi / 30.0)
+
+    monkeypatch.setattr(trajectories, "sample_gaps", short)
+    result = validation.run_criterion(4)
+    assert not result.passed
+    assert _missed(result) == ["z"]
+    assert result.measured["z"] < -3.0
+    assert result.measured["tail_rel_dev"] < 0.10
+
+
 def test_a_raising_runner_fails_and_names_the_exception(monkeypatch):
     title, _, budget = validation._CRITERIA[5]
 

@@ -254,16 +254,20 @@ def test_parameter_finder_counts_each_route(route, param):
 
 
 def _reads(trees) -> set:
-    """Names the trees read, as an attribute ``x.name`` or as a string
-    constant (``getattr(x, "name")``); a declaration or a keyword is no
-    read."""
+    """Names the trees read, as an attribute ``x.name`` or as the name
+    argument of ``getattr(x, "name")`` or ``hasattr(x, "name")``; a
+    declaration, a keyword or any other string is no read."""
     found = set()
     for tree in trees:
         for node in ast.walk(tree):
             if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
                 found.add(node.attr)
-            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
-                found.add(node.value)
+            elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                  and node.func.id in ("getattr", "hasattr")
+                  and len(node.args) >= 2
+                  and isinstance(node.args[1], ast.Constant)
+                  and isinstance(node.args[1].value, str)):
+                found.add(node.args[1].value)
     return found
 
 
@@ -310,6 +314,7 @@ FIELD_SYNTHETIC = {
                 "    tmax: float\n"
                 "    final: float = 0.0",
     "keyword": "rec = Rec(times=1.0, alpha=0.5, tmax=2.0)",
+    "string": "flag = Flag('tmax', float, 6.0)",
 }
 
 FIELDS = [(f"m.Rec.{n}", n) for n in ("times", "alpha", "tmax", "final")]

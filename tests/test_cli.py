@@ -14,7 +14,7 @@ from nextjump.atom3 import Atom3Params, effective_model
 from nextjump.cavity import CavityParams
 from nextjump.numerics import RngStream
 from nextjump.readout import snr_heterodyne
-from nextjump.trajectories import NullFlow
+from nextjump.trajectories import NullFlow, sample_gaps
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
 #: environment of a fresh interpreter on one BLAS thread
@@ -273,6 +273,34 @@ def test_telegraph_output_is_pinned(tmp_path):
     u = RngStream(7, 0).generator().random(200)
     assert summary["n_censored"] == 0
     assert np.max(np.abs(np.log(flow.survival(gaps)) - np.log(u))) <= 1e-12
+
+
+def _telegraph_rows(tmp_path, argv):
+    """Data rows of the telegraph CSV and the sidecar's summary."""
+    out = tmp_path / "t.csv"
+    assert _run(["telegraph", *argv, "--out", str(out)]) == 0
+    with open(out, newline="") as fh:
+        rows = list(csv.reader(fh))[1:]
+    return rows, json.loads((tmp_path / "t.json").read_text())["summary"]
+
+
+def test_telegraph_gaps_are_one_sample_gaps_call(tmp_path):
+    """--ntraj 5000, above one of telegraph_run's 4,096-gap batches: the gap
+    column is one sample_gaps call of 5000 on RngStream(11, 0), bit for
+    bit."""
+    rows, _ = _telegraph_rows(tmp_path, ["--ntraj", "5000", "--seed", "11"])
+    model = effective_model(Atom3Params(omega1=5.0, omega2=0.05, delta2=5.0,
+                                        beta1=1.0, beta2=0.0))
+    flow = NullFlow(model.generator, model.initial_state)
+    want = sample_gaps(flow.survival, 5000, RngStream(11, 0), 900.0)
+    assert np.array_equal([float(r[1]) for r in rows], want)
+
+
+def test_telegraph_dark_column_counts_n_dark(tmp_path):
+    rows, summary = _telegraph_rows(tmp_path, ["--ntraj", "2000", "--seed",
+                                               "5"])
+    assert summary["n_dark"] > 0
+    assert sum(int(r[3]) for r in rows) == summary["n_dark"]
 
 
 def test_alias_matches_primary_name(tmp_path):

@@ -1,4 +1,6 @@
 import dataclasses
+import itertools
+import math
 import os
 import subprocess
 import sys
@@ -151,14 +153,14 @@ def _assert_engine_matches_reference(model, tmax, seedbase, ntraj):
     reference's normalized final states as columns and the doubles each
     stream gave the engine."""
     draws = StreamDraws(seedbase, np.arange(ntraj))
-    times, channels, final = _unravel(model, tmax, draws)
+    gaps, channels, final = _unravel(model, tmax, draws)
     ref_final = np.empty_like(final)
     for i in range(ntraj):
         ref_t, ref_c, ref_f = _reference_trajectory(
             model, tmax, RngStream(seedbase, i).generator())
-        assert len(times[i]) == len(ref_t)
+        assert len(gaps[i]) == len(ref_t)
         assert channels[i] == ref_c
-        assert np.max(np.abs(np.subtract(times[i], ref_t)), initial=0.0) < 1e-9
+        assert np.max(np.abs(np.cumsum(gaps[i]) - ref_t), initial=0.0) < 1e-9
         got = final[:, i] / np.linalg.norm(final[:, i])
         ref_final[:, i] = want = ref_f / np.linalg.norm(ref_f)
         assert np.max(np.abs(got - want)) < 1e-10
@@ -682,10 +684,9 @@ def test_sample_next_jump_and_run_trajectory():
     assert abs(flow.survival(first.times[0]) - u) < 1e-6
 
     rec = run_trajectory(model, 200.0, RngStream(4, 1))
-    assert rec.tmax == 200.0
     assert np.all(np.diff(rec.times) > 0)
     assert rec.times[-1] <= 200.0
-    assert np.allclose(rec.gaps(), np.diff(rec.times, prepend=0.0))
+    assert np.allclose(rec.gaps, np.diff(rec.times, prepend=0.0))
     assert rec.channels.shape == rec.times.shape
 
 
@@ -693,7 +694,7 @@ def test_telegraph_run_deterministic():
     model = _pilot_model()
     r1 = telegraph_run(model, 500.0, RngStream(2, 0))
     r2 = telegraph_run(model, 500.0, RngStream(2, 0))
-    assert np.array_equal(r1.times, r2.times)
+    assert np.array_equal(r1.gaps, r2.gaps)
     assert np.array_equal(r1.channels, r2.channels)
 
 
@@ -708,7 +709,7 @@ def test_telegraph_run_channels_from_second_stream():
     assert n < _TELEGRAPH_BATCH
     gaps = sample_gaps(flow.survival, _TELEGRAPH_BATCH, RngStream(2, 0),
                        900.0 / model.beta_fast)[:n]
-    assert np.array_equal(np.cumsum(gaps), rec.times)
+    assert np.array_equal(gaps, rec.gaps)
     # channels come from the stream paired with the gaps' one
     want = model.choose_channels(flow.state(gaps),
                                  RngStream(2, 1).generator().random(n))
@@ -725,7 +726,7 @@ def test_telegraph_stats_consistency():
     st = telegraph_stats(rec, dark_threshold=10.0)
     assert 0.0 < st.p_dark < 1.0
     assert st.p_dark_se > 0.0
-    gaps = rec.gaps()
+    gaps = rec.gaps
     dark = gaps[gaps > 10.0]
     assert st.n_dark == dark.size
     assert set(st.branch_fractions) <= set(model.labels)
@@ -749,8 +750,13 @@ def test_effective_model_rates_and_reset():
 
 
 def test_jump_record_validates_times():
-    with pytest.raises(ValueError):
-        JumpRecord(times=[1.0, 1.0], channels=[0, 0], labels=("a",), tmax=2.0)
+    """The gaps that make the click times must be finite and positive,
+    one channel per gap."""
+    for gaps, channels in [([1.0, 0.0], [0, 0]), ([1.0, -1.0], [0, 0]),
+                           ([np.nan], [0]), ([np.inf], [0]),
+                           ([1.0, 2.0], [0]), ([[1.0]], [[0]])]:
+        with pytest.raises(ValueError):
+            JumpRecord(gaps=gaps, channels=channels, labels=("a",))
 
 
 def test_lindblad_consistency_small_ensemble():
@@ -814,9 +820,11 @@ def test_lindblad_consistency_same_seed_repeats():
     assert np.array_equal(r1["rho_ensemble"], r2["rho_ensemble"])
     # each trajectory of the batch is the trajectory run on its own
     rec = run_trajectory(model, tmax, RngStream(3, 7))
-    times, channels, _ = _unravel(model, tmax, StreamDraws(3, np.arange(200)))
-    assert np.array_equal(rec.times, times[7])
+    gaps, channels, _ = _unravel(model, tmax, StreamDraws(3, np.arange(200)))
+    assert np.array_equal(rec.gaps, gaps[7])
     assert np.array_equal(rec.channels, channels[7])
+    # the record's times are the engine's clock, which adds gap by gap
+    assert rec.times.tolist() == list(itertools.accumulate(gaps[7]))
 
 
 @pytest.mark.parametrize("name", ["atom", "cavity"])
@@ -826,11 +834,12 @@ def test_every_lone_trajectory_matches_its_batch_member(name):
     products round a column differently with the batch size, so bit-for-bit
     equality waits on batch invariance of the engine (ROADMAP item 3(d))."""
     model, tmax = MODELS[name]
-    times, channels, _ = _unravel(model, tmax, StreamDraws(3, np.arange(200)))
+    gaps, channels, _ = _unravel(model, tmax, StreamDraws(3, np.arange(200)))
     for i in range(200):
         rec = run_trajectory(model, tmax, RngStream(3, i))
         assert rec.channels.tolist() == channels[i]
-        assert np.max(np.abs(rec.times - times[i]), initial=0.0) < 1e-10
+        assert np.max(np.abs(rec.times - np.cumsum(gaps[i])),
+                      initial=0.0) < 1e-10
 
 
 #: (model, tmax, ntraj) long enough that some stream refills its buffer of
@@ -857,13 +866,13 @@ def test_caller_generator_ends_advanced_by_its_draws(name):
     stream; run_trajectory is that trajectory as a batch of one."""
     model, _ = MODELS[name]
     draws = StreamDraws(4, [2])
-    times, channels, _ = _unravel(model, 20.0, draws)
-    njumps = len(times[0])
+    gaps, channels, _ = _unravel(model, 20.0, draws)
+    njumps = len(gaps[0])
     assert njumps >= 2
     assert draws.drawn.tolist() == [
         njumps + 1 + njumps * (len(model.jump_ops) > 1)]
     rec = run_trajectory(model, 20.0, RngStream(4, 2))
-    assert np.array_equal(rec.times, times[0])
+    assert np.array_equal(rec.gaps, gaps[0])
     assert np.array_equal(rec.channels, channels[0])
 
 
@@ -879,7 +888,27 @@ def test_telegraph_gaps_are_consecutive_batches_of_one_generator():
     gaps = np.concatenate([sample_gaps(flow.survival, _TELEGRAPH_BATCH, gen,
                                        900.0 / model.beta_fast)
                            for _ in range(batches)])
-    assert np.array_equal(rec.times, np.cumsum(gaps[:rec.njumps]))
+    assert np.array_equal(rec.gaps, gaps[:rec.njumps])
+
+
+def test_telegraph_run_stops_at_the_first_of_time_and_count():
+    """With ngaps the gaps are one sample_gaps call on the stream, bit for
+    bit, and the record stops after ngaps gaps or at the gap that crosses
+    total_time, whichever comes first."""
+    model = _pilot_model()
+    flow = NullFlow(model.generator, model.reset_state)
+    t_hi = 900.0 / model.beta_fast
+    first = telegraph_run(model, math.inf, RngStream(2, 0), ngaps=10)
+    assert np.array_equal(first.gaps, sample_gaps(flow.survival, 10,
+                                                  RngStream(2, 0), t_hi))
+    by_time = telegraph_run(model, 500.0, RngStream(2, 0))
+    assert 10 < by_time.njumps < _TELEGRAPH_BATCH
+    # one batch's worth of gaps is the time rule's first batch
+    rec = telegraph_run(model, 500.0, RngStream(2, 0), ngaps=_TELEGRAPH_BATCH)
+    assert np.array_equal(rec.gaps, by_time.gaps)
+    assert np.array_equal(rec.channels, by_time.channels)
+    rec = telegraph_run(model, 500.0, RngStream(2, 0), ngaps=10)
+    assert np.array_equal(rec.gaps, first.gaps)
 
 
 def test_engine_streams_build_no_generator(monkeypatch):
@@ -899,7 +928,7 @@ def test_engine_streams_build_no_generator(monkeypatch):
     rep = lindblad_consistency(model, 200, tmax, seedbase=3)
     assert rep["rho_ensemble"].tobytes() == want["rho_ensemble"].tobytes()
     rec = run_trajectory(model, tmax, RngStream(3, 7))
-    assert np.array_equal(rec.times, lone.times)
+    assert np.array_equal(rec.gaps, lone.gaps)
     assert np.array_equal(rec.channels, lone.channels)
 
 
