@@ -249,8 +249,9 @@ def _coherent_terms(params: HeterodyneParams, dt: float, steps: np.ndarray,
 
 
 def _coherent_kernel(params: HeterodyneParams, path: NoisePath, at: np.ndarray,
-                     alpha0: complex = 0j, beta0: complex = 0j) -> np.ndarray:
-    """Rows alpha, beta, record_T after each step count in ``at``.
+                     alpha0: complex = 0j) -> np.ndarray:
+    """Rows alpha, beta, record_T after each step count in ``at``, from
+    alpha0 and beta = record_T = 0.
 
     The coherent step over a whole record, ``_BLOCK`` steps at a time: alpha
     in closed form, beta and record_T as cumulative sums of their step
@@ -259,7 +260,7 @@ def _coherent_kernel(params: HeterodyneParams, path: NoisePath, at: np.ndarray,
     dt, n = path.dt, path.nsteps
     out = np.empty((3, at.size), dtype=complex)
     out[0] = _coherent_terms(params, dt, at, alpha0)[0]
-    carry = np.array([beta0, 0j])
+    carry = np.zeros(2, dtype=complex)
     out[1:, at == 0] = carry[:, None]
     for j in range(0, n, _BLOCK):
         steps = np.arange(j, min(j + _BLOCK, n))

@@ -15,11 +15,9 @@ indexed search over equal bins of u (Chen & Asau, Computing 13, 1974),
 and an 8-node interpolant of the inverse t(ln W) around that cell seeds
 the root (after Olver & Townsend, "Fast inverse transform sampling in one
 and two dimensions", arXiv:1307.1223, and Derflinger, Hoermann & Leydold,
-ACM TOMACS 20(4), 2010).  Where the seed's error estimate exceeds twice
-the closing pair's width, one point at the seed and a Newton step along
-the interpolant's slope sharpen it; then a pair of points 0.9 _ROOT_RTOL
-apart around it closes most brackets, and the regula falsi finishes the
-few it misses.
+ACM TOMACS 20(4), 2010).  A pair of points 0.9 _ROOT_RTOL apart around the
+seed closes most brackets, and the regula falsi finishes the few it
+misses.
 
 Ensembles run in lockstep: one propagator per model, the eigenmode
 coefficients of every live trajectory held as one (d, n) array, and all
@@ -63,17 +61,16 @@ BISECT_ITERS = 64
 _ROOT_RTOL = 1e-13
 #: nodes of the interpolant of the inverse t(ln W) that seeds each sample
 #: of ``sample_gaps`` (``_inverse_cells``): at 4, 6, 8 and 10, criterion
-#: 4's atom (150,000 draws) asked for 3.06, 2.59, 2.15 and 2.05 survival
+#: 4's atom (150,000 draws) asked for 4.00, 2.66, 2.17 and 2.09 survival
 #: points a sample beyond the table, and the work per sample and per table
 #: grows with it
 _SEED_NODES = 8
 #: cells of the ln W table that seeds ``sample_gaps``, one _BLOCK of
 #: survival times (the 16,385 nodes take one survival call).  That many
 #: put the 8-node seed within the closing pair's 0.45 _ROOT_RTOL of the
-#: root for most samples without a seed point: on criterion 4's atom it
-#: errs by 6e-16 relative in the median, 86% of the samples skip the
-#: seed pass, and they take 2.15 points a sample (2.42 at 8,192 cells,
-#: 2.84 at 4,096)
+#: root for most samples: on criterion 4's atom the pair alone closes 91%
+#: of the brackets, and the samples take 2.17 points a sample (2.60 at
+#: 8,192 cells, 3.32 at 4,096)
 _GAP_GRID_CELLS = 16384
 #: bins of u in [0, 1) that index the cells of that table
 #: (``_cell_index``); a power of two, so a sample's bin floor(u K) is exact
@@ -380,34 +377,28 @@ def _log(w):
 
 def _inverse_cells(grid: np.ndarray, table: np.ndarray) -> np.ndarray:
     """Per-cell seeds for the inverse of a tabulated ln W, rows
-    (_SEED_NODES, cells).
+    (_SEED_NODES - 1, cells).
 
-    Column i holds (c_7, ..., c_2, c_1, half) for the cell
-    [grid[i], grid[i+1]]: the guess for a level y in it is
-    t = grid[i] + ((c_7 r + c_6) r + ... + c_1) r with r = y - table[i],
-    and half is the straddle half-width.  The polynomial interpolates t(y)
-    on the 8 nodes i-3 .. i+4 around the cell (after Derflinger, Hoermann
-    & Leydold, "Random variate generation by numerical inversion when only
-    the density is known", ACM TOMACS 20(4), 2010): its Newton form takes
-    the nodes from the cell outward, i, i+1, i-1, .. i-3, i+4, and is
-    expanded in powers of r.  half is the last Newton term at the middle
-    of the cell, which is how far the interpolant on the first 7 of those
-    nodes lies from it there, an estimate of the error that overstates
-    the 8-node one.  A cell whose nodes i-3 .. i+4 are not strictly
-    decreasing and finite, and the first three cells and the last three,
-    keep the straight line through their ends with a quarter of their
-    width as half.
+    Column i holds (c_7, ..., c_2, c_1) for the cell [grid[i], grid[i+1]]:
+    the guess for a level y in it is
+    t = grid[i] + ((c_7 r + c_6) r + ... + c_1) r with r = y - table[i].
+    The polynomial interpolates t(y) on the 8 nodes i-3 .. i+4 around the
+    cell (after Derflinger, Hoermann & Leydold, "Random variate generation
+    by numerical inversion when only the density is known", ACM TOMACS
+    20(4), 2010): its Newton form takes the nodes from the cell outward,
+    i, i+1, i-1, .. i-3, i+4, and is expanded in powers of r.  A cell whose
+    nodes i-3 .. i+4 are not strictly decreasing and finite, and the first
+    three cells and the last three, keep the straight line through their
+    ends.
     """
     deg = _SEED_NODES - 1
     left = deg // 2                          # nodes left of the cell's own
     n = grid.size - deg                      # cells with all their nodes
     inner = slice(left, left + n)
-    dt = np.diff(grid)
-    cells = np.zeros((_SEED_NODES, dt.size))
+    cells = np.zeros((deg, grid.size - 1))
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         dy = np.diff(table)
-        cells[-2] = dt / dy
-        cells[-1] = 0.25 * dt
+        cells[-1] = np.diff(grid) / dy
         # Newton coefficients: divided differences of t(y) on the node
         # runs i, i..i+1, i-1..i+1, i-1..i+2, .. i-3..i+4
         newton = [grid[inner]]
@@ -420,11 +411,6 @@ def _inverse_cells(grid: np.ndarray, table: np.ndarray) -> np.ndarray:
         nodes = [table[left + o:left + o + n] - y0
                  for o in ((j + 1) // 2 if j % 2 else -(j // 2)
                            for j in range(1, deg))]
-        mid = 0.5 * dy[inner]
-        half = newton[-1] * mid
-        for d in nodes:
-            half *= mid - d
-        half = np.abs(half)
         # powers of r, folding the Newton form from its top coefficient;
         # the first node, r = 0, only shifts the powers
         power = [newton[-1]]
@@ -432,10 +418,10 @@ def _inverse_cells(grid: np.ndarray, table: np.ndarray) -> np.ndarray:
             power = ([c - d * power[0]]
                      + [p - d * q for p, q in zip(power[:-1], power[1:])]
                      + power[-1:])
-        finite = np.isfinite(sum(power, half))
+        finite = np.isfinite(sum(power))
     bad = np.concatenate(([0], np.cumsum(~(np.isfinite(dy) & (dy < 0.0)))))
     ok = finite & (bad[deg:] == bad[:-deg])
-    for row, val in zip(cells, power[::-1] + [half]):
+    for row, val in zip(cells, power[::-1]):
         np.copyto(row[inner], val, where=ok)
     return cells
 
@@ -493,7 +479,7 @@ def _log_survival(survival, t: np.ndarray) -> np.ndarray:
 def _tighten(xs, fs, a, b, fa, fb) -> tuple:
     """(a, b, fa, fb) after each point xs (f = ln W - ln u there is fs)
     that lies strictly inside its bracket [a, b] replaces the end whose
-    sign it shares, so fa >= 0 > fb holds; a NaN fs moves nothing."""
+    sign it shares, so fa >= 0 > fb holds."""
     inside = (xs > a) & (xs < b)
     up, down = inside & (fs >= 0.0), inside & (fs < 0.0)
     return (np.where(up, xs, a), np.where(down, xs, b),
@@ -512,11 +498,8 @@ def sample_gaps(survival, n: int, rng, t_hi: float) -> np.ndarray:
     blocks of _BLOCK samples, each level's table cell, found by
     ``_find_cells`` exactly as np.searchsorted would find it, gives a
     bracket and a seed x from the 8-node interpolant of the inverse
-    t(ln W), with half its error estimate.  Seed pass: a sample whose half
-    is above 4 h, for the closing half-width h = 0.45 _ROOT_RTOL x,
-    evaluates ln W at x, tightens its bracket there and moves x by one
-    Newton step along the interpolant's own slope dt/dy.  Closing pair:
-    every sample evaluates ln W at x - h and then at x + h (x first kept h
+    t(ln W).  Closing pair: every sample evaluates ln W at x - h and then
+    at x + h, for the half-width h = 0.45 _ROOT_RTOL x (x first kept h
     inside its bracket); when the root lies between the two points its
     bracket is now 2 h < _ROOT_RTOL * b wide.  A sample whose bracket is
     that narrow, or whose point hit the level exactly, is done; the regula
@@ -555,7 +538,7 @@ def sample_gaps(survival, n: int, rng, t_hi: float) -> np.ndarray:
             continue
         lu = lu[live]
         k = np.maximum(k[live], 1)
-        *coef, half = cells.take(k - 1, axis=1)      # c_7 .. c_1, half
+        coef = cells.take(k - 1, axis=1)             # c_7 .. c_1
         a, b = grid.take(k - 1), grid.take(k)
         fa, fb = table.take(k - 1) - lu, table.take(k) - lu
         r = -fa
@@ -563,26 +546,9 @@ def sample_gaps(survival, n: int, rng, t_hi: float) -> np.ndarray:
         for c in coef[1:]:
             x = x * r + c
         x = a + x * r
-        # seed pass, x kept in [a, b] so W is asked for no time outside
-        # [0, t_hi].  half overstates the seed's error (on criterion 4's
-        # atom, |x - root| < 0.55 half in 99% of the draws whose half is
-        # above 20 h), so only a half above 4 h pays for a point: the
-        # atom took 2.17 points a sample above 2.2 h and 2.15 above 4 h,
-        # and a higher bar saves a few hundredths more and leaves more
-        # samples to the regula falsi.  Arrays of one length per block,
-        # not subsets of the seeded samples, left the gap-sample
-        # process's peak RSS about 2 MB lower
-        x = np.minimum(np.maximum(x, a), b)
-        seed = half > 1.8 * _ROOT_RTOL * x
-        if seed.any():
-            f = np.full(x.size, np.nan)
-            f[seed] = log_w(x[seed], None) - lu[seed]
-            a, b, fa, fb = _tighten(x, f, a, b, fa, fb)
-            slope = 0.0                             # dt/dy at r
-            for power, c in zip(range(_SEED_NODES - 1, 0, -1), coef):
-                slope = slope * r + power * c
-            x = np.where(seed, x - f * slope, x)
-        # closing pair, x - h tightening the bracket before x + h
+        # closing pair, x kept h inside its bracket so W is asked for no
+        # time outside [0, t_hi], and x - h tightening the bracket before
+        # x + h
         x = np.minimum(np.maximum(x, a), b)
         h = 0.45 * _ROOT_RTOL * x
         x = np.minimum(np.maximum(x, a + h), b - h)
@@ -636,9 +602,10 @@ def _unravel(model: EffectiveModel, tmax: float, draws: StreamDraws) -> tuple:
     for together on one propagator by ``_find_level``, each on the bracket
     [0, remaining time] whose end values the retirement test already gave,
     and each pass evaluates only the trajectories still unresolved.
-    Returns (gaps, channels, final): the inter-click gaps and the channel
-    indices of each trajectory, as lists, and the (d, n) final states,
-    unnormalized relative to the last reset.
+    Returns (traj, gaps, channels, final): one entry per click, round by
+    round, of the trajectory that clicked, its inter-click gap and its
+    channel index, so each trajectory's clicks keep their order; and the
+    (d, n) final states, unnormalized relative to the last reset.
     """
     n = len(draws)
     psi0 = model.initial_state / np.linalg.norm(model.initial_state)
@@ -647,8 +614,9 @@ def _unravel(model: EffectiveModel, tmax: float, draws: StreamDraws) -> tuple:
     norm0 = np.full(n, flow._norm0)
     final = np.repeat(psi0[:, np.newaxis], n, axis=1)
     t = np.zeros(n)
-    gaps = [[] for _ in range(n)]
-    channels = [[] for _ in range(n)]
+    # (trajectories that clicked, their gaps, their channels) per round
+    rounds = [(np.empty(0, dtype=np.intp), np.empty(0),
+               np.empty(0, dtype=int))]
     live = np.flatnonzero(t < tmax)
     while live.size:
         u = draws.next(live)
@@ -674,14 +642,13 @@ def _unravel(model: EffectiveModel, tmax: float, draws: StreamDraws) -> tuple:
             ks = model.choose_channels(psi_j, draws.next(live))
         post = model.reset(ks, psi_j)
         t[live] += t_rel
-        for j, g, k in zip(live.tolist(), t_rel.tolist(), ks.tolist()):
-            gaps[j].append(g)
-            channels[j].append(k)
+        rounds.append((live, t_rel, ks))
         final[:, live] = post
         coef[:, live] = flow._coefficients(post)
         norm0[live] = np.sum(np.abs(post) ** 2, axis=0)
         live = live[t[live] < tmax]
-    return gaps, channels, final
+    traj, gaps, channels = (np.concatenate(col) for col in zip(*rounds))
+    return traj, gaps, channels, final
 
 
 def run_trajectory(model: EffectiveModel, tmax: float,
@@ -691,9 +658,9 @@ def run_trajectory(model: EffectiveModel, tmax: float,
     rng.stream_index of a batch on rng.seed would.  A tmax that is not
     finite and non-negative raises ValueError."""
     tmax = float(_check_times("tmax", tmax))
-    gaps, channels, _ = _unravel(
+    _, gaps, channels, _ = _unravel(
         model, tmax, StreamDraws(rng.seed, [rng.stream_index]))
-    return JumpRecord(gaps[0], channels[0], model.labels)
+    return JumpRecord(gaps, channels, model.labels)
 
 
 def _telegraph_horizon(model: EffectiveModel) -> float:
@@ -744,7 +711,6 @@ class TelegraphStats:
     p_dark: float
     p_dark_se: float              # delta-method standard error
     branch_fractions: dict        # label -> share of dark periods it ends
-    total_time: float
     n_dark: int
 
 
@@ -758,7 +724,7 @@ def telegraph_stats(record: JumpRecord, dark_threshold: float) -> TelegraphStats
     gaps = record.gaps
     total = float(gaps.sum())
     if total <= 0.0:
-        return TelegraphStats(0.0, 0.0, {}, 0.0, 0)
+        return TelegraphStats(0.0, 0.0, {}, 0)
     dark_mask = gaps > dark_threshold
     p = float(gaps[dark_mask].sum() / total)
     resid = np.where(dark_mask, gaps, 0.0) - p * gaps
@@ -769,7 +735,7 @@ def telegraph_stats(record: JumpRecord, dark_threshold: float) -> TelegraphStats
         term = record.channels[dark_mask]
         for k, label in enumerate(record.labels):
             branch[label] = float(np.mean(term == k))
-    return TelegraphStats(p, se, branch, total, n_dark)
+    return TelegraphStats(p, se, branch, n_dark)
 
 
 def _lindblad_evolve(model: EffectiveModel, rho0: np.ndarray,
@@ -816,7 +782,7 @@ def lindblad_consistency(model: EffectiveModel, ntraj: int, t: float,
     psi0 = model.initial_state / np.linalg.norm(model.initial_state)
     rho_direct = _lindblad_evolve(model, np.outer(psi0, psi0.conj()), t)
 
-    _, _, final = _unravel(model, t, StreamDraws(seedbase, np.arange(ntraj)))
+    final = _unravel(model, t, StreamDraws(seedbase, np.arange(ntraj)))[-1]
     psi_t = final / np.linalg.norm(final, axis=0)
     rho_mc = (psi_t @ psi_t.conj().T) / ntraj
 

@@ -39,8 +39,8 @@ from .heterodyne import (HeterodyneParams, NoisePath, current_statistics,
 from .numerics import FockVector, RngStream, decay_rate, default_nmax
 from .readout import (error_next_jump, figure1_dataset, min_error_next_jump,
                       y_oscillation_frequency)
-from .trajectories import (NullFlow, lindblad_consistency, sample_gaps,
-                           telegraph_run, telegraph_stats)
+from .trajectories import (NullFlow, _telegraph_horizon, lindblad_consistency,
+                           sample_gaps, telegraph_run, telegraph_stats)
 from .transmon import TransmonParams, beta_B
 
 __all__ = [
@@ -179,7 +179,8 @@ def _criterion_4():
     z = (st.p_dark - 1.0 / 3.0) / st.p_dark_se
 
     nf = NullFlow(model.generator, model.initial_state)
-    gaps = sample_gaps(nf.survival, 400_000, RngStream(1, 1), t_hi=900.0)
+    t_hi = _telegraph_horizon(model)
+    gaps = sample_gaps(nf.survival, 400_000, RngStream(1, 1), t_hi=t_hi)
     tail = gaps[gaps > 30.0]
     rate = 1.0 / float(np.mean(tail - 30.0))
     target = 2.0 * beta_ell(p)
@@ -188,7 +189,7 @@ def _criterion_4():
     meas = {"p_dark": float(st.p_dark), "z": float(z), "n_dark": st.n_dark,
             "tail_rate": rate, "tail_rate_target": target,
             "tail_rel_dev": float(rel), "n_tail": int(tail.size),
-            "n_censored": int(np.count_nonzero(gaps == 900.0))}
+            "n_censored": int(np.count_nonzero(gaps == t_hi))}
     return meas, [("z", "abs<", 3.0), ("tail_rel_dev", "<", 0.10)]
 
 

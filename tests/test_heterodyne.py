@@ -326,8 +326,8 @@ def test_integrate_sse_series_snapshot_grid():
     assert len(integrate_sse_series(P4, path, every=1)) == 251
     empty = NoisePath(dt=1e-3, increments=np.zeros(0))
     assert len(integrate_sse_series(P4, empty, every=7)) == 1
-    only = het._coherent_kernel(P4, empty, np.array([0]), 0.5, 0.25j)
-    assert only.shape == (3, 1) and only[0, 0] == 0.5 and only[1, 0] == 0.25j
+    only = het._coherent_kernel(P4, empty, np.array([0]), 0.5)
+    assert only.shape == (3, 1) and only[0, 0] == 0.5 and only[1, 0] == 0.0
 
 
 # ids: the start (None is the vacuum) and whether the record is homodyne
@@ -346,7 +346,9 @@ def test_coherent_kernel_matches_stepwise(p, a0, b0):
         path = NoisePath.draw(p, 9.0, 1e-3, seed=21)
     assert path.nsteps > 4096        # the beta and record_T sums carry over blocks
     ref = ref_coherent_series(p, path, a0, b0)
-    got = het._coherent_kernel(p, path, np.arange(path.nsteps + 1), a0, b0).T
+    # the kernel starts beta at 0; a start b0 adds to beta and nothing else
+    got = het._coherent_kernel(p, path, np.arange(path.nsteps + 1), a0).T
+    got[:, 1] += b0
     # cumulative sums round differently from the step loop: well inside 1e-12
     tol = 1e-12 * (1.0 + np.max(np.abs(ref), axis=0))
     assert np.all(np.abs(got - ref) <= tol)
@@ -363,7 +365,7 @@ def test_coherent_kernel_matches_stepwise(p, a0, b0):
 def test_fock_oracle_matches_coherent_kernel(p, substeps):
     path = NoisePath.draw(p, 0.4, 1e-3, seed=23)
     al, be = het._coherent_kernel(p, path, np.array([path.nsteps]),
-                                  0.5 + 0.2j, 0j)[:2, 0]
+                                  0.5 + 0.2j)[:2, 0]
     start = FockVector(coherent_amplitudes(0.5 + 0.2j, 0j, 40))
     fo = fock_sse_oracle(p, path, start, substeps)
     amps = coherent_amplitudes(al, be, 40)
