@@ -26,9 +26,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .trajectories import EffectiveModel, _check_times
+from .trajectories import EffectiveModel
 from .numerics import (TAIL_TOL, FockVector, ParameterError, TruncationError,
-                       expm_action, fock_ops)
+                       _check_times, expm_action, fock_ops)
 
 __all__ = [
     "CavityParams",

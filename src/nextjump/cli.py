@@ -202,20 +202,17 @@ def _run_transmon_multiscale(cfg):
 def _run_heterodyne_sse(cfg):
     params = HeterodyneParams(kappa=cfg["kappa"], nbar=cfg["nbar"])
     path = NoisePath.draw(params, cfg["duration"], cfg["dt"], cfg["seed"])
-    series = integrate_sse_series(params, path, every=cfg["every"])
-    al, be, rec = (np.array([getattr(s, f) for s in series])
-                   for f in ("alpha", "beta", "record_T"))
-    last = series[-1]
-    cur = last.current()
-    summary = {"alpha_final_re": last.alpha.real,
-               "alpha_final_im": last.alpha.imag,
-               "log_norm_sq_final": last.log_norm_sq(),
+    rec = integrate_sse_series(params, path, every=cfg["every"])
+    al, be, T, lns = rec.alpha, rec.beta, rec.record_T, rec.log_norm_sq()
+    cur = rec.current()
+    summary = {"alpha_final_re": al[-1].real, "alpha_final_im": al[-1].imag,
+               "log_norm_sq_final": lns[-1],
                "current_re": cur.real, "current_im": cur.imag,
                "current_abs": abs(cur)}
     return (("t", "re_alpha", "im_alpha", "re_beta", "im_beta",
              "log_norm_sq", "re_T", "im_T"),
-            ([s.t for s in series], al.real, al.imag, be.real, be.imag,
-             [s.log_norm_sq() for s in series], rec.real, rec.imag), summary)
+            (rec.t, al.real, al.imag, be.real, be.imag, lns, T.real, T.imag),
+            summary)
 
 
 def _run_heterodyne_current(cfg):

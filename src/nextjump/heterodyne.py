@@ -14,7 +14,9 @@ scalar log-prefactor ``beta(t)`` is stochastic.
 The coherent kernel advances ``(alpha, beta)`` exactly over each noise step
 (piecewise-constant record derivative, within-step phase integrated in closed
 form) and carries the demodulated record integral ``record_T``, whose time
-average ``I = record_T/t`` is the measured current.  One law serves every
+average ``I = record_T/t`` is the measured current.  ``integrate_sse_series``
+is the one public route into the kernel: it runs a record from the vacuum and
+returns one ``SSEState``, a record of snapshot arrays.  One law serves every
 route: ``_coherent_terms`` alone derives the record's per-step law (alpha_k,
 the demodulation weights ehat_k and the beta increment ``gain_k*dz_k +
 drift_k``).  The kernel, the ensemble samplers and ``null_correspondence``,
@@ -46,8 +48,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .cavity import CavityParams, CoherentTrajectory, fock_generator
-from .numerics import (FockVector, ParameterError, RngStream, _vertex_offset,
-                       coherent_amplitudes, default_nmax, fock_ops)
+from .numerics import (FockVector, ParameterError, RngStream, _check_times,
+                       _vertex_offset, coherent_amplitudes, default_nmax,
+                       fock_ops)
 
 __all__ = [
     "CurrentStatistics",
@@ -57,7 +60,6 @@ __all__ = [
     "current_statistics",
     "fock_sse_oracle",
     "gauge_equivalence",
-    "integrate_sse",
     "integrate_sse_series",
     "norm_weighted_mean_abs",
     "null_correspondence",
@@ -161,10 +163,6 @@ class NoisePath:
     def nsteps(self) -> int:
         return self.increments.size
 
-    @property
-    def duration(self) -> float:
-        return self.nsteps * self.dt
-
     @classmethod
     def draw(cls, params: HeterodyneParams, duration: float, dt: float,
              seed: int) -> "NoisePath":
@@ -182,27 +180,32 @@ class NoisePath:
 
 @dataclass(frozen=True, eq=False)
 class SSEState:
-    """Conditioned (unnormalized) state exp(alpha c^dag + beta)|0> after
-    integrating a record up to time t, with norm^2 = exp(2 Re beta +
-    |alpha|^2).  It carries the accumulated demodulated record integral
-    ``record_T`` (current I = record_T/t, stored in units of B).
+    """Snapshots of the conditioned (unnormalized) state exp(alpha c^dag +
+    beta)|0> along one record.  ``t``, ``record_T``, ``alpha`` and ``beta``
+    are 1-D arrays of one length, entry k the state after integrating the
+    record up to time t[k], with norm^2 = exp(2 Re beta + |alpha|^2), and
+    the demodulated record integral ``record_T`` up to then (current I =
+    record_T/t, in units of B).
     """
 
-    t: float
-    record_T: complex
-    alpha: complex
-    beta: complex
+    t: np.ndarray
+    record_T: np.ndarray
+    alpha: np.ndarray
+    beta: np.ndarray
 
     def current(self) -> complex:
-        if self.t <= 0:
+        """The current at the last snapshot, record_T[-1]/t[-1]."""
+        t = float(self.t[-1])
+        if t <= 0:
             raise ValueError("current undefined at t = 0")
-        return self.record_T / self.t
+        return complex(self.record_T[-1]) / t
 
-    def log_norm_sq(self) -> float:
-        return float(2 * self.beta.real + abs(self.alpha) ** 2)
-
-    def norm_sq(self) -> float:
-        return float(np.exp(2 * self.beta.real + abs(self.alpha) ** 2))
+    def log_norm_sq(self) -> np.ndarray:
+        """2 Re beta + |alpha|^2 at each snapshot; ``hypot`` rounds as the
+        scalar ``abs(c)`` does, where ``np.abs`` of a complex array does
+        not."""
+        return 2 * self.beta.real + np.hypot(self.alpha.real,
+                                             self.alpha.imag) ** 2
 
 
 def _step_constants(kappa: float, omega: float, dt: float):
@@ -274,21 +277,6 @@ def _coherent_kernel(params: HeterodyneParams, path: NoisePath, at: np.ndarray,
     return out
 
 
-def integrate_sse(params: HeterodyneParams, path: NoisePath) -> SSEState:
-    """Integrate the conditional evolution along one noise path from the
-    vacuum.
-
-    Advances (alpha, beta) exactly over each step: the record derivative is
-    constant within a step, so the amplitude relaxation and the phase factors
-    integrate in closed form and the only discretization is the
-    piecewise-constant record itself.
-    """
-    _check_step(params, path.dt)
-    al, be, T = _coherent_kernel(params, path, np.array([path.nsteps]))[:, 0]
-    return SSEState(t=path.duration, record_T=complex(T), alpha=complex(al),
-                    beta=complex(be))
-
-
 def fock_sse_oracle(params: HeterodyneParams, path: NoisePath,
                     state0: FockVector, substeps: int) -> FockVector:
     """Brute-force oracle of the coherent kernel: explicit Euler, ``substeps``
@@ -316,21 +304,23 @@ def fock_sse_oracle(params: HeterodyneParams, path: NoisePath,
 
 
 def integrate_sse_series(params: HeterodyneParams, path: NoisePath,
-                         every: int = 1) -> list:
-    """integrate_sse with a snapshot every ``every`` steps.
+                         every: int = 1) -> SSEState:
+    """Integrate the conditional evolution along one noise path from the
+    vacuum, with a snapshot every ``every`` steps.
 
-    Same kernel as integrate_sse, so series[-1] equals the single-shot
-    result bit for bit.  The initial and the final state are always included.
+    Advances (alpha, beta) exactly over each step: the record derivative is
+    constant within a step, so the amplitude relaxation and the phase factors
+    integrate in closed form and the only discretization is the
+    piecewise-constant record itself.  The initial and the final state are
+    always snapshots, so ``every=path.nsteps`` keeps just those two.
     """
     if every < 1:
         raise ValueError("every must be >= 1")
     _check_step(params, path.dt)
     n = path.nsteps
     at = np.unique(np.r_[0:n + 1:every, n])
-    out = _coherent_kernel(params, path, at)
-    return [SSEState(t=k * path.dt, record_T=complex(T), alpha=complex(al),
-                     beta=complex(be))
-            for k, (al, be, T) in zip(at.tolist(), out.T.tolist())]
+    alpha, beta, record_T = _coherent_kernel(params, path, at)
+    return SSEState(t=at * path.dt, record_T=record_T, alpha=alpha, beta=beta)
 
 
 def _sample_gaussian(rows: np.ndarray, mean, scale: float, npaths: int,
@@ -475,8 +465,7 @@ def null_correspondence(params: HeterodyneParams, t: float,
     detection offset gamma = sqrt(nbar), ``cavity.CoherentTrajectory``.
     Raises ValueError unless t is finite and > 0.
     """
-    if not (math.isfinite(t) and t > 0):
-        raise ValueError(f"t must be finite and > 0, got t={t!r}")
+    t = float(_check_times("t", t, positive=True))
     locked = replace(params, omega=0.0)
     kappa, Gam = params.kappa, params.gamma_drive
     n = max(500, math.ceil(t / _max_step(locked)))

@@ -118,6 +118,18 @@ def fock_ops(nmax: int):
     return np.diag(np.sqrt(ns[1:]), 1), np.diag(ns)
 
 
+def _check_times(name: str, t, positive: bool = False) -> np.ndarray:
+    """t as a float array; ValueError naming the first time that is not
+    finite and non-negative (positive when asked)."""
+    t = np.asarray(t, dtype=float)
+    ok = (t > 0.0 if positive else t >= 0.0) & (t < math.inf)
+    if not ok.all():
+        sign = "positive" if positive else "non-negative"
+        raise ValueError(f"{name} must be finite and {sign}, "
+                         f"got {float(t[~ok].flat[0])}")
+    return t
+
+
 # ---------------------------------------------------------------------------
 # exp-action, quadrature and fits
 
@@ -144,9 +156,7 @@ def expm_action(apply, bound: float, y, t):
     _TAYLOR_TERMS terms at most.  A negative or non-finite t raises
     ValueError.
     """
-    t = np.asarray(t, dtype=float)
-    if not np.all(np.isfinite(t) & (t >= 0.0)):
-        raise ValueError(f"times must be finite and non-negative, got {t}")
+    t = _check_times("t", t)
     y = np.array(y, dtype=complex)
     if y.size == 0:
         return y

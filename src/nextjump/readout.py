@@ -26,8 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cavity import CavityParams, detuned_flow, resonant_flow
-from .trajectories import _check_times
-from .numerics import ParameterError, _vertex_offset
+from .numerics import ParameterError, _check_times, _vertex_offset
 
 __all__ = [
     "ReadoutCurves",
@@ -62,9 +61,7 @@ def error_next_jump(p: CavityParams, t):
 
 def snr_heterodyne(p: CavityParams, t):
     """Dispersive-readout signal-to-noise ratio (Gamma/kappa)(kappa t)^{5/2}/sqrt(18)."""
-    t = np.asarray(t, dtype=float)
-    if not np.all(t >= 0):
-        raise ValueError("t must be nonnegative and not NaN")
+    t = _check_times("t", t)
     gk = p.gamma_drive / p.kappa
     out = (1.0 / np.sqrt(18.0)) * gk * (p.kappa * t) ** 2.5
     return out if out.ndim else float(out)

@@ -37,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import RngStream, StreamDraws, expm_action
+from .numerics import RngStream, StreamDraws, _check_times, expm_action
 
 __all__ = [
     "EffectiveModel",
@@ -85,18 +85,6 @@ _GAP_GRID_RATIO = 1e4
 _BLOCK = 16384
 #: gaps ``telegraph_run`` draws per call of ``sample_gaps``
 _TELEGRAPH_BATCH = 4096
-
-
-def _check_times(name: str, t, positive: bool = False) -> np.ndarray:
-    """t as a float array; ValueError naming the first time that is not
-    finite and non-negative (positive when asked)."""
-    t = np.asarray(t, dtype=float)
-    ok = (t > 0.0 if positive else t >= 0.0) & (t < math.inf)
-    if not ok.all():
-        sign = "positive" if positive else "non-negative"
-        raise ValueError(f"{name} must be finite and {sign}, "
-                         f"got {float(t[~ok].flat[0])}")
-    return t
 
 
 @dataclass(frozen=True)
@@ -584,11 +572,6 @@ class JumpRecord:
     def njumps(self) -> int:
         return int(self.gaps.size)
 
-    @property
-    def times(self) -> np.ndarray:
-        """Click times: the gaps summed in order, as the engine sums its clock."""
-        return np.cumsum(self.gaps)
-
 
 def _unravel(model: EffectiveModel, tmax: float, draws: StreamDraws) -> tuple:
     """Lockstep jump unraveling of len(draws) trajectories on [0, tmax].
@@ -672,9 +655,11 @@ def telegraph_run(model: EffectiveModel, total_time: float, rng: RngStream,
                   *, ngaps: int | None = None) -> JumpRecord:
     """Long telegraph record for a constant-reset model: iid gaps censored
     at ``_telegraph_horizon``, up to the one whose running sum reaches
-    total_time or to ngaps of them, whichever comes first.  With ngaps they
-    are one ``sample_gaps`` call on rng, without it batches of
-    _TELEGRAPH_BATCH from one generator of rng.  Channel labels are
+    total_time or to ngaps of them, whichever comes first.  The record
+    starts at a reset: every gap, the first included, comes from
+    ``reset_state``'s survival curve, and ``initial_state`` is not read.
+    With ngaps the gaps are one ``sample_gaps`` call on rng, without it
+    batches of _TELEGRAPH_BATCH from one generator of rng.  Channel labels are
     attributed afterwards, one uniform per gap from the paired stream
     RngStream(rng.seed, rng.stream_index + 1), which keeps the gap sequence
     invariant under changes in channel handling.  A total_time that is

@@ -22,8 +22,8 @@ REPO = pathlib.Path(nextjump.__file__).resolve().parents[2]
 #: calls, kept because they state a paper claim or serve as an oracle
 CALLED_FROM_TESTS_ONLY = {
     "trajectories.run_trajectory":
-        "one trajectory of the jump unraveling; the benchmark's tracer "
-        "hooks it by its dotted name",
+        "the only public route to the click record of an operator-reset "
+        "unraveling",
 }
 
 
@@ -200,9 +200,9 @@ SET_FROM_TESTS_ONLY = {
 def test_every_parameter_and_member_has_a_caller_or_a_reason():
     trees = _sources()
     targets, members = _library_api()
-    refs = _references(trees)
+    reads = _reads(trees)
     found = _unset(_call_sites(trees), targets) + sorted(
-        label for label, name in members if name not in refs)
+        label for label, name in members if name not in reads)
     assert sorted(set(found) - set(SET_FROM_TESTS_ONLY)) == []
     # an entry that gained a caller, or left the package, goes too
     assert sorted(set(SET_FROM_TESTS_ONLY) - set(found)) == []

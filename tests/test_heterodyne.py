@@ -9,7 +9,7 @@ from nextjump import heterodyne as het
 from nextjump.heterodyne import (CurrentStatistics, HeterodyneParams,
                                  NoisePath, SSEState, current_statistics,
                                  fock_sse_oracle, gauge_equivalence,
-                                 integrate_sse, integrate_sse_series,
+                                 integrate_sse_series,
                                  norm_weighted_mean_abs, null_correspondence,
                                  sample_ostensible_currents,
                                  sample_raw_currents, sample_tilted_currents)
@@ -234,7 +234,7 @@ def test_noise_path_validation_and_draw():
     c = NoisePath.draw(P4, 1.0, 1e-3, seed=6)
     assert np.array_equal(a.increments, b.increments)
     assert not np.array_equal(a.increments, c.increments)
-    assert a.nsteps == 1000 and abs(a.duration - 1.0) < 1e-12
+    assert a.nsteps == 1000 and abs(a.nsteps * a.dt - 1.0) < 1e-12
     # increments have the nominal variance B**2*dt
     assert abs(np.var(a.increments) / (P4.B ** 2 * a.dt) - 1.0) < 0.1
 
@@ -245,28 +245,34 @@ def test_noise_path_validation_and_draw():
 def test_integrate_sse_silent_path():
     # zero record: alpha relaxes deterministically and beta integrates
     # -Gamma*alpha; both have closed forms
-    st = integrate_sse(P4, NoisePath(1e-4, np.zeros(20_000)))
-    assert abs(st.alpha - 2.0 * (1.0 - math.exp(-1.0))) < 1e-12
-    assert abs(st.beta - (-4.0 * math.exp(-1.0))) < 1e-10
-    assert st.record_T == 0.0
-    assert abs(st.norm_sq() - math.exp(st.log_norm_sq())) < 1e-12
+    st = integrate_sse_series(P4, NoisePath(1e-4, np.zeros(20_000)),
+                              every=1000)
+    assert abs(st.alpha[-1] - 2.0 * (1.0 - math.exp(-1.0))) < 1e-12
+    assert abs(st.beta[-1] - (-4.0 * math.exp(-1.0))) < 1e-10
+    assert not np.any(st.record_T)
+    # log norm^2 = 2 Re beta + |alpha|^2 at every snapshot
+    want = [2 * b.real + abs(a) ** 2
+            for a, b in zip(st.alpha.tolist(), st.beta.tolist())]
+    assert np.max(np.abs(st.log_norm_sq() - want)) < 1e-15
 
 
 def test_integrate_sse_record_accumulators():
     path = NoisePath.draw(P4, 2.0, 1e-4, seed=7)
-    st = integrate_sse(P4, path)
+    st = integrate_sse_series(P4, path, every=path.nsteps)
+    assert st.t.shape == st.record_T.shape == st.alpha.shape == st.beta.shape
     eh = _demod_factors(P4.omega, path.dt, path.nsteps)
     t_direct = np.sum(path.increments * eh)
-    assert abs(st.record_T - t_direct) < 1e-12
-    assert abs(st.current() - st.record_T / 2.0) < 1e-15
+    assert abs(st.record_T[-1] - t_direct) < 1e-12
+    assert abs(st.current() - st.record_T[-1] / 2.0) < 1e-15
     with pytest.raises(ValueError):
-        SSEState(t=0.0, record_T=0j, alpha=0j, beta=0j).current()
+        SSEState(t=np.zeros(1), record_T=np.zeros(1, complex),
+                 alpha=np.zeros(1, complex), beta=np.zeros(1, complex)).current()
 
 
 def test_integrate_sse_step_guard():
     coarse = NoisePath.draw(P4, 1.0, 0.002, seed=1)   # limit is 0.001
     with pytest.raises(ValueError):
-        integrate_sse(P4, coarse)
+        integrate_sse_series(P4, coarse)
 
 
 def test_step_guard_uses_the_params_omega():
@@ -274,12 +280,12 @@ def test_step_guard_uses_the_params_omega():
     # binds, while the heterodyne default omega = 50 asks for dt <= 0.001
     record = NoisePath(dt=0.01, increments=np.zeros(10))
     assert het._max_step(P4) == 0.001
-    assert integrate_sse(PH, record).t == pytest.approx(0.1)
+    assert integrate_sse_series(PH, record).t[-1] == pytest.approx(0.1)
     with pytest.raises(ValueError, match="exceeds 0.001"):
-        integrate_sse(P4, record)
+        integrate_sse_series(P4, record)
     too_coarse = NoisePath(dt=0.011, increments=np.zeros(10))
     with pytest.raises(ValueError, match="exceeds 0.01"):
-        integrate_sse(PH, too_coarse)
+        integrate_sse_series(PH, too_coarse)
     with pytest.raises(ValueError):
         gauge_equivalence(P4, NoisePath.draw(P4, 1.0, 0.002, seed=1))
 
@@ -309,12 +315,16 @@ def test_ensemble_samplers_step_guard():
 def test_integrate_sse_series_consistency():
     path = NoisePath.draw(P4, 1.0, 1e-3, seed=9)
     snaps = integrate_sse_series(P4, path, every=100)
-    assert len(snaps) == 11
-    assert snaps[0].t == 0.0 and snaps[0].alpha == 0.0
-    final = integrate_sse(P4, path)
-    assert snaps[-1].alpha == final.alpha
-    assert snaps[-1].beta == final.beta
-    assert snaps[-1].record_T == final.record_T
+    assert snaps.t.size == 11
+    assert snaps.t[0] == 0.0 and snaps.alpha[0] == 0.0
+    # the snapshot grid moves no value: every 100th snapshot of the
+    # step-by-step record, and the final one of the two-snapshot record
+    dense = integrate_sse_series(P4, path)
+    ends = integrate_sse_series(P4, path, every=path.nsteps)
+    assert ends.t.size == 2
+    for f in ("t", "alpha", "beta", "record_T"):
+        assert np.array_equal(getattr(snaps, f), getattr(dense, f)[::100])
+        assert getattr(ends, f)[-1] == getattr(snaps, f)[-1]
     with pytest.raises(ValueError):
         integrate_sse_series(P4, path, every=0)
 
@@ -322,10 +332,11 @@ def test_integrate_sse_series_consistency():
 def test_integrate_sse_series_snapshot_grid():
     path = NoisePath.draw(P4, 0.25, 1e-3, seed=9)     # 250 steps
     snaps = integrate_sse_series(P4, path, every=100)
-    assert [round(s.t / path.dt) for s in snaps] == [0, 100, 200, 250]
-    assert len(integrate_sse_series(P4, path, every=1)) == 251
+    assert np.round(snaps.t / path.dt).tolist() == [0, 100, 200, 250]
+    assert {a.shape for a in (snaps.record_T, snaps.alpha, snaps.beta)} == {(4,)}
+    assert integrate_sse_series(P4, path, every=1).t.size == 251
     empty = NoisePath(dt=1e-3, increments=np.zeros(0))
-    assert len(integrate_sse_series(P4, empty, every=7)) == 1
+    assert integrate_sse_series(P4, empty, every=7).t.size == 1
     only = het._coherent_kernel(P4, empty, np.array([0]), 0.5)
     assert only.shape == (3, 1) and only[0, 0] == 0.5 and only[1, 0] == 0.0
 
@@ -353,8 +364,8 @@ def test_coherent_kernel_matches_stepwise(p, a0, b0):
     tol = 1e-12 * (1.0 + np.max(np.abs(ref), axis=0))
     assert np.all(np.abs(got - ref) <= tol)
     if a0 == 0 and b0 == 0:
-        fin = integrate_sse(p, path)
-        assert (fin.alpha, fin.beta, fin.record_T) == tuple(got[-1])
+        fin = integrate_sse_series(p, path, every=path.nsteps)
+        assert (fin.alpha[-1], fin.beta[-1], fin.record_T[-1]) == tuple(got[-1])
 
 
 # explicit Euler is first order, its error (u alpha h)^2/2 per substep: the
@@ -398,7 +409,7 @@ def test_null_correspondence_locked_record():
 
 @pytest.mark.parametrize("t", [-1.0, 0.0, math.nan, math.inf])
 def test_null_correspondence_rejects_bad_t(t):
-    with pytest.raises(ValueError, match="t must be finite and > 0"):
+    with pytest.raises(ValueError, match="t must be finite and positive"):
         null_correspondence(P4, t)
 
 

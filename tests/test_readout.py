@@ -89,6 +89,8 @@ def test_error_dispersive_matches_mpmath():
     lambda: snr_heterodyne(CavityParams(kappa=1.0, chi=0.5, nbar=100.0), -1.0),
     lambda: snr_heterodyne(CavityParams(kappa=1.0, chi=0.5, nbar=100.0),
                            [0.0, math.nan]),
+    lambda: snr_heterodyne(CavityParams(kappa=1.0, chi=0.5, nbar=100.0),
+                           math.inf),
     lambda: figure1_dataset(tau=[-1.0, 0.0, 1.0]),
     lambda: error_next_jump(P, -1.0),
     lambda: error_next_jump(P, math.nan),
@@ -97,7 +99,7 @@ def test_error_dispersive_matches_mpmath():
     lambda: log_decrement_Y(P, -1.0),
     lambda: log_decrement_Y(P, math.inf),
     lambda: log_decrement_Y(P, math.nan),
-], ids=["nan-snr", "nan-in-snr-array", "negative-t", "nan-t",
+], ids=["nan-snr", "nan-in-snr-array", "negative-t", "nan-t", "inf-t",
         "negative-tau", "next-jump-negative-t", "next-jump-nan-t",
         "next-jump-nan-chi", "next-jump-inf-t", "log-decrement-negative-tau",
         "log-decrement-inf-tau", "log-decrement-nan-tau"])

@@ -681,17 +681,18 @@ def test_find_level_safeguard_on_a_jump():
 def test_sample_next_jump_and_run_trajectory():
     model = _pilot_model()
     first = run_trajectory(model, 900.0, RngStream(4, 0))
-    assert first.njumps >= 1 and first.times[0] > 0
+    assert first.njumps >= 1 and first.gaps[0] > 0
     # the first click sits where the survival falls to the first draw
     u = float(RngStream(4, 0).generator().random())
     flow = NullFlow(model.generator, model.initial_state)
-    assert abs(flow.survival(first.times[0]) - u) < 1e-6
+    assert abs(flow.survival(first.gaps[0]) - u) < 1e-6
 
     rec = run_trajectory(model, 200.0, RngStream(4, 1))
-    assert np.all(np.diff(rec.times) > 0)
-    assert rec.times[-1] <= 200.0
-    assert np.allclose(rec.gaps, np.diff(rec.times, prepend=0.0))
-    assert rec.channels.shape == rec.times.shape
+    times = np.cumsum(rec.gaps)
+    assert np.all(np.diff(times) > 0)
+    assert times[-1] <= 200.0
+    assert np.allclose(rec.gaps, np.diff(times, prepend=0.0))
+    assert rec.channels.shape == times.shape
 
 
 def test_telegraph_run_deterministic():
@@ -737,7 +738,7 @@ def test_telegraph_stats_consistency():
     if st.n_dark:
         assert abs(sum(st.branch_fractions.values()) - 1.0) < 1e-12
     # dark fraction is time share: durations over total time
-    assert abs(st.p_dark - dark.sum() / rec.times[-1]) < 1e-2
+    assert abs(st.p_dark - dark.sum() / np.cumsum(rec.gaps)[-1]) < 1e-2
 
 
 def test_effective_model_rates_and_reset():
@@ -828,8 +829,8 @@ def test_lindblad_consistency_same_seed_repeats():
                                                 StreamDraws(3, np.arange(200)))
     assert np.array_equal(rec.gaps, gaps[7])
     assert np.array_equal(rec.channels, channels[7])
-    # the record's times are the engine's clock, which adds gap by gap
-    assert rec.times.tolist() == list(itertools.accumulate(gaps[7]))
+    # the gaps' running sums are the engine's clock, which adds gap by gap
+    assert np.cumsum(rec.gaps).tolist() == list(itertools.accumulate(gaps[7]))
 
 
 @pytest.mark.parametrize("name", ["atom", "cavity"])
@@ -844,7 +845,7 @@ def test_every_lone_trajectory_matches_its_batch_member(name):
     for i in range(200):
         rec = run_trajectory(model, tmax, RngStream(3, i))
         assert rec.channels.tolist() == channels[i]
-        assert np.max(np.abs(rec.times - np.cumsum(gaps[i])),
+        assert np.max(np.abs(np.cumsum(rec.gaps) - np.cumsum(gaps[i])),
                       initial=0.0) < 1e-10
 
 
@@ -951,7 +952,7 @@ def test_eig_fallback_first_jump_and_ensemble():
     for seed in range(5):
         rec = run_trajectory(model, 20.0, RngStream(seed, 0))
         assert rec.njumps >= 1
-        psi = expm(M * rec.times[0]) @ model.initial_state
+        psi = expm(M * rec.gaps[0]) @ model.initial_state
         u = float(RngStream(seed, 0).generator().random())
         assert abs(np.vdot(psi, psi).real - u) < 1e-9
     _assert_engine_matches_reference(model, 3.0, seedbase=2, ntraj=40)
