@@ -99,18 +99,16 @@ def scenario_a_log_survival(p: Atom3Params, T: float) -> float:
 
 
 def effective_model(p: Atom3Params) -> EffectiveModel:
-    """Jump-unraveling model: strong channel first, weak channel second,
-    both resetting to the ground state."""
+    """Jump-unraveling model from the ground state: strong channel first,
+    weak channel second, both resetting to the ground state."""
     L_fast = np.zeros((3, 3), dtype=complex)
     L_fast[0, 1] = math.sqrt(p.beta1)
     L_slow = np.zeros((3, 3), dtype=complex)
     L_slow[0, 2] = math.sqrt(p.beta2)
-    ground = np.array([1.0, 0.0, 0.0], dtype=complex)
     return EffectiveModel(
         generator=generator(p),
         jump_ops=(L_fast, L_slow),
         labels=("fast", "slow"),
-        initial_state=ground,
+        initial_state=np.array([1.0, 0.0, 0.0]),
         beta_fast=p.beta1,
-        reset_state=ground,
     )

@@ -28,7 +28,7 @@ import numpy as np
 
 from .trajectories import EffectiveModel
 from .numerics import (TAIL_TOL, FockVector, ParameterError, TruncationError,
-                       _check_times, expm_action, fock_ops)
+                       _check_count, _check_times, expm_action, fock_ops)
 
 __all__ = [
     "CavityParams",
@@ -223,29 +223,21 @@ def effective_model(p: CavityParams, nmax: int,
 
     No-click generator fock_generator(p, nmax), so the manifold is detuned
     by p.chi, and one detection channel sqrt(kappa) (a - gamma_shift), the
-    photon counter displaced by the detection reference.  There is no
-    constant reset: a click applies that channel operator and renormalizes.
-    Both unraveling and density-matrix routes share the truncated
-    operators, so pick nmax comfortably above nbar for the comparison to say
-    anything about the untruncated cavity.
+    photon counter displaced by the detection reference, whose rank above 1
+    (for nmax > 1 or gamma_shift != 0) leaves no constant reset: a click
+    applies it and renormalizes.  Both unraveling and density-matrix routes
+    share the truncated operators, so pick nmax comfortably above nbar for
+    the comparison to say anything about the untruncated cavity.
 
     initial_state defaults to vacuum.  Note that from vacuum every
     trajectory stays coherent and a click leaves a coherent state fixed,
     so the unraveling has zero variance; pass a non-classical start (a
     number state, say) when the point is to exercise the jump average.
     """
-    if nmax < 1:
-        raise ValueError("nmax must be at least 1")
+    _check_count("nmax", nmax, 1)
     a, _ = fock_ops(nmax)
     jump = np.sqrt(p.kappa) * (a - p.gamma_shift * np.eye(nmax + 1))
-    if initial_state is None:
-        psi0 = np.zeros(nmax + 1, dtype=complex)
-        psi0[0] = 1.0
-    else:
-        psi0 = np.asarray(initial_state, dtype=complex)
-        if psi0.shape != (nmax + 1,):
-            raise ValueError("initial_state must have length nmax+1")
-        psi0 = psi0 / np.sqrt(np.vdot(psi0, psi0).real)
+    psi0 = np.eye(nmax + 1)[0] if initial_state is None else initial_state
     return EffectiveModel(generator=fock_generator(p, nmax), jump_ops=(jump,),
                           labels=("emission",), initial_state=psi0,
-                          beta_fast=p.kappa, reset_state=None)
+                          beta_fast=p.kappa)

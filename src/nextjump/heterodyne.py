@@ -48,9 +48,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .cavity import CavityParams, CoherentTrajectory, fock_generator
-from .numerics import (FockVector, ParameterError, RngStream, _check_times,
-                       _vertex_offset, coherent_amplitudes, default_nmax,
-                       fock_ops)
+from .numerics import (FockVector, ParameterError, RngStream, _check_count,
+                       _check_times, _vertex_offset, coherent_amplitudes,
+                       default_nmax, fock_ops)
 
 __all__ = [
     "CurrentStatistics",
@@ -312,10 +312,10 @@ def integrate_sse_series(params: HeterodyneParams, path: NoisePath,
     constant within a step, so the amplitude relaxation and the phase factors
     integrate in closed form and the only discretization is the
     piecewise-constant record itself.  The initial and the final state are
-    always snapshots, so ``every=path.nsteps`` keeps just those two.
+    always snapshots, so ``every=path.nsteps`` keeps just those two.  An
+    every that is not an integer >= 1 raises ValueError.
     """
-    if every < 1:
-        raise ValueError("every must be >= 1")
+    every = _check_count("every", every, 1)
     _check_step(params, path.dt)
     n = path.nsteps
     at = np.unique(np.r_[0:n + 1:every, n])

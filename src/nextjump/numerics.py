@@ -130,6 +130,14 @@ def _check_times(name: str, t, positive: bool = False) -> np.ndarray:
     return t
 
 
+def _check_count(name: str, n, minimum: int) -> int:
+    """n as an int; ValueError unless an integer (not bool) >= minimum."""
+    if (isinstance(n, bool) or not isinstance(n, (int, np.integer))
+            or n < minimum):
+        raise ValueError(f"{name} must be an integer >= {minimum}, got {n!r}")
+    return int(n)
+
+
 # ---------------------------------------------------------------------------
 # exp-action, quadrature and fits
 

@@ -1,23 +1,23 @@
 """Monte Carlo quantum-jump unraveling over a constant effective generator.
 
 A model supplies the no-click generator M (so the unnormalized conditioned
-state obeys dpsi/dt = M psi between clicks), one jump operator per detection
-channel, and a reset rule.  Jump times are sampled by inverse transform on
-the decaying norm: draw u ~ U(0,1), then locate ln ||psi(t)||^2 = ln u on
-the propagator ``NullFlow`` (M's eigenmodes, or ``numerics.expm_action``
-where they fail) with a bracketed root-finder (Illinois regula falsi,
-bisection-safeguarded).  With that sampling the trajectory ensemble carries
-the physical measure, so averages of normalized projectors reproduce the
-Lindblad density matrix.  Independent gaps (``sample_gaps``) share one
-survival curve, so each root starts next to its answer: ln W is tabulated
-once on a grid graded toward t = 0, each level finds its table cell by an
-indexed search over equal bins of u (Chen & Asau, Computing 13, 1974),
-and an 8-node interpolant of the inverse t(ln W) around that cell seeds
-the root (after Olver & Townsend, "Fast inverse transform sampling in one
-and two dimensions", arXiv:1307.1223, and Derflinger, Hoermann & Leydold,
-ACM TOMACS 20(4), 2010).  A pair of points 0.9 _ROOT_RTOL apart around the
-seed closes most brackets, and the regula falsi finishes the few it
-misses.
+state obeys dpsi/dt = M psi between clicks) and one jump operator per
+detection channel, which fix the reset.  Jump times are sampled by inverse
+transform on the decaying norm: draw u ~ U(0,1), then locate
+ln ||psi(t)||^2 = ln u on the propagator ``NullFlow`` (M's eigenmodes, or
+``numerics.expm_action`` where they fail) with a bracketed root-finder
+(Illinois regula falsi, bisection-safeguarded).  With that sampling the
+trajectory ensemble carries the physical measure, so averages of normalized
+projectors reproduce the Lindblad density matrix.  Independent gaps
+(``sample_gaps``) share one survival curve, so each root starts next to its
+answer: ln W is tabulated once on a grid graded toward t = 0, each level
+finds its table cell by an indexed search over equal bins of u (Chen &
+Asau, Computing 13, 1974), and an 8-node interpolant of the inverse
+t(ln W) around that cell seeds the root (after Olver & Townsend, "Fast
+inverse transform sampling in one and two dimensions", arXiv:1307.1223,
+and Derflinger, Hoermann & Leydold, ACM TOMACS 20(4), 2010).  A pair of
+points 0.9 _ROOT_RTOL apart around the seed closes most brackets, and the
+regula falsi finishes the few it misses.
 
 Ensembles run in lockstep: one propagator per model, the eigenmode
 coefficients of every live trajectory held as one (d, n) array, and all
@@ -33,11 +33,12 @@ numpy ``Generator``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .numerics import RngStream, StreamDraws, _check_times, expm_action
+from .numerics import (RngStream, StreamDraws, _check_count, _check_times,
+                       expm_action)
 
 __all__ = [
     "EffectiveModel",
@@ -54,8 +55,8 @@ __all__ = [
 #: expansion amplification a(psi) = ||V^-1 psi||_1 / ||psi||_2 above which
 #: ``NullFlow`` does not propagate psi on the eigenmodes of M (see NullFlow)
 EIG_COND_LIMIT = 1e8
-#: bracket halvings of plain bisection for jump-time location (t_hi / 2^64);
-#: the root-finder takes at most twice this many survival passes
+#: half the pass cap of ``_find_level``, the jump-time root-finder, which
+#: takes at most 2 * BISECT_ITERS survival passes
 BISECT_ITERS = 64
 #: relative bracket width at which a jump time counts as located
 _ROOT_RTOL = 1e-13
@@ -96,11 +97,13 @@ class EffectiveModel:
         i.e. M = -iH - (1/2) sum L_k^dag L_k with H Hermitian.
     jump_ops: (d, d) channel operators L_k, one per detector.
     labels: channel names parallel to jump_ops.
-    initial_state: normalized state the trajectory starts from.
+    initial_state: (d,) start of every trajectory, stored normalized; a
+        zero or non-finite norm raises ValueError.
     beta_fast: fast decay scale; sets telegraph_run's censoring horizon.
-    reset_state: constant post-jump state when every channel resets to the
-        same place (lets long runs reuse one propagator); None applies the
-        chosen jump operator and renormalizes.
+    reset_state: derived, not set.  When [L_1 ... L_K] has rank 1 (numpy's
+        matrix_rank tolerance) every click sends every state to one ray,
+        kept with its largest entry real and positive; otherwise None, and
+        a click applies the chosen L_k and renormalizes.
     """
 
     generator: np.ndarray
@@ -108,7 +111,7 @@ class EffectiveModel:
     labels: tuple
     initial_state: np.ndarray
     beta_fast: float
-    reset_state: np.ndarray | None = None
+    reset_state: np.ndarray | None = field(init=False)
 
     def __post_init__(self):
         object.__setattr__(self, "generator",
@@ -117,31 +120,32 @@ class EffectiveModel:
                            tuple(np.asarray(L, dtype=complex)
                                  for L in self.jump_ops))
         object.__setattr__(self, "labels", tuple(self.labels))
-        object.__setattr__(self, "initial_state",
-                           np.asarray(self.initial_state, dtype=complex))
-        if self.reset_state is not None:
-            object.__setattr__(self, "reset_state",
-                               np.asarray(self.reset_state, dtype=complex))
+        psi0 = np.asarray(self.initial_state, dtype=complex)
         if len(self.jump_ops) != len(self.labels):
             raise ValueError("one label per jump operator required")
         d = self.generator.shape[0]
-        states = [self.initial_state]
-        if self.reset_state is not None:
-            states.append(self.reset_state)
         if (any(m.shape != (d, d) for m in (self.generator, *self.jump_ops))
-                or any(s.shape != (d,) for s in states)):
+                or psi0.shape != (d,)):
             raise ValueError("generator and jump operators must be (d, d) "
-                             "and the states (d,)")
+                             "and the initial state (d,)")
+        norm = np.linalg.norm(psi0)
+        if not 0.0 < norm < math.inf:
+            raise ValueError(f"initial_state norm {norm} is not finite and >0")
+        object.__setattr__(self, "initial_state", psi0 / norm)
         loss = sum((L.conj().T @ L for L in self.jump_ops), np.zeros((d, d)))
         herm = self.generator + self.generator.conj().T
         gap = np.linalg.norm(herm + loss)
         if not gap <= 1e-10 * max(np.linalg.norm(herm), np.linalg.norm(loss)):
             raise ValueError(f"generator's Hermitian part misses -sum L^dag L "
                              f"by {gap:.3g}; M must be -iH - (1/2) sum L^dag L")
-
-    @property
-    def dim(self) -> int:
-        return self.generator.shape[0]
+        ops = self.jump_ops or (np.zeros((d, d)),)
+        u, s, _ = np.linalg.svd(np.hstack(ops), full_matrices=False)
+        r, k = u[:, 0], np.argmax(np.abs(u[:, 0]))
+        # + 0.0 turns the phase product's negative zeros positive
+        reset = r * (np.conj(r[k]) / abs(r[k])) + 0.0
+        reset[k] = abs(r[k])
+        rank = np.count_nonzero(s > s[0] * d * len(ops) * np.finfo(float).eps)
+        object.__setattr__(self, "reset_state", reset if rank == 1 else None)
 
     def jump_rates(self, psi: np.ndarray) -> np.ndarray:
         """||L_k psi||^2 per channel, (K,) for a state (d,) and (K, n) for
@@ -172,27 +176,23 @@ class EffectiveModel:
         scale = max(loss, gain, 1e-300)
         return abs(loss - gain) / scale
 
-    def reset(self, channels, states: np.ndarray) -> np.ndarray:
-        """Post-jump states, shaped like states: for a state (d,) and its
-        channel, or for the columns of states (d, n) and their channels (n,).
-        The constant reset state when there is one; otherwise L_k psi
-        normalized, one product L_k @ (columns of channel k) per channel.  A
-        state that its jump operator annihilates raises ValueError."""
-        shape = np.shape(states)
+    def reset(self, channels: np.ndarray, states: np.ndarray) -> np.ndarray:
+        """Post-jump states (d, n) for the columns of states (d, n) and their
+        channels (n,): the constant reset state when there is one; otherwise
+        L_k psi normalized, one product L_k @ (columns of channel k) per
+        channel.  A state that its jump operator annihilates raises
+        ValueError."""
         if self.reset_state is not None:
-            col = self.reset_state.reshape((-1,) + (1,) * (len(shape) - 1))
-            return np.array(np.broadcast_to(col, shape))
-        cols = np.reshape(states, (self.dim, -1))
-        ks = np.broadcast_to(channels, cols.shape[1:])
-        post = np.empty(cols.shape, dtype=complex)
+            return np.tile(self.reset_state[:, np.newaxis], states.shape[1])
+        post = np.empty(states.shape, dtype=complex)
         for k, L in enumerate(self.jump_ops):
-            sel = ks == k
-            post[:, sel] = L @ cols[:, sel]
+            sel = channels == k
+            post[:, sel] = L @ states[:, sel]
         nrm = np.linalg.norm(post, axis=0)
         if not np.all(nrm > 0.0):
             raise ValueError("jump operator annihilated the state; "
                              "channel should have had zero rate")
-        return (post / nrm).reshape(shape)
+        return post / nrm
 
 
 class NullFlow:
@@ -498,10 +498,12 @@ def sample_gaps(survival, n: int, rng, t_hi: float) -> np.ndarray:
     u <= W(t_hi) is censored and comes back as exactly t_hi, so
     ``gaps == t_hi`` is the censored mask; choose t_hi so W(t_hi) is
     negligible for the statistic at hand.  A t_hi that is not finite and
-    positive raises ValueError; a W that is NaN, negative or +inf at any
-    time asked for raises FloatingPointError.
+    positive, or an n that is not an integer >= 0, raises ValueError; a W
+    that is NaN, negative or +inf at any time asked for raises
+    FloatingPointError.
     """
     t_hi = float(_check_times("t_hi", t_hi, positive=True))
+    n = _check_count("n", n, 0)
     if isinstance(rng, RngStream):
         rng = rng.generator()
     u = rng.random(n)
@@ -591,11 +593,10 @@ def _unravel(model: EffectiveModel, tmax: float, draws: StreamDraws) -> tuple:
     (d, n) final states, unnormalized relative to the last reset.
     """
     n = len(draws)
-    psi0 = model.initial_state / np.linalg.norm(model.initial_state)
-    flow = NullFlow(model.generator, psi0)
+    flow = NullFlow(model.generator, model.initial_state)
     coef = np.repeat(flow._coef[:, np.newaxis], n, axis=1)
     norm0 = np.full(n, flow._norm0)
-    final = np.repeat(psi0[:, np.newaxis], n, axis=1)
+    final = np.repeat(model.initial_state[:, np.newaxis], n, axis=1)
     t = np.zeros(n)
     # (trajectories that clicked, their gaps, their channels) per round
     rounds = [(np.empty(0, dtype=np.intp), np.empty(0),
@@ -653,20 +654,21 @@ def _telegraph_horizon(model: EffectiveModel) -> float:
 
 def telegraph_run(model: EffectiveModel, total_time: float, rng: RngStream,
                   *, ngaps: int | None = None) -> JumpRecord:
-    """Long telegraph record for a constant-reset model: iid gaps censored
-    at ``_telegraph_horizon``, up to the one whose running sum reaches
-    total_time or to ngaps of them, whichever comes first.  The record
-    starts at a reset: every gap, the first included, comes from
+    """Long telegraph record for a model whose ``reset_state`` is not None:
+    iid gaps censored at ``_telegraph_horizon``, up to the one whose running
+    sum reaches total_time or to ngaps of them, whichever comes first.  The
+    record starts at a reset: every gap, the first included, comes from
     ``reset_state``'s survival curve, and ``initial_state`` is not read.
     With ngaps the gaps are one ``sample_gaps`` call on rng, without it
-    batches of _TELEGRAPH_BATCH from one generator of rng.  Channel labels are
-    attributed afterwards, one uniform per gap from the paired stream
+    batches of _TELEGRAPH_BATCH from one generator of rng.  Channel labels
+    are attributed afterwards, one uniform per gap from the paired stream
     RngStream(rng.seed, rng.stream_index + 1), which keeps the gap sequence
     invariant under changes in channel handling.  A total_time that is
-    negative or NaN raises ValueError, and so does an infinite one without
-    ngaps."""
+    negative or NaN raises ValueError, and so do an infinite one without
+    ngaps and an ngaps that is not an integer >= 0."""
     if model.reset_state is None:
         raise ValueError("telegraph_run needs a constant reset state")
+    ngaps = None if ngaps is None else _check_count("ngaps", ngaps, 0)
     if ngaps is None or total_time != math.inf:
         total_time = float(_check_times("total_time", total_time))
     gen = rng.generator()
@@ -759,12 +761,11 @@ def lindblad_consistency(model: EffectiveModel, ntraj: int, t: float,
     generator on both criterion-14 models.  Returns rho_direct, rho_ensemble
     and their largest elementwise deviation, max_deviation; the caller sets
     the Monte Carlo band.  Raises ValueError for t negative or not finite
-    and for ntraj < 1.
+    and for an ntraj that is not an integer >= 1.
     """
     t = float(_check_times("t", t))
-    if ntraj < 1:
-        raise ValueError(f"ntraj must be at least 1, got {ntraj}")
-    psi0 = model.initial_state / np.linalg.norm(model.initial_state)
+    ntraj = _check_count("ntraj", ntraj, 1)
+    psi0 = model.initial_state
     rho_direct = _lindblad_evolve(model, np.outer(psi0, psi0.conj()), t)
 
     final = _unravel(model, t, StreamDraws(seedbase, np.arange(ntraj)))[-1]

@@ -178,7 +178,7 @@ def _criterion_4():
     st = telegraph_stats(rec, dark_threshold=10.0 / p.beta1)
     z = (st.p_dark - 1.0 / 3.0) / st.p_dark_se
 
-    nf = NullFlow(model.generator, model.initial_state)
+    nf = NullFlow(model.generator, model.reset_state)
     t_hi = _telegraph_horizon(model)
     gaps = sample_gaps(nf.survival, 400_000, RngStream(1, 1), t_hi=t_hi)
     tail = gaps[gaps > 30.0]

@@ -287,7 +287,7 @@ def test_effective_model_shape():
     p = _params(omega1=5.0, eps=0.05, beta2=0.2)
     m = effective_model(p)
     assert m.labels == ("fast", "slow")
-    assert m.dim == 3
+    assert m.generator.shape == (3, 3)
     assert np.array_equal(m.initial_state, m.reset_state)
     excited = np.array([0.0, 1.0, 0.0], dtype=complex)
     rates = m.jump_rates(excited)

@@ -250,7 +250,7 @@ def test_effective_model_validation():
         effective_model(p, 8, initial_state=np.ones(4))
     m = effective_model(p, 8)
     assert m.labels == ("emission",)
-    assert m.dim == 9
+    assert m.generator.shape == (9, 9)
     assert m.reset_state is None
     assert abs(np.vdot(m.initial_state, m.initial_state) - 1.0) < 1e-12
     # one-photon state clicks at rate kappa

@@ -325,8 +325,9 @@ def test_integrate_sse_series_consistency():
     for f in ("t", "alpha", "beta", "record_T"):
         assert np.array_equal(getattr(snaps, f), getattr(dense, f)[::100])
         assert getattr(ends, f)[-1] == getattr(snaps, f)[-1]
-    with pytest.raises(ValueError):
-        integrate_sse_series(P4, path, every=0)
+    for every in (0, -1, 2.5, True):
+        with pytest.raises(ValueError, match="every must be an integer"):
+            integrate_sse_series(P4, path, every=every)
 
 
 def test_integrate_sse_series_snapshot_grid():

@@ -46,21 +46,18 @@ def _criterion14_models():
 
 
 MODELS = _criterion14_models()
-# a constant reset need not be normalized: survival is relative to it
-MODELS["atom_scaled_reset"] = (
-    dataclasses.replace(MODELS["atom"][0],
-                        reset_state=2.0 * MODELS["atom"][0].reset_state),
-    3.0)
 
 
 def _defective_model():
     """Exceptional point: M = [[-1/2, 1], [0, -1/2]] has a single
     eigenvector, so NullFlow must leave the eigenbasis.  M is
-    -iH - L^dag L / 2 for H = -sigma_y / 2 and L = |0>(<0| - <1|), so the
-    unraveling is trace preserving; each click resets to |0>."""
+    -iH - sum_j L_j^dag L_j / 2 for H = -sigma_y / 2 and the two channels
+    L_j = |j>(<0| - <1|) / sqrt(2), so the unraveling is trace preserving.
+    Their ranges differ, so the model has no constant reset: a click
+    applies its channel's operator, off the eigenmodes."""
     M = np.array([[-0.5, 1.0], [0.0, -0.5]], dtype=complex)
-    L = np.array([[1.0, -1.0], [0.0, 0.0]], dtype=complex)
-    return EffectiveModel(generator=M, jump_ops=(L,), labels=("click",),
+    ops = [math.sqrt(0.5) * np.outer(e, [1.0, -1.0]) for e in np.eye(2)]
+    return EffectiveModel(generator=M, jump_ops=ops, labels=("up", "down"),
                           initial_state=np.array([0.0, 1.0]), beta_fast=1.0)
 
 
@@ -69,7 +66,7 @@ def _reference_trajectory(model, tmax, rng):
     a fresh NullFlow per segment, scalar 64-step bisection and a scalar
     channel draw.  Returns (times, channels, final state)."""
     times, channels = [], []
-    state = model.initial_state / np.linalg.norm(model.initial_state)
+    state = model.initial_state
     t = 0.0
     final = state
     while t < tmax:
@@ -91,7 +88,7 @@ def _reference_trajectory(model, tmax, rng):
         k = 0
         if len(model.jump_ops) > 1:
             k = _reference_channel(model.jump_rates(psi), float(rng.random()))
-        state = model.reset(k, psi)
+        state = model.reset(np.array([k]), psi[:, np.newaxis])[:, 0]
         t += t_rel
         times.append(t)
         channels.append(k)
@@ -231,20 +228,37 @@ def test_null_flow_refuses_backward_and_non_finite_times(model, t):
     ("t_hi", np.nan), ("t_hi", np.inf), ("t_hi", -1.0), ("t_hi", 0.0),
     ("tmax", np.nan), ("tmax", np.inf), ("tmax", -5.0),
     ("total_time", np.nan), ("total_time", -5.0),
+    ("n", 2.5), ("n", -1), ("n", True), ("n", np.float64(10.0)),
+    ("ngaps", 2.5), ("ngaps", -1), ("ngaps", False),
 ])
 def test_time_inputs_rejected_promptly(name, value):
+    """Times, and the sample counts of sample_gaps and telegraph_run, are
+    refused with a ValueError that names them, before any work."""
     model = _pilot_model()
+    survival = NullFlow(model.generator, model.initial_state).survival
     call = {
-        "t_hi": lambda: sample_gaps(NullFlow(model.generator,
-                                             model.initial_state).survival,
-                                    10, RngStream(0, 0), t_hi=value),
+        "t_hi": lambda: sample_gaps(survival, 10, RngStream(0, 0), t_hi=value),
         "tmax": lambda: run_trajectory(model, value, RngStream(0, 0)),
         "total_time": lambda: telegraph_run(model, value, RngStream(0, 0)),
+        "n": lambda: sample_gaps(survival, value, RngStream(0, 0), t_hi=10.0),
+        "ngaps": lambda: telegraph_run(model, math.inf, RngStream(0, 0),
+                                       ngaps=value),
     }[name]
     start = time.perf_counter()
-    with pytest.raises(ValueError, match=name):
+    with pytest.raises(ValueError, match=rf"^{name} must be"):
         call()
     assert time.perf_counter() - start < 1.0
+
+
+def test_counts_take_numpy_integers():
+    model = _pilot_model()
+    survival = NullFlow(model.generator, model.reset_state).survival
+    assert np.array_equal(sample_gaps(survival, np.int64(5), RngStream(0, 0),
+                                      10.0),
+                          sample_gaps(survival, 5, RngStream(0, 0), 10.0))
+    rec = telegraph_run(model, math.inf, RngStream(0, 0), ngaps=np.int32(3))
+    assert rec.njumps == 3
+    assert telegraph_run(model, math.inf, RngStream(0, 0), ngaps=0).njumps == 0
 
 
 def test_telegraph_run_rejects_infinite_total_time():
@@ -741,6 +755,74 @@ def test_telegraph_stats_consistency():
     assert abs(st.p_dark - dark.sum() / np.cumsum(rec.gaps)[-1]) < 1e-2
 
 
+@pytest.mark.parametrize("omega1, omega2", [(5.0, 0.05), (1.0, 0.7)])
+def test_atom_reset_is_the_ground_state_bit_for_bit(omega1, omega2):
+    """Both atom channels map every state onto |0>, so the model derives
+    that reset from their SVD: bit for bit the ground state, with no
+    negative zero (tobytes tells -0.0 from 0.0)."""
+    ground = np.array([1.0, 0.0, 0.0], dtype=complex)
+    for beta1 in (1.0, 0.3, 2.0, 7.1, 1e9, 0.123456789, 3.0):
+        for beta2 in (0.0, 0.8, beta1 / 2):
+            p = Atom3Params(omega1=omega1, omega2=omega2, delta2=0.5,
+                            beta1=beta1, beta2=beta2)
+            assert effective_model(p).reset_state.tobytes() == ground.tobytes()
+
+
+def test_rank_one_channels_reset_to_their_common_range():
+    """Channels |r><v_k| send every state to the ray of r, which the model
+    keeps with its largest entry real and positive."""
+    rng = np.random.default_rng(5)
+    r = _cplx(rng, 4)
+    r /= np.linalg.norm(r)
+    ops = [np.outer(r, _cplx(rng, 4).conj()) for _ in range(2)]
+    model = EffectiveModel(generator=-0.5 * sum(L.conj().T @ L for L in ops),
+                           jump_ops=ops, labels=("a", "b"),
+                           initial_state=np.eye(4)[0], beta_fast=1.0)
+    got = model.reset_state
+    k = np.argmax(np.abs(r))
+    assert np.argmax(np.abs(got)) == k
+    assert got[k].imag == 0.0 and got[k].real > 0.0
+    assert np.max(np.abs(got - r * np.conj(r[k]) / abs(r[k]))) < 1e-14
+    # a click leaves the jump operator's image, normalized, up to a phase
+    psi = _cplx(rng, 4)
+    for L in ops:
+        post = L @ psi / np.linalg.norm(L @ psi)
+        assert abs(abs(np.vdot(got, post)) - 1.0) < 1e-14
+
+
+@pytest.mark.parametrize("case", ["rank-2", "cavity", "all-zero",
+                                  "no-channel"])
+def test_channels_without_one_range_have_no_constant_reset(case):
+    """Two ranges, a full-rank channel, a channel that never clicks and no
+    channel at all leave no constant reset; the last two still unravel."""
+    if case == "rank-2":
+        model = _defective_model()
+    elif case == "cavity":
+        model = MODELS["cavity"][0]
+    else:
+        ops = [np.zeros((2, 2))] if case == "all-zero" else []
+        model = EffectiveModel(generator=-1j * np.diag([0.0, 1.0]),
+                               jump_ops=ops, labels=("dark",) * len(ops),
+                               initial_state=np.ones(2), beta_fast=1.0)
+        rep = lindblad_consistency(model, 3, 1.0, seedbase=1)
+        assert rep["max_deviation"] < 1e-12
+    assert model.reset_state is None
+    with pytest.raises(ValueError, match="constant reset"):
+        telegraph_run(model, 1.0, RngStream(0, 0))
+
+
+def test_initial_state_is_normalized_once():
+    """The model stores its start divided by its norm, and refuses a start
+    whose norm is zero or not finite."""
+    model = _pilot_model()
+    psi = np.array([3.0, 4.0j, 0.0])
+    assert np.array_equal(
+        dataclasses.replace(model, initial_state=psi).initial_state, psi / 5.0)
+    for bad in ([0.0, 0.0, 0.0], [np.nan, 1.0, 0.0], [np.inf, 0.0, 0.0]):
+        with pytest.raises(ValueError, match="initial_state norm"):
+            dataclasses.replace(model, initial_state=bad)
+
+
 def test_effective_model_rates_and_reset():
     model = _pilot_model()
     ground = model.initial_state
@@ -750,8 +832,8 @@ def test_effective_model_rates_and_reset():
     psi = rng.standard_normal(3) + 1j * rng.standard_normal(3)
     psi /= np.linalg.norm(psi)
     assert model.rate_identity_gap(psi) < 1e-12
-    out = model.reset(0, psi)
-    assert np.array_equal(out, ground)
+    out = model.reset(np.array([0, 1]), np.stack([psi, psi], axis=1))
+    assert np.array_equal(out, np.stack([ground, ground], axis=1))
 
 
 def test_jump_record_validates_times():
@@ -776,7 +858,8 @@ def test_lindblad_consistency_small_ensemble():
 def _liouvillian(model):
     """The Lindblad generator acting on row-major vec(rho), in kron form:
     vec(A rho B) = kron(A, B.T) vec(rho)."""
-    G, eye = model.generator, np.eye(model.dim)
+    G = model.generator
+    eye = np.eye(G.shape[0])
     return (np.kron(G, eye) + np.kron(eye, G.conj())
             + sum(np.kron(L, L.conj()) for L in model.jump_ops))
 
@@ -785,13 +868,14 @@ def _liouvillian(model):
 def test_lindblad_reference_matches_expm(name):
     model, t = {**MODELS, "defective": (_defective_model(), 3.0)}[name]
     rho = lindblad_consistency(model, 20, t, seedbase=14)["rho_direct"]
-    psi0 = model.initial_state / np.linalg.norm(model.initial_state)
+    psi0 = model.initial_state
     want = expm(_liouvillian(model) * t) @ np.outer(psi0, psi0.conj()).ravel()
     assert np.max(np.abs(rho.ravel() - want)) < 1e-12
 
 
 @pytest.mark.parametrize("ntraj, t", [(10, float("nan")), (10, float("inf")),
-                                      (10, -1.0), (0, 3.0), (-5, 3.0)])
+                                      (10, -1.0), (0, 3.0), (-5, 3.0),
+                                      (2.5, 3.0), (True, 3.0)])
 def test_lindblad_consistency_rejects_bad_input_promptly(ntraj, t):
     start = time.perf_counter()
     with pytest.raises(ValueError):
@@ -941,9 +1025,11 @@ def test_engine_streams_build_no_generator(monkeypatch):
 
 def test_eig_fallback_first_jump_and_ensemble():
     model = _defective_model()
-    M, (L,) = model.generator, model.jump_ops
+    M = model.generator
     H = np.array([[0.0, 0.5j], [-0.5j, 0.0]])
-    assert np.max(np.abs(M - (-1j * H - 0.5 * L.conj().T @ L))) < 1e-15
+    loss = sum(L.conj().T @ L for L in model.jump_ops)
+    assert np.max(np.abs(M - (-1j * H - 0.5 * loss))) < 1e-15
+    assert model.reset_state is None
     flow = NullFlow(M, model.initial_state)
     assert not flow.uses_eig
     for t in (0.0, 0.7, 4.0):
@@ -1053,8 +1139,9 @@ def test_effective_model_checks_its_generator():
         dataclasses.replace(model, jump_ops=(np.eye(2), model.jump_ops[1]))
     with pytest.raises(ValueError, match=r"must be \(d, d\)"):
         dataclasses.replace(model, initial_state=np.ones(2))
-    with pytest.raises(ValueError, match=r"must be \(d, d\)"):
-        dataclasses.replace(model, reset_state=np.ones(4))
+    # the reset is derived from the jump operators, never set
+    with pytest.raises(ValueError, match="init=False"):
+        dataclasses.replace(model, reset_state=np.eye(3)[1])
 
 
 def test_constants():
